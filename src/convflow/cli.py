@@ -231,7 +231,11 @@ def cmd_extract(args: argparse.Namespace) -> int:
                 else:
                     rep = cluster.representative(store, parts[role], cid)
                     labels[node] = f"{node}: {texts[rep][:40]}"
-    graph = flowgraph.prune(flowgraph.build_graph(trajectories), config.epsilon)
+    full = flowgraph.build_graph(trajectories)
+    graph = flowgraph.prune(full, config.epsilon)
+    if not graph.nodes:
+        print(f"warning: epsilon={config.epsilon} pruned every node; the heaviest node "
+              f"weighs {max(full.node_weights.values()):.3f}", file=sys.stderr)
     dot = flowgraph.export_dot(graph, flowgraph.DotOptions(labels=labels))
     with open(os.path.join(out_dir, "flow.dot"), "w", encoding="utf-8") as fh:
         fh.write(dot)

@@ -119,13 +119,6 @@ def kmeans(
     return clustering
 
 
-def kmeans_objective(store: EmbeddingStore, ids: list[str], clustering: Clustering) -> float:
-    """Sum of member-to-centroid cosines; the quantity k-means ascends."""
-    x = store.matrix(list(ids))
-    assign = np.asarray([clustering.assignment[uid] for uid in ids])
-    return float(np.sum(x * clustering.centroids[assign]))
-
-
 # ---------------------------------------------------------------------------
 # Agglomerative clustering
 # ---------------------------------------------------------------------------

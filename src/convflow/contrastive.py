@@ -405,15 +405,6 @@ def single_items(rows) -> list[TrainItem]:
     return [TrainItem(text=text, action=a.render(), labels=(a.render(),)) for _, _, text, a in rows]
 
 
-def joint_items(rows) -> list[TrainItem]:
-    """Label view for the joint target: act and slot-set labels."""
-    out = []
-    for _, _, text, a in rows:
-        slots_label = " ".join(a.slots) if a.slots else "<none>"
-        out.append(TrainItem(text=text, action=a.render(), labels=(a.act, slots_label)))
-    return out
-
-
 @dataclass
 class TrainResult:
     encoder: ToyEncoder

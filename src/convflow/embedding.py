@@ -10,15 +10,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import struct
-import time
-import urllib.error
-import urllib.request
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import remote
 from .errors import (
     ConflictError,
     DegenerateVectorError,
@@ -26,7 +23,6 @@ from .errors import (
     FormatError,
     InputError,
     ProtocolError,
-    RemoteError,
     ShapeError,
 )
 
@@ -250,18 +246,11 @@ def hashed_bow_vector(text: str, dim: int, normalize: bool = True) -> np.ndarray
 # Remote encoder client
 # ---------------------------------------------------------------------------
 
-def _cache_key(endpoint: str, text: str) -> str:
-    return hashlib.sha256(f"{endpoint}\n{text}".encode("utf-8")).hexdigest()
-
-
-def _post_json(url: str, payload: dict, token: str | None, timeout: float) -> dict:
-    body = json.dumps(payload).encode("utf-8")
-    headers = {"Content-Type": "application/json"}
-    if token:
-        headers["Authorization"] = f"Bearer {token}"
-    req = urllib.request.Request(url, data=body, headers=headers, method="POST")
-    with urllib.request.urlopen(req, timeout=timeout) as resp:
-        return json.loads(resp.read().decode("utf-8"))
+def _numeric_vector(value) -> np.ndarray | None:
+    if not isinstance(value, list) or not all(type(x) in (int, float) for x in value):
+        return None
+    arr = np.asarray(value, dtype=np.float64)
+    return arr if np.isfinite(arr).all() else None
 
 
 def fetch_remote(
@@ -269,70 +258,31 @@ def fetch_remote(
     texts: list[str],
     token: str | None = None,
     ids: list[str] | None = None,
-    batch_size: int = REMOTE_BATCH_SIZE,
     cache_dir: str | None = None,
-    max_retries: int = 3,
-    backoff: float = 0.5,
-    timeout: float = 30.0,
-    normalize: bool = False,
 ) -> EmbeddingStore:
-    """Fetch one vector per text from a remote encoder, preserving order.
+    """Fetch one unnormalized vector per text from a remote encoder, in order.
 
-    Protocol: POST {"texts": [...]} -> {"vectors": [[...], ...]}, bearer-token
-    auth. Transient failures (HTTP 5xx, connection errors) are retried with
-    exponential backoff; anything else raises RemoteError with the status.
-    With `cache_dir`, results are cached on disk keyed by (endpoint, text).
+    Protocol: POST {"texts": [...]} -> {"vectors": [[...], ...]}, REMOTE_BATCH_SIZE
+    texts per request, sent by `remote.post_json` (bearer auth; HTTP 5xx and
+    connection failures retried 3 times with 0.5 s doubling backoff). A vector
+    that is not a list of finite numbers raises ProtocolError. With `cache_dir`,
+    each vector is cached under sha256(endpoint "\n" text), written atomically;
+    an unreadable entry is a miss.
     """
     if ids is None:
         ids = [str(i) for i in range(len(texts))]
     if len(ids) != len(texts):
         raise InputError("ids and texts must have equal length")
-    if not texts:
-        return EmbeddingStore(dim=0, vectors={}, normalized=normalize)
-
-    vectors: list[np.ndarray | None] = [None] * len(texts)
-    pending: list[int] = []
-    if cache_dir:
-        os.makedirs(cache_dir, exist_ok=True)
-        for i, text in enumerate(texts):
-            path = os.path.join(cache_dir, _cache_key(endpoint, text) + ".json")
-            if os.path.exists(path):
-                with open(path, encoding="utf-8") as fh:
-                    vectors[i] = np.asarray(json.load(fh)["vector"], dtype=np.float64)
-            else:
-                pending.append(i)
-    else:
-        pending = list(range(len(texts)))
-
-    for start in range(0, len(pending), batch_size):
-        chunk = pending[start : start + batch_size]
-        payload = {"texts": [texts[i] for i in chunk]}
-        reply = None
-        for attempt in range(max_retries + 1):
-            try:
-                reply = _post_json(endpoint, payload, token, timeout)
-                break
-            except urllib.error.HTTPError as exc:
-                if 500 <= exc.code < 600 and attempt < max_retries:
-                    time.sleep(backoff * (2**attempt))
-                    continue
-                raise RemoteError(f"embedding endpoint failed: HTTP {exc.code}", status=exc.code) from exc
-            except (urllib.error.URLError, TimeoutError) as exc:
-                if attempt < max_retries:
-                    time.sleep(backoff * (2**attempt))
-                    continue
-                raise RemoteError(f"embedding endpoint unreachable: {exc}") from exc
-        got = reply.get("vectors") if isinstance(reply, dict) else None
-        if not isinstance(got, list) or len(got) != len(chunk):
-            raise ProtocolError(
-                f"expected {len(chunk)} vectors, got {len(got) if isinstance(got, list) else 'none'}"
-            )
+    cached = [remote.cache_get(cache_dir, [endpoint, text]) or {} for text in texts]
+    vectors = [_numeric_vector(entry.get("vector")) for entry in cached]
+    pending = [i for i, vec in enumerate(vectors) if vec is None]
+    for start in range(0, len(pending), REMOTE_BATCH_SIZE):
+        chunk = pending[start : start + REMOTE_BATCH_SIZE]
+        got = remote.post_json(endpoint, {"texts": [texts[i] for i in chunk]}, token).get("vectors")
+        got = [_numeric_vector(vec) for vec in got] if isinstance(got, list) else []
+        if len(got) != len(chunk) or any(vec is None for vec in got):
+            raise ProtocolError(f"the reply does not hold {len(chunk)} vectors of finite numbers")
         for i, vec in zip(chunk, got):
-            arr = np.asarray(vec, dtype=np.float64)
-            vectors[i] = arr
-            if cache_dir:
-                path = os.path.join(cache_dir, _cache_key(endpoint, texts[i]) + ".json")
-                with open(path, "w", encoding="utf-8") as fh:
-                    json.dump({"vector": [float(x) for x in arr]}, fh)
-
-    return build_store(list(zip(ids, vectors)), normalize=normalize)
+            vectors[i] = vec
+            remote.cache_put(cache_dir, [endpoint, texts[i]], {"vector": vec.tolist()})
+    return build_store(list(zip(ids, vectors)))

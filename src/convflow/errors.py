@@ -108,3 +108,7 @@ class RemoteError(ConvflowError):
 
 class ProtocolError(RemoteError):
     """Remote service answered with a malformed or mismatched payload."""
+
+
+class UnavailableError(RemoteError):
+    """Remote service still failing (HTTP 5xx or unreachable) after every retry."""

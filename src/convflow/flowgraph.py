@@ -12,23 +12,24 @@ roles never merge.
 from __future__ import annotations
 
 import concurrent.futures
-import hashlib
 import json
-import os
-import urllib.error
-import urllib.request
+import threading
 import warnings
 from dataclasses import dataclass, field
 
+from . import remote
 from .cluster import Clustering
 from .corpus import UnifiedDialog, action_of, utterance_id
 from .errors import CoverageError, EmptyInputError, InputError, UndefinedMetricError
+from .errors import ProtocolError, RemoteError, UnavailableError
 
 DEFAULT_EPSILON = 0.02
 
 ENV_LLM_URL = "D2F_LLM_URL"
 ENV_LLM_MODEL = "D2F_LLM_MODEL"
 ENV_LLM_TOKEN = "D2F_LLM_TOKEN"
+
+LLM_WORKERS = 4  # concurrent naming requests
 
 
 @dataclass(frozen=True)
@@ -339,78 +340,53 @@ def extract_canonical_form(reply: str) -> str:
     return reply.strip()
 
 
-def _cluster_cache_key(endpoint: str, model: str | None, member_texts: list[str]) -> str:
-    blob = "\n".join([endpoint, model or ""] + member_texts)
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-
 def label_clusters_llm(
     clusters: list[tuple[int, list[str]]],
     endpoint: str | None,
     model: str | None = None,
     token: str | None = None,
     cache_dir: str | None = None,
-    max_workers: int = 4,
-    timeout: float = 30.0,
 ) -> dict[int, str]:
-    """Name clusters through a chat-completion endpoint.
+    """Name clusters through a chat-completion endpoint, LLM_WORKERS at a time.
 
-    Runs at most `max_workers` concurrent requests. Remote failure (or a
-    None endpoint, the offline mode) degrades to "cluster-<id>" placeholder
-    labels with a warning so the pipeline still completes. Results are
-    cached by cluster-content hash.
+    Requests go through `remote.post_json` (HTTP 5xx and connection failures
+    retried 3 times with 0.5 s doubling backoff). A cluster whose request
+    still fails, or whose reply is malformed, gets the placeholder
+    "cluster-<id>" with a warning; once one request has failed past its
+    retries, clusters not yet sent get placeholders without a request. A None
+    endpoint (offline mode) gives placeholders for all. With `cache_dir`,
+    labels are cached under sha256 of the "\n"-joined endpoint, model and
+    member texts, written atomically; an unreadable entry is a miss.
     """
     for cid, texts in clusters:
         if not texts:
             raise InputError(f"cluster {cid} has no member texts")
-    labels: dict[int, str] = {}
-    pending: list[tuple[int, list[str]]] = []
-    if cache_dir:
-        os.makedirs(cache_dir, exist_ok=True)
-    for cid, texts in clusters:
-        if cache_dir and endpoint:
-            path = os.path.join(cache_dir, _cluster_cache_key(endpoint, model, texts) + ".json")
-            if os.path.exists(path):
-                with open(path, encoding="utf-8") as fh:
-                    labels[cid] = json.load(fh)["label"]
-                continue
-        pending.append((cid, texts))
-    if not pending:
-        return labels
     if endpoint is None:
         warnings.warn("no LLM endpoint configured; using placeholder cluster labels")
-        for cid, _ in pending:
-            labels[cid] = f"cluster-{cid}"
-        return labels
+        return {cid: f"cluster-{cid}" for cid, _ in clusters}
+    down = threading.Event()  # set once a request has failed past its retries
 
-    def one(cid: int, texts: list[str]) -> tuple[int, str, bool]:
-        payload: dict = {"messages": build_label_messages(texts)}
-        if model:
-            payload["model"] = model
-        body = json.dumps(payload).encode("utf-8")
-        headers = {"Content-Type": "application/json"}
-        if token:
-            headers["Authorization"] = f"Bearer {token}"
-        req = urllib.request.Request(endpoint, data=body, headers=headers, method="POST")
+    def one(cluster: tuple[int, list[str]]) -> str:
+        cid, texts = cluster
+        key = [endpoint, model or ""] + texts
+        label = (remote.cache_get(cache_dir, key) or {}).get("label")
+        if isinstance(label, str):
+            return label
+        payload = {"messages": build_label_messages(texts)} | ({"model": model} if model else {})
         try:
-            with urllib.request.urlopen(req, timeout=timeout) as resp:
-                reply = json.loads(resp.read().decode("utf-8"))
-            content = reply["choices"][0]["message"]["content"]
-            return cid, extract_canonical_form(content), True
-        except (urllib.error.URLError, TimeoutError, KeyError, IndexError, json.JSONDecodeError) as exc:
-            warnings.warn(f"cluster {cid} labeling failed ({exc}); using placeholder")
-            return cid, f"cluster-{cid}", False
+            if down.is_set():
+                raise UnavailableError("not sent: the endpoint is down")
+            content = remote.post_json(endpoint, payload, token)["choices"][0]["message"]["content"]
+            if not isinstance(content, str):
+                raise ProtocolError(f"completion content is a {type(content).__name__}")
+        except (RemoteError, LookupError, TypeError) as exc:
+            if isinstance(exc, UnavailableError):
+                down.set()
+            warnings.warn(f"cluster {cid} labeling failed ({exc!r}); using placeholder")
+            return f"cluster-{cid}"
+        label = extract_canonical_form(content)
+        remote.cache_put(cache_dir, key, {"label": label})
+        return label
 
-    with concurrent.futures.ThreadPoolExecutor(max_workers=max_workers) as pool:
-        futures = [pool.submit(one, cid, texts) for cid, texts in pending]
-        by_cid = {cid: texts for cid, texts in pending}
-        for fut in concurrent.futures.as_completed(futures):
-            cid, label, ok = fut.result()
-            labels[cid] = label
-            if ok and cache_dir:
-                path = os.path.join(
-                    cache_dir, _cluster_cache_key(endpoint, model, by_cid[cid]) + ".json"
-                )
-                with open(path, "w", encoding="utf-8") as fh:
-                    json.dump({"label": label}, fh)
-    return labels
+    with concurrent.futures.ThreadPoolExecutor(max_workers=LLM_WORKERS) as pool:
+        return dict(zip((cid for cid, _ in clusters), pool.map(one, clusters)))

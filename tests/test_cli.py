@@ -302,10 +302,99 @@ def test_eval_remote_embeddings_via_env(planted, tmp_path, monkeypatch):
 
 
 def test_eval_remote_error_exits_3(planted, tmp_path, monkeypatch):
+    from convflow import remote
+
+    monkeypatch.setattr(remote, "sleep", lambda seconds: None)
     _, corpus_path, _ = planted
     monkeypatch.setenv("D2F_EMBED_URL", "http://127.0.0.1:1/unreachable")
     code = main(["eval", "--corpus", corpus_path, "--out", str(tmp_path / "r.json")])
     assert code == 3
+
+
+@pytest.fixture()
+def reply_server():
+    """Start local servers that answer their n-th POST with `body_for(n, payload)`."""
+    import http.server
+    import itertools
+    import threading
+
+    servers = []
+
+    def start(body_for):
+        counter = itertools.count()
+
+        class Handler(http.server.BaseHTTPRequestHandler):
+            def do_POST(self):
+                payload = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+                body = body_for(next(counter), payload)
+                self.send_response(200)
+                self.send_header("Content-Length", str(len(body)))
+                self.end_headers()
+                self.wfile.write(body)
+
+            def log_message(self, *args):
+                pass
+
+        server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+        threading.Thread(target=server.serve_forever, daemon=True).start()
+        servers.append(server)
+        return f"http://127.0.0.1:{server.server_address[1]}/"
+
+    yield start
+    for server in servers:
+        server.shutdown()
+        server.server_close()
+
+
+@pytest.mark.parametrize(
+    "body_for",
+    [
+        lambda n, payload: b"not json",
+        lambda n, payload: json.dumps({"vectors": [["x"] * 8 for _ in payload["texts"]]}).encode(),
+    ],
+    ids=["not-json", "string-in-vector"],
+)
+def test_eval_malformed_encoder_reply_exits_3(planted, tmp_path, monkeypatch, reply_server, body_for, capsys):
+    _, corpus_path, _ = planted
+    monkeypatch.setenv("D2F_EMBED_URL", reply_server(body_for))
+    assert main(["eval", "--corpus", corpus_path, "--out", str(tmp_path / "r.json")]) == 3
+    assert "remote error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "first_reply",
+    [[], {"choices": [{"message": {"content": 42}}]}],
+    ids=["json-list", "non-string-content"],
+)
+def test_extract_malformed_llm_reply_gets_a_placeholder(planted, tmp_path, monkeypatch, reply_server, first_reply):
+    _, corpus_path, emb_path = planted
+    good = {"choices": [{"message": {"content": 'request the planted field"'}}]}
+    url = reply_server(lambda n, payload: json.dumps(first_reply if n == 0 else good).encode())
+    monkeypatch.setenv("D2F_LLM_URL", url)
+    out = tmp_path / "llm-extract"
+    with pytest.warns(UserWarning, match="labeling failed"):
+        code = main(
+            ["extract", "--corpus", corpus_path, "--embeddings", emb_path, "--out", str(out),
+             "--clusters-user", "3", "--clusters-system", "3", "--seed", "11"]
+        )
+    assert code == 0
+    labels = [n["label"] for n in json.loads((out / "flow.json").read_text())["nodes"]]
+    assert len(labels) == 6
+    assert sum("cluster-" in label for label in labels) == 1
+    assert sum("request the planted field" in label for label in labels) == 5
+
+
+def test_extract_warns_when_epsilon_prunes_every_node(planted, tmp_path, capsys):
+    _, corpus_path, _ = planted
+    out_dir = tmp_path / "gold"
+    assert main(["extract", "--corpus", corpus_path, "--out", str(out_dir), "--gold",
+                 "--epsilon", "0.5"]) == 0
+    captured = capsys.readouterr()
+    assert "0 nodes, 0 edges" in captured.out
+    assert captured.err.count("warning") == 1
+    assert "epsilon=0.5" in captured.err and "0.219" in captured.err
+    assert json.loads((out_dir / "flow.json").read_text())["nodes"] == []
+    assert (out_dir / "flow.dot").exists()
 
 
 def test_extract_llm_cluster_names_via_env(planted, tmp_path, monkeypatch):

@@ -1,3 +1,4 @@
+import hashlib
 import http.server
 import json
 import threading
@@ -5,6 +6,7 @@ import threading
 import numpy as np
 import pytest
 
+from convflow import remote
 from convflow.embedding import (
     TokenMatrix,
     build_store,
@@ -207,7 +209,8 @@ class _MockHandler(http.server.BaseHTTPRequestHandler):
 
 
 @pytest.fixture()
-def mock_server():
+def mock_server(monkeypatch):
+    monkeypatch.setattr(remote, "sleep", lambda seconds: None)
     _MockHandler.calls = 0
     _MockHandler.fail_next = 0
     _MockHandler.status_for_all = None
@@ -229,17 +232,20 @@ def test_fetch_remote_matches_mock_payload(mock_server):
     assert np.allclose(store.get("y"), [4.0, 1.0, 0.0])
 
 
-def test_fetch_remote_retries_transient_then_succeeds(mock_server):
+def test_fetch_remote_retries_transient_then_succeeds(mock_server, monkeypatch):
+    sleeps = []
+    monkeypatch.setattr(remote, "sleep", sleeps.append)
     _MockHandler.fail_next = 2
-    store = fetch_remote(mock_server, ["abc"], backoff=0.01)
+    store = fetch_remote(mock_server, ["abc"])
     assert np.allclose(store.get("0"), [3.0, 1.0, 0.0])
     assert _MockHandler.calls == 3
+    assert sleeps == [0.5, 1.0]
 
 
 def test_fetch_remote_non_transient_raises(mock_server):
     _MockHandler.status_for_all = 403
     with pytest.raises(RemoteError) as exc:
-        fetch_remote(mock_server, ["abc"], backoff=0.01)
+        fetch_remote(mock_server, ["abc"])
     assert exc.value.status == 403
 
 
@@ -250,6 +256,27 @@ def test_fetch_remote_cache_hit_avoids_network(mock_server, tmp_path):
     store = fetch_remote(mock_server, ["hello", "bye"], cache_dir=cache)
     assert _MockHandler.calls == first_calls  # zero new requests
     assert np.allclose(store.get("0"), [5.0, 1.0, 0.0])
+
+
+def test_fetch_remote_truncated_cache_entry_is_a_miss(mock_server, tmp_path):
+    cache = tmp_path / "cache"
+    fetch_remote(mock_server, ["hello"], cache_dir=str(cache))
+    (entry,) = cache.iterdir()
+    entry.write_text(entry.read_text()[:7])
+    before = _MockHandler.calls
+    store = fetch_remote(mock_server, ["hello"], cache_dir=str(cache))
+    assert _MockHandler.calls == before + 1
+    assert np.allclose(store.get("0"), [5.0, 1.0, 0.0])
+    assert list(cache.iterdir()) == [entry]
+    assert json.loads(entry.read_text()) == {"vector": [5.0, 1.0, 0.0]}
+
+
+def test_fetch_remote_cache_key_is_sha256_of_endpoint_and_text(mock_server, tmp_path):
+    key = hashlib.sha256(f"{mock_server}\nhello".encode("utf-8")).hexdigest()
+    (tmp_path / f"{key}.json").write_text(json.dumps({"vector": [7.0, 0.0, 1.0]}))
+    store = fetch_remote(mock_server, ["hello"], cache_dir=str(tmp_path))
+    assert _MockHandler.calls == 0
+    assert np.allclose(store.get("0"), [7.0, 0.0, 1.0])
 
 
 def test_fetch_remote_count_mismatch():
@@ -266,7 +293,7 @@ def test_fetch_remote_count_mismatch():
     url = f"http://127.0.0.1:{server.server_address[1]}/embed"
     try:
         with pytest.raises(ProtocolError):
-            fetch_remote(url, ["a", "b"], backoff=0.01)
+            fetch_remote(url, ["a", "b"])
     finally:
         server.shutdown()
 

@@ -1,3 +1,4 @@
+import hashlib
 import http.server
 import json
 import re
@@ -6,6 +7,7 @@ import threading
 import numpy as np
 import pytest
 
+from convflow import remote
 from convflow.cluster import Clustering
 from convflow.corpus import AnnotatedUtterance, UnifiedDialog
 from convflow.errors import (
@@ -16,6 +18,7 @@ from convflow.errors import (
     UndefinedMetricError,
 )
 from convflow.flowgraph import (
+    LLM_WORKERS,
     DotOptions,
     GraphDiff,
     Trajectory,
@@ -363,7 +366,8 @@ class _LLMHandler(http.server.BaseHTTPRequestHandler):
 
 
 @pytest.fixture()
-def llm_server():
+def llm_server(monkeypatch):
+    monkeypatch.setattr(remote, "sleep", lambda seconds: None)
     _LLMHandler.calls = 0
     server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), _LLMHandler)
     threading.Thread(target=server.serve_forever, daemon=True).start()
@@ -387,10 +391,23 @@ def test_label_clusters_llm_offline_placeholders():
     assert labels == {0: "cluster-0", 3: "cluster-3"}
 
 
-def test_label_clusters_llm_degraded_on_failure():
+def test_label_clusters_llm_degraded_on_failure(monkeypatch):
+    sleeps = []
+    monkeypatch.setattr(remote, "sleep", sleeps.append)
     with pytest.warns(UserWarning):
-        labels = label_clusters_llm([(1, ["a"])], "http://127.0.0.1:1/unreachable", timeout=0.2)
+        labels = label_clusters_llm([(1, ["a"])], "http://127.0.0.1:1/unreachable")
     assert labels == {1: "cluster-1"}
+    assert sleeps == [0.5, 1.0, 2.0]  # retried like the encoder before the placeholder
+
+
+def test_label_clusters_llm_stops_calling_an_unreachable_endpoint(monkeypatch):
+    sleeps = []
+    monkeypatch.setattr(remote, "sleep", sleeps.append)
+    clusters = [(cid, [f"utterance {cid}"]) for cid in range(17)]
+    with pytest.warns(UserWarning):
+        labels = label_clusters_llm(clusters, "http://127.0.0.1:1/unreachable")
+    assert labels == {cid: f"cluster-{cid}" for cid in range(17)}
+    assert 0 < len(sleeps) <= LLM_WORKERS * remote.MAX_RETRIES
 
 
 def test_label_clusters_llm_cache(llm_server, tmp_path):
@@ -401,3 +418,12 @@ def test_label_clusters_llm_cache(llm_server, tmp_path):
     labels = label_clusters_llm(clusters, llm_server, cache_dir=cache)
     assert _LLMHandler.calls == first
     assert labels == {0: "inform phone number"}
+
+
+def test_label_clusters_llm_cache_key_is_sha256_of_endpoint_model_and_texts(llm_server, tmp_path):
+    texts = ["my number is 12345", "the phone is 99"]
+    key = hashlib.sha256("\n".join([llm_server, "m1"] + texts).encode("utf-8")).hexdigest()
+    (tmp_path / f"{key}.json").write_text(json.dumps({"label": "cached name"}))
+    labels = label_clusters_llm([(0, texts)], llm_server, model="m1", cache_dir=str(tmp_path))
+    assert _LLMHandler.calls == 0
+    assert labels == {0: "cached name"}
