@@ -13,20 +13,15 @@ from .corpus import (
     UnifiedDialog,
     action_of,
     builtin_table,
-    filter_single_domain,
     parse_unified,
-    sample_eval_split,
     serialize_unified,
     standardize_act,
 )
 from .embedding import (
     EmbeddingStore,
-    TokenMatrix,
-    cosine,
     fetch_remote,
     l2_normalize,
     load_embeddings,
-    mean_pool,
     save_embeddings,
 )
 from .contrastive import (
@@ -36,8 +31,6 @@ from .contrastive import (
     Temperatures,
     ToyEncoder,
     grad_loss,
-    head_forward,
-    joint_loss,
     soft_loss,
     soft_targets,
     sup_loss,

@@ -16,6 +16,9 @@ from .embedding import EmbeddingStore
 from .errors import InfeasibleError, InputError, InsufficientDataError, RangeError
 from .seeding import substream
 
+KMEANS_MAX_ITER = 300
+KMEANS_TOL = 1e-6  # stop once the centroids move less than this in total
+
 
 @dataclass(frozen=True)
 class Clustering:
@@ -69,13 +72,12 @@ def kmeans(
     ids: list[str],
     k: int,
     seed: int = 0,
-    max_iter: int = 300,
-    tol: float = 1e-6,
     return_history: bool = False,
 ):
     """Spherical k-means: assignment by max cosine, centroids re-normalized
-    means. Empty clusters are repaired by reseeding from the point farthest
-    from its centroid, keeping k exact. Deterministic for a fixed seed.
+    means, at most KMEANS_MAX_ITER iterations. Empty clusters are repaired
+    by reseeding from the point farthest from its centroid, keeping k exact.
+    Deterministic for a fixed seed.
 
     With `return_history`, also returns the per-iteration objective (sum of
     member-centroid cosines), which is non-decreasing."""
@@ -90,7 +92,7 @@ def kmeans(
     centroids = _kmeans_pp_init(x, k, rng)
     assign = np.zeros(len(ids), dtype=int)
     history: list[float] = []
-    for _ in range(max_iter):
+    for _ in range(KMEANS_MAX_ITER):
         sims = x @ centroids.T
         assign = np.argmax(sims, axis=1)
         # repair empties from the globally farthest point
@@ -107,7 +109,7 @@ def kmeans(
         movement = float(np.linalg.norm(new_centroids - centroids, axis=1).sum())
         centroids = new_centroids
         history.append(float(np.sum(x * centroids[assign])))
-        if movement < tol:
+        if movement < KMEANS_TOL:
             break
     clustering = Clustering(
         assignment={uid: int(c) for uid, c in zip(ids, assign)},

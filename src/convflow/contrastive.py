@@ -12,7 +12,6 @@ implemented (and differentiated) here.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,14 +21,10 @@ from .errors import (
     DegenerateProjectionError,
     DegenerateTaskError,
     EmptyInputError,
-    FormatError,
     InputError,
     ShapeError,
 )
 from .seeding import substream
-
-HEAD_MAGIC = b"D2FH"
-HEAD_VERSION = 1
 
 DEFAULT_TAU = 0.05
 DEFAULT_TAU_LABEL = 0.35
@@ -124,15 +119,6 @@ def _head_forward_batch(head: ContrastiveHead, x: np.ndarray):
     return z, (x, a, h, u, norms)
 
 
-def head_forward(head: ContrastiveHead, x: np.ndarray) -> np.ndarray:
-    """Project one encoder vector to the unit sphere of the loss space."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1 or x.shape[0] != head.n:
-        raise ShapeError(f"expected vector of size {head.n}, got shape {x.shape}")
-    z, _ = _head_forward_batch(head, x[None, :])
-    return z[0]
-
-
 def _head_backward(head: ContrastiveHead, cache, dz: np.ndarray):
     """Gradients of (W1, W2, input) given upstream dL/dz."""
     x, a, h, u, norms = cache
@@ -144,36 +130,6 @@ def _head_backward(head: ContrastiveHead, cache, dz: np.ndarray):
     dw1 = x.T @ da
     dx = da @ head.w1.T
     return dw1, dw2, dx
-
-
-def save_head(head: ContrastiveHead, path: str) -> None:
-    """Checkpoint layout: magic 'D2FH', version u8, n u32 LE, d u32 LE,
-    then row-major little-endian f64 for W1, then W2."""
-    with open(path, "wb") as fh:
-        fh.write(HEAD_MAGIC)
-        fh.write(struct.pack("<B", HEAD_VERSION))
-        fh.write(struct.pack("<I", head.n))
-        fh.write(struct.pack("<I", head.d))
-        fh.write(np.ascontiguousarray(head.w1, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(head.w2, dtype="<f8").tobytes())
-
-
-def load_head(path: str) -> ContrastiveHead:
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if data[:4] != HEAD_MAGIC:
-        raise FormatError(f"{path}: bad magic bytes {data[:4]!r}")
-    if data[4] != HEAD_VERSION:
-        raise FormatError(f"{path}: unsupported version {data[4]}")
-    n = struct.unpack_from("<I", data, 5)[0]
-    d = struct.unpack_from("<I", data, 9)[0]
-    off = 13
-    need = 8 * (n * n + n * d)
-    if len(data) - off != need:
-        raise FormatError(f"{path}: expected {need} matrix bytes, found {len(data) - off}")
-    w1 = np.frombuffer(data, dtype="<f8", count=n * n, offset=off).reshape(n, n).copy()
-    w2 = np.frombuffer(data, dtype="<f8", count=n * d, offset=off + 8 * n * n).reshape(n, d).copy()
-    return ContrastiveHead(w1=w1, w2=w2)
 
 
 # ---------------------------------------------------------------------------
@@ -193,14 +149,14 @@ class LabelTable:
         return self.texts.index(text)
 
 
-def build_label_table(texts: list[str], dim: int = 256, provider=None) -> LabelTable:
-    """Embed label texts (hashed bag-of-words by default) and precompute
-    the symmetric delta matrix of pairwise dots."""
+def build_label_table(texts: list[str], dim: int = 256) -> LabelTable:
+    """Embed label texts as hashed bag-of-words vectors and precompute the
+    symmetric delta matrix of pairwise dots."""
     if not texts:
         raise EmptyInputError("label table needs at least one label")
-    if provider is None:
-        provider = lambda t: hashed_bow_vector(t, dim)
-    embs = np.stack([l2_normalize(np.asarray(provider(t), dtype=np.float64)) for t in texts])
+    # hashed_bow_vector is already unit-norm; normalizing again still moves
+    # last bits, and the sweep's results depend on them
+    embs = np.stack([l2_normalize(hashed_bow_vector(t, dim)) for t in texts])
     delta = embs @ embs.T
     delta = (delta + delta.T) / 2.0  # exact symmetry against fp noise
     return LabelTable(texts=tuple(texts), embeddings=embs, delta=delta)
@@ -257,40 +213,6 @@ def soft_loss(batch: ContrastiveBatch, table: LabelTable, temps: Temperatures) -
     softmax targets instead of the uniform-on-positives distribution."""
     targets = soft_targets(batch.labels, table, temps.tau_label)
     return _cross_entropy_loss(batch, targets, temps.tau)
-
-
-def joint_loss(
-    batch_act: ContrastiveBatch,
-    batch_slots: ContrastiveBatch,
-    head_act: ContrastiveHead,
-    head_slots: ContrastiveHead,
-    table_act: LabelTable | None,
-    table_slots: LabelTable | None,
-    temps: Temperatures,
-) -> float:
-    """Sum of act-level and slot-level losses, each through its own head.
-
-    Both batches must carry the same encoder-level anchors/positives; they
-    differ only in labels. A None table selects the hard loss for that term.
-    """
-    if not np.allclose(batch_act.anchors, batch_slots.anchors) or not np.allclose(
-        batch_act.positives, batch_slots.positives
-    ):
-        raise InputError("joint batches must share anchors and positives")
-    total = 0.0
-    for batch, head, table in (
-        (batch_act, head_act, table_act),
-        (batch_slots, head_slots, table_slots),
-    ):
-        za, _ = _head_forward_batch(head, batch.anchors)
-        zp, _ = _head_forward_batch(head, batch.positives)
-        projected = ContrastiveBatch(anchors=za, positives=zp, labels=batch.labels)
-        if table is None:
-            loss, _ = sup_loss(projected, temps)
-        else:
-            loss, _ = soft_loss(projected, table, temps)
-        total += loss
-    return total
 
 
 # ---------------------------------------------------------------------------

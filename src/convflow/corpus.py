@@ -1,5 +1,5 @@
 """Unified task-oriented dialog corpus: parsing, act standardization,
-action labels, and evaluation-split sampling.
+and action labels.
 
 The on-disk format is a UTF-8 JSON document with a "stats" header and a
 "dialogs" body; the header is recomputed on every write and never trusted
@@ -18,7 +18,6 @@ from .errors import (
     SchemaError,
     UnknownActError,
 )
-from .seeding import substream
 
 SPEAKERS = ("user", "system")
 
@@ -202,16 +201,6 @@ def load_table(path: str) -> ActMappingTable:
     return ActMappingTable(raw_to_standard=raw_to_standard, standard_to_parent=standard_to_parent)
 
 
-def save_table(table: ActMappingTable, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("[raw_to_standard]\n")
-        for raw in sorted(table.raw_to_standard):
-            fh.write(f"{raw}\t{table.raw_to_standard[raw]}\n")
-        fh.write("[standard_to_parent]\n")
-        for std in sorted(table.standard_to_parent):
-            fh.write(f"{std}\t{table.standard_to_parent[std]}\n")
-
-
 # ---------------------------------------------------------------------------
 # Parsing and serialization
 # ---------------------------------------------------------------------------
@@ -391,57 +380,3 @@ def labeled_utterances(
                 continue
             rows.append((utterance_id(dialog.dialog_id, i), turn.speaker, turn.text, action_of(turn)))
     return rows
-
-
-# ---------------------------------------------------------------------------
-# Splits and filters
-# ---------------------------------------------------------------------------
-
-def sample_eval_split(
-    corpus: list[UnifiedDialog],
-    per_action: int = 15,
-    min_support: int = 100,
-    seed: int = 0,
-) -> tuple[list[tuple[str, int]], list[UnifiedDialog]]:
-    """Sample and remove `per_action` utterances for every action with more
-    than `min_support` occurrences. Returns (eval refs, remaining corpus);
-    refs are (dialog_id, turn_index), deterministic for a fixed seed.
-    """
-    if per_action < 1:
-        raise InputError("per_action must be >= 1")
-    if min_support < per_action:
-        raise InputError("min_support must be >= per_action")
-    pools: dict[str, list[tuple[str, int]]] = {}
-    for dialog in corpus:
-        for i, turn in enumerate(dialog.turns):
-            if not turn.acts:
-                continue
-            key = action_of(turn).render()
-            pools.setdefault(key, []).append((dialog.dialog_id, i))
-    rng = substream(seed, "eval-split")
-    selected: set[tuple[str, int]] = set()
-    eval_refs: list[tuple[str, int]] = []
-    for key in sorted(pools):
-        pool = pools[key]
-        if len(pool) <= min_support:
-            continue
-        picks = rng.choice(len(pool), size=per_action, replace=False)
-        for p in sorted(int(x) for x in picks):
-            ref = pool[p]
-            selected.add(ref)
-            eval_refs.append(ref)
-    remaining: list[UnifiedDialog] = []
-    for dialog in corpus:
-        turns = tuple(
-            t for i, t in enumerate(dialog.turns) if (dialog.dialog_id, i) not in selected
-        )
-        if turns:
-            remaining.append(UnifiedDialog(dialog_id=dialog.dialog_id, turns=turns))
-    return eval_refs, remaining
-
-
-def filter_single_domain(corpus: list[UnifiedDialog], domain: str) -> list[UnifiedDialog]:
-    """Keep only dialogs whose every turn lists exactly the given domain."""
-    return [
-        d for d in corpus if all(t.domains == (domain,) for t in d.turns)
-    ]

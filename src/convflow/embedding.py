@@ -1,9 +1,9 @@
-"""Embedding stores and the cosine-geometry primitives used everywhere.
+"""Embedding stores and the unit-sphere primitive used everywhere.
 
 Vectors are float64 in memory (gradient checks need the headroom) and
-float32 in the binary file format. All similarity in this package is
-cosine on unit vectors, so `l2_normalize` and `cosine` are the two
-operations everything else reduces to.
+float32 in the binary file format. All similarity in this package is a
+dot product of unit vectors, so `l2_normalize` is the one geometric
+operation everything else reduces to.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,11 +20,9 @@ from . import remote
 from .errors import (
     ConflictError,
     DegenerateVectorError,
-    EmptyPoolError,
     FormatError,
     InputError,
     ProtocolError,
-    ShapeError,
 )
 
 BINARY_MAGIC = b"D2FV"
@@ -44,79 +43,101 @@ def l2_normalize(v: np.ndarray) -> np.ndarray:
     return v / norm
 
 
-def cosine(u: np.ndarray, v: np.ndarray) -> float:
-    """Dot product of two unit vectors, clamped to [-1, 1] against rounding."""
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if u.shape != v.shape:
-        raise ShapeError(f"dimension mismatch: {u.shape} vs {v.shape}")
-    return float(np.clip(np.dot(u, v), -1.0, 1.0))
+def _normalize_rows(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """`l2_normalize` of every row of `x` in one pass, bit for bit: each norm
+    is the square root of the row's dot product with itself (a stacked
+    1xd @ dx1 matmul is that dot; `np.linalg.norm(x, axis=1)` sums
+    differently). `out=x` works in place."""
+    norms = np.sqrt((x[:, None, :] @ x[:, :, None]).ravel())
+    if (norms == 0.0).any():
+        raise DegenerateVectorError("cannot normalize the zero vector")
+    with np.errstate(invalid="ignore"):  # a non-finite row turns into NaN, which the store rejects
+        return np.divide(x, norms[:, None], out=out)
 
 
-@dataclass(frozen=True)
-class TokenMatrix:
-    """Per-token vectors with a validity mask (padding rows are invalid)."""
+class _Rows(Mapping):
+    """Read-only id -> row view of one (N, dim) matrix; `index` maps ids to rows."""
 
-    rows: np.ndarray
-    mask: np.ndarray
+    def __init__(self, index: dict[str, int], matrix: np.ndarray):
+        matrix.flags.writeable = False
+        self.index, self.matrix = index, matrix
 
+    def __getitem__(self, uid: str) -> np.ndarray:
+        return self.matrix[self.index[uid]]
 
-def mean_pool(tokens: TokenMatrix) -> np.ndarray:
-    """Arithmetic mean over valid rows only."""
-    rows = np.asarray(tokens.rows, dtype=np.float64)
-    mask = np.asarray(tokens.mask, dtype=bool)
-    if rows.shape[0] != mask.shape[0]:
-        raise ShapeError("mask length must match row count")
-    if not mask.any():
-        raise EmptyPoolError("mean_pool over an all-masked token matrix")
-    return rows[mask].mean(axis=0)
+    def __iter__(self):
+        return iter(self.index)
+
+    def __len__(self) -> int:
+        return len(self.index)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EmbeddingStore:
-    """Immutable id -> vector table with dimension metadata."""
+    """Immutable id -> vector table: one read-only float64 (N, dim) matrix
+    behind an id -> row index, so a store is safe to share across threads.
+
+    `vectors` may be any id -> vector mapping; the store copies it into its
+    matrix and keeps `vectors` as a read-only id -> row mapping. A
+    non-finite value raises FormatError.
+    """
 
     dim: int
-    vectors: dict[str, np.ndarray] = field(default_factory=dict)
+    vectors: Mapping[str, np.ndarray] = field(default_factory=dict)
     normalized: bool = False
+
+    def __post_init__(self):
+        rows = self.vectors
+        if not isinstance(rows, _Rows):
+            matrix = np.array(list(rows.values()), dtype=np.float64).reshape(len(rows), self.dim)
+            rows = _Rows({uid: i for i, uid in enumerate(rows)}, matrix)
+            object.__setattr__(self, "vectors", rows)
+        finite = np.isfinite(rows.matrix).all(axis=1)
+        if not finite.all():
+            raise FormatError(f"vector '{list(rows)[np.argmin(finite)]}' holds a non-finite value")
 
     def __len__(self) -> int:
         return len(self.vectors)
 
     def __contains__(self, uid: str) -> bool:
-        return uid in self.vectors
+        return uid in self.vectors.index
 
     def get(self, uid: str) -> np.ndarray:
-        return self.vectors[uid]
+        """The row of `uid`, a read-only view."""
+        rows = self.vectors
+        return rows.matrix[rows.index[uid]]
 
     def ids(self) -> list[str]:
         return sorted(self.vectors)
 
     def matrix(self, ids: list[str]) -> np.ndarray:
-        """Rows for `ids` in the given order, shape (len(ids), dim)."""
-        return np.stack([self.vectors[i] for i in ids]) if ids else np.empty((0, self.dim))
+        """A copy of the rows for `ids` in the given order, shape (len(ids), dim)."""
+        index = self.vectors.index
+        return self.vectors.matrix.take(np.fromiter((index[i] for i in ids), np.intp, len(ids)), axis=0)
 
     def normalize(self) -> "EmbeddingStore":
         if self.normalized:
             return self
-        vecs = {uid: l2_normalize(v) for uid, v in self.vectors.items()}
-        return EmbeddingStore(dim=self.dim, vectors=vecs, normalized=True)
+        unit = _normalize_rows(self.vectors.matrix)
+        return EmbeddingStore(dim=self.dim, vectors=_Rows(self.vectors.index, unit), normalized=True)
 
 
 def build_store(pairs: list[tuple[str, np.ndarray]], normalize: bool = False) -> EmbeddingStore:
     """Assemble a store from (id, vector) pairs, enforcing one dim throughout."""
-    if not pairs:
-        return EmbeddingStore(dim=0, vectors={}, normalized=normalize)
-    dim = len(np.asarray(pairs[0][1]).ravel())
-    vectors: dict[str, np.ndarray] = {}
-    for uid, vec in pairs:
+    dim = len(np.asarray(pairs[0][1]).ravel()) if pairs else 0
+    matrix = np.empty((len(pairs), dim))
+    index: dict[str, int] = {}
+    for row, (uid, vec) in enumerate(pairs):
         arr = np.asarray(vec, dtype=np.float64).ravel()
         if arr.shape[0] != dim:
             raise FormatError(f"record '{uid}' has dim {arr.shape[0]}, expected {dim}")
-        if uid in vectors:
+        if uid in index:
             raise ConflictError(f"duplicate id '{uid}'")
-        vectors[uid] = l2_normalize(arr) if normalize else arr
-    return EmbeddingStore(dim=dim, vectors=vectors, normalized=normalize)
+        index[uid] = row
+        matrix[row] = arr
+    if normalize:
+        _normalize_rows(matrix, out=matrix)
+    return EmbeddingStore(dim=dim, vectors=_Rows(index, matrix), normalized=normalize)
 
 
 # ---------------------------------------------------------------------------
@@ -164,47 +185,46 @@ def save_binary(store: EmbeddingStore, path: str) -> None:
             fh.write(np.asarray(store.vectors[uid], dtype="<f4").tobytes())
 
 
-def _load_binary(path: str) -> tuple[int, list[tuple[str, np.ndarray]]]:
+def _load_binary(path: str) -> EmbeddingStore:
     with open(path, "rb") as fh:
         data = fh.read()
     if data[:4] != BINARY_MAGIC:
         raise FormatError(f"{path}: bad magic bytes {data[:4]!r}")
+    if len(data) < 17:
+        raise FormatError(f"{path}: truncated header")
     version = data[4]
     if version != BINARY_VERSION:
         raise FormatError(f"{path}: unsupported version {version}")
-    dim = struct.unpack_from("<I", data, 5)[0]
-    count = struct.unpack_from("<Q", data, 9)[0]
+    dim, count = struct.unpack_from("<IQ", data, 5)
+    if count * (2 + 4 * dim) > len(data) - 17:
+        raise FormatError(f"{path}: {count} records of dim {dim} do not fit in {len(data)} bytes")
+    matrix = np.empty((count, dim))
+    index: dict[str, int] = {}
     off = 17
-    pairs: list[tuple[str, np.ndarray]] = []
-    for _ in range(count):
+    for row in range(count):
         if off + 2 > len(data):
             raise FormatError(f"{path}: truncated record header at byte {off}")
         (id_len,) = struct.unpack_from("<H", data, off)
         off += 2
         uid = data[off : off + id_len].decode("utf-8")
         off += id_len
-        end = off + 4 * dim
-        if end > len(data):
+        if off + 4 * dim > len(data):
             raise FormatError(f"{path}: truncated vector for id '{uid}'")
-        vec = np.frombuffer(data[off:end], dtype="<f4").astype(np.float64)
+        if uid in index:
+            raise ConflictError(f"duplicate id '{uid}'")
+        index[uid] = row
+        matrix[row] = np.frombuffer(data, dtype="<f4", count=dim, offset=off)
         off += 4 * dim
-        pairs.append((uid, vec))
-    return dim, pairs
+    return EmbeddingStore(dim=dim, vectors=_Rows(index, matrix))
 
 
-def load_embeddings(path: str, format: str = "jsonl", normalize: bool = False) -> EmbeddingStore:
-    """Load a store from disk; dim comes from the first record and is enforced."""
+def load_embeddings(path: str, format: str = "jsonl") -> EmbeddingStore:
+    """Load an unnormalized store from disk; its dim comes from the first JSONL
+    record or the binary header, and every record must have it."""
     if format == "jsonl":
-        pairs = _load_jsonl(path)
-        return build_store(pairs, normalize=normalize)
+        return build_store(_load_jsonl(path))
     if format == "binary":
-        dim, pairs = _load_binary(path)
-        store = build_store(pairs, normalize=normalize)
-        if pairs and store.dim != dim:
-            raise FormatError(f"{path}: header dim {dim} != record dim {store.dim}")
-        if not pairs:
-            store = EmbeddingStore(dim=dim, vectors={}, normalized=normalize)
-        return store
+        return _load_binary(path)
     raise InputError(f"unknown embedding format '{format}'")
 
 
@@ -265,9 +285,9 @@ def fetch_remote(
     Protocol: POST {"texts": [...]} -> {"vectors": [[...], ...]}, REMOTE_BATCH_SIZE
     texts per request, sent by `remote.post_json` (bearer auth; HTTP 5xx and
     connection failures retried 3 times with 0.5 s doubling backoff). A vector
-    that is not a list of finite numbers raises ProtocolError. With `cache_dir`,
-    each vector is cached under sha256(endpoint "\n" text), written atomically;
-    an unreadable entry is a miss.
+    that is not a list of finite numbers, or vectors of different lengths,
+    raise ProtocolError. With `cache_dir`, each vector is cached under
+    sha256(endpoint "\n" text), written atomically; an unreadable entry is a miss.
     """
     if ids is None:
         ids = [str(i) for i in range(len(texts))]
@@ -285,4 +305,6 @@ def fetch_remote(
         for i, vec in zip(chunk, got):
             vectors[i] = vec
             remote.cache_put(cache_dir, [endpoint, texts[i]], {"vector": vec.tolist()})
+    if len({len(vec) for vec in vectors}) > 1:
+        raise ProtocolError("the encoder returned vectors of different lengths")
     return build_store(list(zip(ids, vectors)))

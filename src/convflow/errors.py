@@ -66,10 +66,6 @@ class ShapeError(InputError):
     """Operands with incompatible dimensions."""
 
 
-class EmptyPoolError(InputError):
-    """Pooling requested with every token masked out."""
-
-
 class EmptyInputError(InputError):
     """Operation on an empty batch or trajectory set."""
 

@@ -257,6 +257,8 @@ def evaluate(
     seed: int = 0,
 ) -> EvalReport:
     """Run the full metric battery with per-stage seed substreams."""
+    if ndcg_k < 1 or repetitions < 1:
+        raise InputError(f"ndcg_k and repetitions must be >= 1, got {ndcg_k} and {repetitions}")
     aniso = intra_inter_anisotropy(data)
     f1_macro: dict[int, tuple[float, float]] = {}
     accuracy: dict[int, tuple[float, float]] = {}

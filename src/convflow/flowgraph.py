@@ -217,9 +217,6 @@ def graph_size_diff(
 
 @dataclass(frozen=True)
 class DotOptions:
-    edge_width_by_weight: bool = True
-    node_width_by_weight: bool = True
-    speaker_colors: bool = True
     labels: dict[str, str] = field(default_factory=dict)  # node -> display label
 
 
@@ -230,27 +227,21 @@ def _dot_quote(s: str) -> str:
 def export_dot(graph: FlowGraph, options: DotOptions | None = None) -> str:
     """Render the graph as DOT with stable ordering; weights to 3 decimals.
     Edge penwidth tracks w_E and node border penwidth tracks w_A, echoing
-    frequency the way the reference renderings do."""
+    frequency the way the reference renderings do; the fill colour marks the speaker."""
     options = options or DotOptions()
     lines = ["digraph dialog_flow {"]
     if graph.nodes:
         lines.append("  rankdir=LR;")
         lines.append('  node [shape=box, style="rounded,filled"];')
     for node in sorted(graph.nodes):
-        attrs = []
-        display = options.labels.get(node, node)
-        attrs.append(f"label={_dot_quote(f'{display} ({graph.node_weights[node]:.3f})')}")
-        if options.node_width_by_weight:
-            attrs.append(f"penwidth={1.0 + 6.0 * graph.node_weights[node]:.3f}")
-        if options.speaker_colors:
-            color = "#ffe0cc" if graph.speakers.get(node) == "user" else "#cce5ff"
-            attrs.append(f'fillcolor="{color}"')
-        lines.append(f"  {_dot_quote(node)} [{', '.join(attrs)}];")
+        weight = graph.node_weights[node]
+        label = _dot_quote(f"{options.labels.get(node, node)} ({weight:.3f})")
+        color = "#ffe0cc" if graph.speakers.get(node) == "user" else "#cce5ff"
+        lines.append(f'  {_dot_quote(node)} [label={label}, penwidth={1.0 + 6.0 * weight:.3f}, fillcolor="{color}"];')
     for src, dst in graph.edges():
-        attrs = [f"label={_dot_quote(f'{graph.edge_weights[(src, dst)]:.3f}')}"]
-        if options.edge_width_by_weight:
-            attrs.append(f"penwidth={1.0 + 4.0 * graph.edge_weights[(src, dst)]:.3f}")
-        lines.append(f"  {_dot_quote(src)} -> {_dot_quote(dst)} [{', '.join(attrs)}];")
+        weight = graph.edge_weights[(src, dst)]
+        lines.append(f"  {_dot_quote(src)} -> {_dot_quote(dst)} [label={_dot_quote(f'{weight:.3f}')}, "
+                     f"penwidth={1.0 + 4.0 * weight:.3f}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -37,6 +37,8 @@ def post_json(url: str, payload: dict, token: str | None) -> dict:
             break
         except (OSError, http.client.HTTPException) as exc:
             status = exc.code if isinstance(exc, urllib.error.HTTPError) else None
+            if status is not None:
+                exc.close()  # an HTTPError holds the reply and its socket
             if status is not None and not 500 <= status < 600:
                 raise RemoteError(f"{url} failed: HTTP {status}", status=status) from exc
             if attempt == MAX_RETRIES:

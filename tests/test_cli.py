@@ -1,4 +1,6 @@
 import json
+import re
+import struct
 
 import pytest
 
@@ -90,6 +92,33 @@ def test_eval_missing_embeddings_exits_2(planted, tmp_path, capsys):
     emb = tmp_path / "partial.jsonl"
     emb.write_text('{"id": "dlg0000:0", "vector": [1, 0]}\n')
     assert main(["eval", "--corpus", corpus_path, "--embeddings", str(emb)]) == 2
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "binary"])
+def test_eval_non_finite_vector_exits_2(planted, tmp_path, capsys, fmt):
+    pf, corpus_path, _ = planted
+    emb = tmp_path / f"nan.{fmt}"
+    save_embeddings(pf.store, str(emb), format=fmt)
+    data = emb.read_bytes()
+    if fmt == "jsonl":  # the first value of the first record becomes NaN
+        data = re.sub(rb'"vector": \[[^,]+', b'"vector": [NaN', data, count=1)
+    else:
+        (id_len,) = struct.unpack_from("<H", data, 17)
+        data = data[: 19 + id_len] + struct.pack("<f", float("nan")) + data[23 + id_len :]
+    emb.write_bytes(data)
+    out = tmp_path / "r.json"
+    assert main(["eval", "--corpus", corpus_path, "--embeddings", str(emb), "--out", str(out)]) == 2
+    assert "non-finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag,value", [("--ndcg-k", "0"), ("--ndcg-k", "-1"), ("--reps", "0"), ("--reps", "-1")])
+def test_eval_counts_below_one_exit_2(planted, tmp_path, capsys, flag, value):
+    _, corpus_path, emb_path = planted
+    out = tmp_path / "r.json"
+    assert main(["eval", "--corpus", corpus_path, "--embeddings", emb_path, "--out", str(out), flag, value]) == 2
+    assert "must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_extract_gold_node_count(planted, tmp_path, capsys):
@@ -299,6 +328,7 @@ def test_eval_remote_embeddings_via_env(planted, tmp_path, monkeypatch):
         assert len(Handler.texts_seen) > 0
     finally:
         server.shutdown()
+        server.server_close()
 
 
 def test_eval_remote_error_exits_3(planted, tmp_path, monkeypatch):
@@ -351,8 +381,9 @@ def reply_server():
     [
         lambda n, payload: b"not json",
         lambda n, payload: json.dumps({"vectors": [["x"] * 8 for _ in payload["texts"]]}).encode(),
+        lambda n, payload: json.dumps({"vectors": [[1.0] * (1 + i % 2) for i in range(len(payload["texts"]))]}).encode(),
     ],
-    ids=["not-json", "string-in-vector"],
+    ids=["not-json", "string-in-vector", "mixed-lengths"],
 )
 def test_eval_malformed_encoder_reply_exits_3(planted, tmp_path, monkeypatch, reply_server, body_for, capsys):
     _, corpus_path, _ = planted
@@ -430,6 +461,7 @@ def test_extract_llm_cluster_names_via_env(planted, tmp_path, monkeypatch):
         assert any("request the planted field" in n["label"] for n in payload["nodes"])
     finally:
         server.shutdown()
+        server.server_close()
 
 
 def test_extract_format_dot_writes_only_dot(planted, tmp_path):

@@ -4,17 +4,14 @@ import numpy as np
 import pytest
 
 from convflow.contrastive import (
+    _head_forward_batch,
     ContrastiveBatch,
     ContrastiveHead,
     Temperatures,
     build_label_table,
     grad_loss,
-    head_forward,
     init_head,
     init_toy_encoder,
-    joint_loss,
-    load_head,
-    save_head,
     single_items,
     soft_loss,
     soft_targets,
@@ -46,15 +43,15 @@ def test_head_forward_identity_composition():
     w2 = np.zeros((n, d))
     w2[:d, :] = np.eye(d)
     head = ContrastiveHead(w1=np.eye(n), w2=w2)
-    x = np.array([3.0, 0.0, 4.0, 1.0, 1.0, 1.0])
-    z = head_forward(head, x)
-    assert np.allclose(z, np.array([3.0, 0.0, 4.0]) / 5.0)
+    x = np.array([[3.0, 0.0, 4.0, 1.0, 1.0, 1.0]])
+    z, _ = _head_forward_batch(head, x)
+    assert np.allclose(z, np.array([[3.0, 0.0, 4.0]]) / 5.0)
 
 
 def test_head_forward_zero_input_degenerate():
     head = init_head(5, 3, seed=0)
     with pytest.raises(DegenerateProjectionError):
-        head_forward(head, np.zeros(5))
+        _head_forward_batch(head, np.zeros((1, 5)))
 
 
 def test_head_forward_matches_naive_composition():
@@ -68,19 +65,10 @@ def test_head_forward_matches_naive_composition():
         u = hidden @ head.w2
         if not u.any():  # the degenerate-projection error case, tested separately
             continue
-        z = head_forward(head, x)
+        z = _head_forward_batch(head, x[None, :])[0][0]
         expected = u / math.sqrt(float(u @ u))
         assert np.max(np.abs(z - expected)) < 1e-12
         checked += 1
-
-
-def test_head_checkpoint_roundtrip(tmp_path):
-    head = init_head(7, 4, seed=3)
-    path = str(tmp_path / "head.bin")
-    save_head(head, path)
-    again = load_head(path)
-    assert np.array_equal(head.w1, again.w1)
-    assert np.array_equal(head.w2, again.w2)
 
 
 # ---------------------------------------------------------------------------
@@ -259,87 +247,6 @@ def test_temperatures_must_be_positive():
         Temperatures(tau=0.0)
     with pytest.raises(InputError):
         Temperatures(tau=0.05, tau_label=-1.0)
-
-
-# ---------------------------------------------------------------------------
-# Joint loss
-# ---------------------------------------------------------------------------
-
-def test_joint_loss_additivity():
-    rng = np.random.default_rng(9)
-    n, enc = 6, 10
-    xa, xp = _unit_rows(rng, n, enc), _unit_rows(rng, n, enc)
-    labels_act = rng.integers(0, 2, size=n)
-    labels_slots = rng.integers(0, 3, size=n)
-    head_a, head_s = init_head(enc, 4, seed=1), init_head(enc, 4, seed=2)
-    table_a = build_label_table(["inform", "request"], dim=64)
-    table_s = build_label_table(["name", "price", "area"], dim=64)
-    temps = Temperatures()
-    batch_a = ContrastiveBatch(xa, xp, labels_act)
-    batch_s = ContrastiveBatch(xa, xp, labels_slots)
-    total = joint_loss(batch_a, batch_s, head_a, head_s, table_a, table_s, temps)
-
-    from convflow.contrastive import _head_forward_batch
-
-    za, _ = _head_forward_batch(head_a, xa)
-    zp, _ = _head_forward_batch(head_a, xp)
-    part_a, _ = soft_loss(ContrastiveBatch(za, zp, labels_act), table_a, temps)
-    zs, _ = _head_forward_batch(head_s, xa)
-    zps, _ = _head_forward_batch(head_s, xp)
-    part_s, _ = soft_loss(ContrastiveBatch(zs, zps, labels_slots), table_s, temps)
-    assert abs(total - (part_a + part_s)) < 1e-12
-
-
-def test_joint_loss_hard_variant_is_sum_of_sup_losses():
-    rng = np.random.default_rng(10)
-    n, enc = 5, 8
-    xa, xp = _unit_rows(rng, n, enc), _unit_rows(rng, n, enc)
-    la, ls = rng.integers(0, 2, size=n), rng.integers(0, 2, size=n)
-    head_a, head_s = init_head(enc, 3, seed=3), init_head(enc, 3, seed=4)
-    temps = Temperatures()
-    total = joint_loss(
-        ContrastiveBatch(xa, xp, la), ContrastiveBatch(xa, xp, ls), head_a, head_s, None, None, temps
-    )
-    from convflow.contrastive import _head_forward_batch
-
-    za, _ = _head_forward_batch(head_a, xa)
-    zp, _ = _head_forward_batch(head_a, xp)
-    zs, _ = _head_forward_batch(head_s, xa)
-    zps, _ = _head_forward_batch(head_s, xp)
-    expected = sup_loss(ContrastiveBatch(za, zp, la), temps)[0] + sup_loss(ContrastiveBatch(zs, zps, ls), temps)[0]
-    assert abs(total - expected) < 1e-12
-
-
-def test_joint_loss_single_element_batches_are_zero():
-    rng = np.random.default_rng(11)
-    xa, xp = _unit_rows(rng, 1, 6), _unit_rows(rng, 1, 6)
-    head_a, head_s = init_head(6, 3, seed=5), init_head(6, 3, seed=6)
-    total = joint_loss(
-        ContrastiveBatch(xa, xp, np.array([0])),
-        ContrastiveBatch(xa, xp, np.array([0])),
-        head_a,
-        head_s,
-        None,
-        None,
-        Temperatures(),
-    )
-    assert total == 0.0
-
-
-def test_joint_loss_rejects_mismatched_anchors():
-    rng = np.random.default_rng(12)
-    xa, xp = _unit_rows(rng, 3, 6), _unit_rows(rng, 3, 6)
-    other = _unit_rows(rng, 3, 6)
-    with pytest.raises(InputError):
-        joint_loss(
-            ContrastiveBatch(xa, xp, np.zeros(3, dtype=int)),
-            ContrastiveBatch(other, xp, np.zeros(3, dtype=int)),
-            init_head(6, 3, seed=1),
-            init_head(6, 3, seed=2),
-            None,
-            None,
-            Temperatures(),
-        )
 
 
 # ---------------------------------------------------------------------------

@@ -11,11 +11,8 @@ from convflow.corpus import (
     STANDARD_ACTS,
     action_of,
     builtin_table,
-    filter_single_domain,
     load_table,
     parse_unified,
-    sample_eval_split,
-    save_table,
     serialize_unified,
     standardize_act,
     standardize_corpus,
@@ -117,8 +114,11 @@ def test_table_is_total_onto_18_and_10():
 
 
 def test_table_file_roundtrip(tmp_path):
+    table = builtin_table()
+    text = "[raw_to_standard]\n" + "".join(f"{k}\t{v}\n" for k, v in sorted(table.raw_to_standard.items()))
+    text += "[standard_to_parent]\n" + "".join(f"{k}\t{v}\n" for k, v in sorted(table.standard_to_parent.items()))
     path = tmp_path / "acts.tsv"
-    save_table(builtin_table(), str(path))
+    path.write_text(text, encoding="utf-8")
     loaded = load_table(str(path))
     assert loaded.raw_to_standard == builtin_table().raw_to_standard
     assert loaded.standard_to_parent == builtin_table().standard_to_parent
@@ -165,66 +165,6 @@ def test_action_label_rendering_injective_on_slot_sets():
     a = ActionLabel.make("inform", ["b", "a"])
     b = ActionLabel.make("inform", ["a", "b", "a"])
     assert a == b and a.render() == b.render()
-
-
-def _corpus_with_support(counts: dict[str, int]):
-    """One dialog per utterance; action name = the key."""
-    dialogs = []
-    i = 0
-    for act, n in counts.items():
-        for _ in range(n):
-            dialogs.append(
-                UnifiedDialog(dialog_id=f"d{i}", turns=(_utt([act], []),))
-            )
-            i += 1
-    return dialogs
-
-
-def test_sample_eval_split_below_threshold_contributes_zero():
-    corpus = _corpus_with_support({"inform": 99})
-    refs, remaining = sample_eval_split(corpus, per_action=15, min_support=100, seed=0)
-    assert refs == []
-    assert len(remaining) == 99
-
-
-def test_sample_eval_split_above_threshold_contributes_exactly_per_action():
-    corpus = _corpus_with_support({"inform": 101})
-    refs, remaining = sample_eval_split(corpus, per_action=15, min_support=100, seed=0)
-    assert len(refs) == 15
-    assert len(remaining) == 101 - 15
-
-
-def test_sample_eval_split_exactly_at_threshold_is_skipped():
-    corpus = _corpus_with_support({"inform": 100})
-    refs, _ = sample_eval_split(corpus, per_action=15, min_support=100, seed=0)
-    assert refs == []
-
-
-def test_sample_eval_split_deterministic():
-    corpus = _corpus_with_support({"inform": 120, "request": 150})
-    a = sample_eval_split(corpus, seed=42)
-    b = sample_eval_split(corpus, seed=42)
-    assert a[0] == b[0]
-    assert a[1] == b[1]
-
-
-def test_sample_eval_split_no_duplicates_and_respects_support():
-    corpus = _corpus_with_support({"inform": 130, "request": 90, "offer": 101})
-    refs, _ = sample_eval_split(corpus, per_action=15, min_support=100, seed=7)
-    assert len(refs) == len(set(refs)) == 30  # inform and offer only
-    picked_actions = set()
-    by_id = {d.dialog_id: d for d in corpus}
-    for dialog_id, turn_index in refs:
-        picked_actions.add(by_id[dialog_id].turns[turn_index].acts[0])
-    assert picked_actions == {"inform", "offer"}
-
-
-def test_filter_single_domain():
-    keep = UnifiedDialog("a", (_utt(["inform"], [], domains=["hospital"]),))
-    multi = UnifiedDialog("b", (_utt(["inform"], [], domains=["hospital", "taxi"]),))
-    other = UnifiedDialog("c", (_utt(["inform"], [], domains=["taxi"]),))
-    assert filter_single_domain([keep, multi, other], "hospital") == [keep]
-    assert filter_single_domain([], "hospital") == []
 
 
 def test_standardize_corpus_maps_original_acts():

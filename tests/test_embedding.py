@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import http.server
 import json
@@ -8,24 +9,20 @@ import pytest
 
 from convflow import remote
 from convflow.embedding import (
-    TokenMatrix,
+    EmbeddingStore,
     build_store,
-    cosine,
     fetch_remote,
     hashed_bow_vector,
     l2_normalize,
     load_embeddings,
-    mean_pool,
     save_embeddings,
 )
 from convflow.errors import (
     ConflictError,
     DegenerateVectorError,
-    EmptyPoolError,
     FormatError,
     ProtocolError,
     RemoteError,
-    ShapeError,
 )
 
 
@@ -50,51 +47,15 @@ def test_l2_normalize_zero_vector():
         l2_normalize(np.zeros(4))
 
 
-def test_cosine_trivials():
-    u = l2_normalize(np.array([1.0, 2.0, -1.0]))
-    assert cosine(u, u) == 1.0
-    assert cosine(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
-    assert cosine(u, -u) == -1.0
-
-
-def test_cosine_shape_mismatch():
-    with pytest.raises(ShapeError):
-        cosine(np.ones(3), np.ones(4))
-
-
 def test_cosine_scale_invariance_through_normalize():
     rng = np.random.default_rng(1)
     for _ in range(20):
         u = rng.standard_normal(6)
         v = rng.standard_normal(6)
         a = rng.uniform(0.1, 10.0)
-        base = cosine(l2_normalize(u), l2_normalize(v))
-        scaled = cosine(l2_normalize(a * u), l2_normalize(v))
+        base = float(l2_normalize(u) @ l2_normalize(v))
+        scaled = float(l2_normalize(a * u) @ l2_normalize(v))
         assert abs(base - scaled) < 1e-12
-
-
-def test_mean_pool_trivials():
-    rows = np.array([[1.0, 0.0], [0.0, 1.0]])
-    assert np.allclose(mean_pool(TokenMatrix(rows, np.array([True, True]))), [0.5, 0.5])
-    assert np.allclose(mean_pool(TokenMatrix(rows, np.array([True, False]))), [1.0, 0.0])
-
-
-def test_mean_pool_all_masked():
-    with pytest.raises(EmptyPoolError):
-        mean_pool(TokenMatrix(np.ones((3, 2)), np.zeros(3, dtype=bool)))
-
-
-def test_mean_pool_summation_oracle():
-    rng = np.random.default_rng(2)
-    for _ in range(20):
-        rows = rng.standard_normal((8, 5))
-        mask = rng.random(8) < 0.7
-        if not mask.any():
-            mask[0] = True
-        got = mean_pool(TokenMatrix(rows, mask))
-        expected = np.array([sum(rows[i][j] for i in range(8) if mask[i]) for j in range(5)])
-        expected /= mask.sum()
-        assert np.max(np.abs(got - expected)) < 1e-12
 
 
 def test_jsonl_load(tmp_path):
@@ -159,6 +120,47 @@ def test_normalized_store_pairwise_matches_definitional_cosine():
             assert abs(gram[i, j] - definitional) < 1e-9
 
 
+def test_store_normalize_matches_l2_normalize_bit_for_bit():
+    rng = np.random.default_rng(3)
+    for dim in (3, 64, 257):
+        pairs = [(f"u{i}", rng.uniform(0.1, 10.0) * rng.standard_normal(dim)) for i in range(100)]
+        for store in (build_store(pairs, normalize=True), build_store(pairs).normalize()):
+            for uid, vec in pairs:
+                assert np.array_equal(store.get(uid), l2_normalize(vec))
+
+
+def test_store_normalize_rejects_a_zero_vector():
+    pairs = [("a", np.array([1.0, 0.0])), ("z", np.zeros(2))]
+    with pytest.raises(DegenerateVectorError):
+        build_store(pairs, normalize=True)
+    with pytest.raises(DegenerateVectorError):
+        build_store(pairs).normalize()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("normalize", [False, True])
+def test_store_rejects_non_finite_values(bad, normalize):
+    pairs = [("a", np.array([1.0, 0.0])), ("b", np.array([0.5, bad]))]
+    with pytest.raises(FormatError, match="'b'"):
+        build_store(pairs, normalize=normalize)
+    with pytest.raises(FormatError, match="'b'"):
+        EmbeddingStore(dim=2, vectors=dict(pairs))
+
+
+def test_store_rows_are_read_only_and_matrix_is_a_copy():
+    source = {"a": np.array([1.0, 2.0]), "b": np.array([3.0, 4.0])}
+    store = EmbeddingStore(dim=2, vectors=source)
+    source["a"][0] = 9.0  # the store holds its own copy
+    assert np.array_equal(store.get("a"), [1.0, 2.0])
+    for row in (store.get("a"), store.vectors["b"], store.normalize().get("b")):
+        with pytest.raises(ValueError):
+            row[0] = 9.0
+    mat = store.matrix(["b", "a"])
+    mat[0, 0] = 9.0
+    assert np.array_equal(store.matrix(["b", "a"]), [[3.0, 4.0], [1.0, 2.0]])
+    assert store.matrix([]).shape == (0, 2)
+
+
 def test_hashed_bow_deterministic_and_unit():
     a = hashed_bow_vector("request the phone number", 64)
     b = hashed_bow_vector("request the phone number", 64)
@@ -219,6 +221,7 @@ def mock_server(monkeypatch):
     thread.start()
     yield f"http://127.0.0.1:{server.server_address[1]}/embed"
     server.shutdown()
+    server.server_close()
 
 
 def test_fetch_remote_empty_list(mock_server):
@@ -279,23 +282,35 @@ def test_fetch_remote_cache_key_is_sha256_of_endpoint_and_text(mock_server, tmp_
     assert np.allclose(store.get("0"), [7.0, 0.0, 1.0])
 
 
-def test_fetch_remote_count_mismatch():
-    class BadHandler(_MockHandler):
+@contextlib.contextmanager
+def _encoder_replying(vectors):
+    """A local encoder that answers every request with `vectors`."""
+
+    class Handler(_MockHandler):
         def do_POST(self):
-            body = json.dumps({"vectors": [[1.0]]}).encode()
+            body = json.dumps({"vectors": vectors}).encode()
             self.send_response(200)
             self.send_header("Content-Length", str(len(body)))
             self.end_headers()
             self.wfile.write(body)
 
-    server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), BadHandler)
+    server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), Handler)
     threading.Thread(target=server.serve_forever, daemon=True).start()
-    url = f"http://127.0.0.1:{server.server_address[1]}/embed"
     try:
-        with pytest.raises(ProtocolError):
-            fetch_remote(url, ["a", "b"])
+        yield f"http://127.0.0.1:{server.server_address[1]}/embed"
     finally:
         server.shutdown()
+        server.server_close()
+
+
+def test_fetch_remote_count_mismatch():
+    with _encoder_replying([[1.0]]) as url, pytest.raises(ProtocolError):
+        fetch_remote(url, ["a", "b"])
+
+
+def test_fetch_remote_mixed_lengths_is_a_protocol_error():
+    with _encoder_replying([[1.0], [1.0, 1.0]]) as url, pytest.raises(ProtocolError, match="different lengths"):
+        fetch_remote(url, ["a", "b"])
 
 
 def test_store_normalize_flag():

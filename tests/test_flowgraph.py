@@ -302,7 +302,7 @@ def test_export_dot_random_graphs_parse():
     for _ in range(10):
         graph = build_graph(_random_trajectories(rng))
         _check_dot_grammar(export_dot(graph))
-        _check_dot_grammar(export_dot(graph, DotOptions(edge_width_by_weight=False, speaker_colors=False)))
+        _check_dot_grammar(export_dot(graph, DotOptions(labels={n: f'say "{n}"' for n in graph.nodes})))
 
 
 def test_export_dot_weights_three_decimals():
@@ -373,6 +373,7 @@ def llm_server(monkeypatch):
     threading.Thread(target=server.serve_forever, daemon=True).start()
     yield f"http://127.0.0.1:{server.server_address[1]}/chat"
     server.shutdown()
+    server.server_close()
 
 
 def test_label_clusters_llm_mock(llm_server):
