@@ -76,19 +76,23 @@ def orthogonal_label_table(n_labels: int) -> LabelTable:
     )
 
 
-def finite_difference(f, arr: np.ndarray, step: float = 1e-5) -> np.ndarray:
+FD_STEP = 1e-5  # central-difference step
+LIMIT_CASES = 20
+
+
+def finite_difference(f, arr: np.ndarray) -> np.ndarray:
     """Central differences of scalar f() with respect to arr, in place."""
     grad = np.zeros_like(arr)
     flat = arr.ravel()
     gflat = grad.ravel()
     for i in range(flat.size):
         orig = flat[i]
-        flat[i] = orig + step
+        flat[i] = orig + FD_STEP
         fp = f()
-        flat[i] = orig - step
+        flat[i] = orig - FD_STEP
         fm = f()
         flat[i] = orig
-        gflat[i] = (fp - fm) / (2.0 * step)
+        gflat[i] = (fp - fm) / (2.0 * FD_STEP)
     return grad
 
 
@@ -97,21 +101,13 @@ def relative_error(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(a - b))) / scale
 
 
-def gradient_check_case(
-    rng: np.random.Generator,
-    soft: bool,
-    step: float = 1e-5,
-    n_max: int = 8,
-    enc_max: int = 16,
-    d_max: int = 8,
-    perturb: float = 0.0,
-) -> float:
-    """One random instance; returns the worst relative error across W1,
-    W2, anchors, and positives. `perturb` injects a deliberate analytic
-    gradient fault (test mode)."""
-    n = int(rng.integers(2, n_max + 1))
-    enc = int(rng.integers(4, enc_max + 1))
-    d = int(rng.integers(2, d_max + 1))
+def gradient_check_case(rng: np.random.Generator, soft: bool, perturb: float = 0.0) -> float:
+    """One random instance (2-8 pairs, encoder dim 4-16, head dim 2-8);
+    returns the worst relative error across W1, W2, anchors, and positives.
+    `perturb` injects a deliberate analytic gradient fault (test mode)."""
+    n = int(rng.integers(2, 9))
+    enc = int(rng.integers(4, 17))
+    d = int(rng.integers(2, 9))
     xa = random_unit_rows(rng, n, enc)
     xp = random_unit_rows(rng, n, enc)
     labels = rng.integers(0, max(2, n // 2), size=n)
@@ -122,21 +118,34 @@ def gradient_check_case(
     _, grads = grad_loss(batch, table, temps, head)
 
     def loss_now() -> float:
-        b = ContrastiveBatch(anchors=xa, positives=xp, labels=labels, validate=False)
-        value, _ = grad_loss(b, table, temps, head)
-        return value
+        return grad_loss(batch, table, temps, head)[0]
 
-    worst = 0.0
     pairs = [
         (grads.d_w1, head.w1),
         (grads.d_w2, head.w2),
         (grads.d_anchors, xa),
         (grads.d_positives, xp),
     ]
-    for analytic, arr in pairs:
-        fd = finite_difference(loss_now, arr, step=step)
-        worst = max(worst, relative_error(analytic + perturb, fd))
-    return worst
+    return max(relative_error(analytic + perturb, finite_difference(loss_now, arr)) for analytic, arr in pairs)
+
+
+def _random_batch(rng: np.random.Generator) -> ContrastiveBatch:
+    """2-8 unit anchor/positive pairs of dim 2-8 over max(2, n // 2) label ids."""
+    n = int(rng.integers(2, 9))
+    d = int(rng.integers(2, 9))
+    za = random_unit_rows(rng, n, d)
+    zp = random_unit_rows(rng, n, d)
+    return ContrastiveBatch(anchors=za, positives=zp, labels=rng.integers(0, max(2, n // 2), size=n))
+
+
+def _batch_case(check: str, case: int, batch: ContrastiveBatch) -> dict:
+    return {
+        "check": check,
+        "case": case,
+        "anchors": batch.anchors.tolist(),
+        "positives": batch.positives.tolist(),
+        "labels": batch.labels.tolist(),
+    }
 
 
 @dataclass
@@ -150,7 +159,6 @@ class CheckResult:
 def run_losscheck(
     seed: int = 0,
     equivalence_cases: int = 50,
-    limit_cases: int = 20,
     gradient_cases: int = 10,
     inject_fault: bool = False,
 ) -> list[CheckResult]:
@@ -164,30 +172,18 @@ def run_losscheck(
     worst_sup, worst_soft = 0.0, 0.0
     failing = None
     for case in range(equivalence_cases):
-        n = int(rng.integers(2, 9))
-        d = int(rng.integers(2, 9))
-        za = random_unit_rows(rng, n, d)
-        zp = random_unit_rows(rng, n, d)
-        labels = rng.integers(0, max(2, n // 2), size=n)
+        batch = _random_batch(rng)
+        za, zp, labels = batch.anchors, batch.positives, batch.labels
         table = random_label_table(rng, int(labels.max()) + 1)
-        batch = ContrastiveBatch(anchors=za, positives=zp, labels=labels)
-        got_sup, _ = sup_loss(batch, temps)
-        got_soft, _ = soft_loss(batch, table, temps)
-        err_sup = abs(got_sup - brute_sup_loss(za, zp, labels, temps.tau))
+        err_sup = abs(sup_loss(batch, temps)[0] - brute_sup_loss(za, zp, labels, temps.tau))
         err_soft = abs(
-            got_soft - brute_soft_loss(za, zp, labels, table.delta, temps.tau, temps.tau_label)
+            soft_loss(batch, table, temps)[0]
+            - brute_soft_loss(za, zp, labels, table.delta, temps.tau, temps.tau_label)
         )
         worst_sup = max(worst_sup, err_sup)
         worst_soft = max(worst_soft, err_soft)
         if max(err_sup, err_soft) >= 1e-10 and failing is None:
-            failing = {
-                "check": "equivalence",
-                "case": case,
-                "anchors": za.tolist(),
-                "positives": zp.tolist(),
-                "labels": labels.tolist(),
-                "delta": table.delta.tolist(),
-            }
+            failing = {**_batch_case("equivalence", case, batch), "delta": table.delta.tolist()}
     results.append(
         CheckResult(
             name="brute-force equivalence",
@@ -201,31 +197,20 @@ def run_losscheck(
     rng = substream(seed, "losscheck-limit")
     worst = 0.0
     failing = None
-    for case in range(limit_cases):
-        n = int(rng.integers(2, 9))
-        d = int(rng.integers(2, 9))
-        za = random_unit_rows(rng, n, d)
-        zp = random_unit_rows(rng, n, d)
-        labels = rng.integers(0, max(2, n // 2), size=n)
-        table = orthogonal_label_table(int(labels.max()) + 1)
-        batch = ContrastiveBatch(anchors=za, positives=zp, labels=labels)
+    for case in range(LIMIT_CASES):
+        batch = _random_batch(rng)
+        table = orthogonal_label_table(int(batch.labels.max()) + 1)
         hard, _ = sup_loss(batch, temps)
         soft, _ = soft_loss(batch, table, Temperatures(tau=temps.tau, tau_label=1e-4))
         err = abs(soft - hard)
         worst = max(worst, err)
         if err >= 1e-6 and failing is None:
-            failing = {
-                "check": "soft-hard-limit",
-                "case": case,
-                "anchors": za.tolist(),
-                "positives": zp.tolist(),
-                "labels": labels.tolist(),
-            }
+            failing = _batch_case("soft-hard-limit", case, batch)
     results.append(
         CheckResult(
             name="soft-to-hard limit",
             passed=failing is None,
-            detail=f"max |soft(tau'=1e-4) - sup|={worst:.2e} over {limit_cases} batches",
+            detail=f"max |soft(tau'=1e-4) - sup|={worst:.2e} over {LIMIT_CASES} batches",
             failing_case=failing,
         )
     )

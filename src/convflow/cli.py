@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
-from dataclasses import dataclass, fields
+import typing
+from dataclasses import dataclass
 
 from . import checks, cluster, contrastive, corpus, embedding, evaluation, flowgraph
 from .errors import CheckFailure, InputError, RemoteError
@@ -30,7 +32,6 @@ class RunConfig:
     seed: int = 0
     epsilon: float = flowgraph.DEFAULT_EPSILON
     tau: float = contrastive.DEFAULT_TAU
-    tau_label: float = contrastive.DEFAULT_TAU_LABEL
     kshot: tuple[int, ...] = (1, 5)
     ndcg_k: int = 10
     repetitions: int = 10
@@ -40,9 +41,8 @@ class RunConfig:
     embeddings: str | None = None
     out: str | None = None
 
-    @property
-    def temps(self) -> contrastive.Temperatures:
-        return contrastive.Temperatures(tau=self.tau, tau_label=self.tau_label)
+
+_CONFIG_TYPES = typing.get_type_hints(RunConfig)
 
 
 def _parse_kshot(text: str) -> tuple[int, ...]:
@@ -52,6 +52,22 @@ def _parse_kshot(text: str) -> tuple[int, ...]:
         raise InputError(f"bad --kshot value '{text}'") from exc
 
 
+def _is_a(value, kind) -> bool:
+    """JSON value of a Python type; an int is a float, a bool is not an int."""
+    return isinstance(value, (int, float) if kind is float else kind) and not isinstance(value, bool)
+
+
+def _config_value(key: str, value):
+    """`value` as RunConfig field `key`, if it has that field's type."""
+    kind = _CONFIG_TYPES[key]
+    if typing.get_origin(kind) is tuple:  # kshot: a list of ints
+        if isinstance(value, list) and all(_is_a(v, int) for v in value):
+            return tuple(value)
+    elif any(_is_a(value, k) for k in typing.get_args(kind) or (kind,)):
+        return value
+    raise InputError(f"config key '{key}' has the wrong type: {value!r}")
+
+
 def resolve_config(args: argparse.Namespace) -> RunConfig:
     """defaults <- config file <- flags (service endpoints come from env
     unless flags override; numeric settings have no env channel)."""
@@ -59,14 +75,16 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     path = getattr(args, "config", None)
     if path:
         with open(path, encoding="utf-8") as fh:
-            file_values = json.load(fh)
-        known = {f.name for f in fields(RunConfig)}
+            try:
+                file_values = json.load(fh)
+            except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+                raise InputError(f"config file {path} is not valid JSON: {exc}") from exc
+        if not isinstance(file_values, dict):
+            raise InputError(f"config file {path} must hold a JSON object")
         for key, value in file_values.items():
-            if key not in known:
+            if key not in _CONFIG_TYPES:
                 raise InputError(f"unknown config key '{key}'")
-            if key == "kshot":
-                value = tuple(int(v) for v in value)
-            setattr(config, key, value)
+            setattr(config, key, _config_value(key, value))
     for name in (
         "seed", "epsilon", "tau", "clusters_user", "clusters_system", "ndcg_k",
         "corpus", "embeddings", "out",
@@ -74,8 +92,6 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         value = getattr(args, name, None)
         if value is not None:
             setattr(config, name, value)
-    if getattr(args, "tau_label", None) is not None:
-        config.tau_label = args.tau_label
     if getattr(args, "reps", None) is not None:
         config.repetitions = args.reps
     if getattr(args, "kshot", None) is not None:
@@ -255,20 +271,28 @@ def cmd_losscheck(args: argparse.Namespace) -> int:
         gradient_cases=max(2, args.cases // 5),
         inject_fault=args.inject_fault,
     )
-    all_passed = True
     for r in results:
         print(f"[{'PASS' if r.passed else 'FAIL'}] {r.name}: {r.detail}")
-        all_passed = all_passed and r.passed
-    if not all_passed:
-        payload = checks.serialize_failure(results)
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(payload + "\n")
-            print(f"failing cases serialized to {args.out}", file=sys.stderr)
-        else:
-            print(payload, file=sys.stderr)
-        return EXIT_CHECK
-    return EXIT_OK
+    if all(r.passed for r in results):
+        return EXIT_OK
+    payload = checks.serialize_failure(results)
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(payload + "\n")
+        print(f"failing cases serialized to {args.out}", file=sys.stderr)
+    else:
+        print(payload, file=sys.stderr)
+    return EXIT_CHECK
+
+
+def _grid_value(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise InputError(f"bad --grid value '{text}': grid values are finite numbers > 0")
+    return value
 
 
 def _parse_grid(text: str | None) -> list[float]:
@@ -279,48 +303,39 @@ def _parse_grid(text: str | None) -> list[float]:
         parts = text.split(":")
         if len(parts) != 3:
             raise InputError("grid range must be start:stop:step")
-        start, stop, step = (float(p) for p in parts)
-        if step <= 0:
-            raise InputError("grid step must be positive")
+        start, stop, step = (_grid_value(p) for p in parts)
         out = []
         v = start
         while v <= stop + 1e-12:
             out.append(round(v, 10))
             v += step
         return out
-    return [float(p) for p in text.split(",") if p]
+    return [_grid_value(p) for p in text.split(",") if p]
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     config = resolve_config(args)
+    grid = _parse_grid(args.grid)
     dialogs = _load_corpus(_require(config.corpus, "--corpus"))
     rows = corpus.labeled_utterances(dialogs)
     if not rows:
         raise InputError("corpus has no annotated utterances")
-    items = contrastive.single_items(rows)
     rng = substream(config.seed, "sweep-split")
     by_action: dict[str, list[contrastive.TrainItem]] = {}
-    for item in items:
+    for item in contrastive.single_items(rows):
         by_action.setdefault(item.action, []).append(item)
     train_rows, eval_rows = [], []
     for action in sorted(by_action):
         pool = by_action[action]
         order = rng.permutation(len(pool))
         n_eval = max(1, len(pool) // 5)
-        for pos, idx in enumerate(order):
-            (eval_rows if pos < n_eval else train_rows).append(pool[idx])
-    grid = _parse_grid(args.grid)
+        eval_rows += [pool[i] for i in order[:n_eval]]
+        train_rows += [pool[i] for i in order[n_eval:]]
     results = contrastive.sweep_tau_label(
-        train_rows,
-        eval_rows,
-        grid,
-        seed=config.seed,
-        tau=config.tau,
-        epochs=args.epochs,
+        train_rows, eval_rows, grid, seed=config.seed, tau=config.tau, epochs=args.epochs
     )
     lines = ["tau_label\tf1_5shot\tanisotropy_delta"]
-    for tau_label, f1, delta in results:
-        lines.append(f"{tau_label:.6g}\t{f1:.6f}\t{delta:.6f}")
+    lines += [f"{tau_label:.6g}\t{f1:.6f}\t{delta:.6f}" for tau_label, f1, delta in results]
     text = "\n".join(lines) + "\n"
     if config.out:
         with open(config.out, "w", encoding="utf-8") as fh:
@@ -391,7 +406,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", default=None, help="comma list or start:stop:step (default 0.05:1.0:0.05)")
     p.add_argument("--epochs", type=int, default=10)
     p.add_argument("--tau", type=float, default=None)
-    p.add_argument("--tau-label", dest="tau_label", type=float, default=None)
     _add_common(p)
     p.set_defaults(func=cmd_sweep)
     return parser

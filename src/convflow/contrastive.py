@@ -12,11 +12,14 @@ implemented (and differentiated) here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
-from .embedding import hashed_bow_vector, l2_normalize
+from .corpus import ActionLabel
+from .embedding import build_store, hashed_bow_vector, l2_normalize
 from .errors import (
     DegenerateProjectionError,
     DegenerateTaskError,
@@ -24,6 +27,7 @@ from .errors import (
     InputError,
     ShapeError,
 )
+from .evaluation import LabeledEmbeddings, evaluate_labeled
 from .seeding import substream
 
 DEFAULT_TAU = 0.05
@@ -34,6 +38,7 @@ DEFAULT_LR_ENCODER = 3e-6
 DEFAULT_HASH_DIM = 2048
 DEFAULT_ENCODER_DIM = 768  # n, the encoder output size
 DEFAULT_HEAD_DIM = 128  # d, the projection output size
+SWEEP_KSHOT = 5  # the sweep's F1 column is 5-shot
 
 
 @dataclass(frozen=True)
@@ -45,8 +50,9 @@ class Temperatures:
     tau_label: float = DEFAULT_TAU_LABEL
 
     def __post_init__(self):
-        if self.tau <= 0 or self.tau_label <= 0:
-            raise InputError("temperatures must be strictly positive")
+        for name, value in (("tau", self.tau), ("tau_label", self.tau_label)):
+            if not (isinstance(value, Real) and math.isfinite(value) and value > 0):
+                raise InputError(f"temperature {name}={value!r} must be a finite number > 0")
 
 
 @dataclass(frozen=True)
@@ -145,9 +151,6 @@ class LabelTable:
     embeddings: np.ndarray
     delta: np.ndarray
 
-    def id_of(self, text: str) -> int:
-        return self.texts.index(text)
-
 
 def build_label_table(texts: list[str], dim: int = 256) -> LabelTable:
     """Embed label texts as hashed bag-of-words vectors and precompute the
@@ -193,26 +196,29 @@ def hard_targets(labels: np.ndarray) -> np.ndarray:
 # Losses
 # ---------------------------------------------------------------------------
 
-def _cross_entropy_loss(batch: ContrastiveBatch, targets: np.ndarray, tau: float):
-    if batch.size == 0:
+def _cross_entropy(anchors, positives, labels, table: LabelTable | None, temps: Temperatures):
+    """The targets (soft against `table`, hard when it is None), the batch
+    log-softmax of anchor-positive dots / tau, and the per-anchor
+    cross-entropy between them."""
+    if len(labels) == 0:
         raise EmptyInputError("empty contrastive batch")
-    sims = np.asarray(batch.anchors) @ np.asarray(batch.positives).T
-    log_q = _log_softmax_rows(sims / tau)
-    per_anchor = -(targets * log_q).sum(axis=1)
-    return float(per_anchor.mean()), per_anchor
+    targets = hard_targets(labels) if table is None else soft_targets(labels, table, temps.tau_label)
+    log_q = _log_softmax_rows((np.asarray(anchors) @ np.asarray(positives).T) / temps.tau)
+    return -(targets * log_q).sum(axis=1), targets, log_q
 
 
 def sup_loss(batch: ContrastiveBatch, temps: Temperatures) -> tuple[float, np.ndarray]:
     """Supervised contrastive loss: mean over anchors of the average
     negative log-probability assigned to same-label batch positions."""
-    return _cross_entropy_loss(batch, hard_targets(batch.labels), temps.tau)
+    per_anchor, _, _ = _cross_entropy(batch.anchors, batch.positives, batch.labels, None, temps)
+    return float(per_anchor.mean()), per_anchor
 
 
 def soft_loss(batch: ContrastiveBatch, table: LabelTable, temps: Temperatures) -> tuple[float, np.ndarray]:
     """Soft contrastive loss: cross-entropy against the label-similarity
     softmax targets instead of the uniform-on-positives distribution."""
-    targets = soft_targets(batch.labels, table, temps.tau_label)
-    return _cross_entropy_loss(batch, targets, temps.tau)
+    per_anchor, _, _ = _cross_entropy(batch.anchors, batch.positives, batch.labels, table, temps)
+    return float(per_anchor.mean()), per_anchor
 
 
 # ---------------------------------------------------------------------------
@@ -239,26 +245,13 @@ def grad_loss(
     `batch` carries encoder-level vectors (size n); a None table selects
     the hard loss. Gradients cover W1, W2, and both input sides.
     """
-    if batch.size == 0:
-        raise EmptyInputError("empty contrastive batch")
-    n = batch.size
     za, cache_a = _head_forward_batch(head, batch.anchors)
     zp, cache_p = _head_forward_batch(head, batch.positives)
-    if table is None:
-        targets = hard_targets(batch.labels)
-    else:
-        targets = soft_targets(batch.labels, table, temps.tau_label)
-    sims = za @ zp.T
-    log_q = _log_softmax_rows(sims / temps.tau)
-    loss = float(-(targets * log_q).sum(axis=1).mean())
-
-    q = np.exp(log_q)
-    d_sims = (q - targets) / (n * temps.tau)
-    dza = d_sims @ zp
-    dzp = d_sims.T @ za
-    dw1_a, dw2_a, dxa = _head_backward(head, cache_a, dza)
-    dw1_p, dw2_p, dxp = _head_backward(head, cache_p, dzp)
-    return loss, Gradients(
+    per_anchor, targets, log_q = _cross_entropy(za, zp, batch.labels, table, temps)
+    d_sims = (np.exp(log_q) - targets) / (batch.size * temps.tau)
+    dw1_a, dw2_a, dxa = _head_backward(head, cache_a, d_sims @ zp)
+    dw1_p, dw2_p, dxp = _head_backward(head, cache_p, d_sims.T @ za)
+    return float(per_anchor.mean()), Gradients(
         d_w1=dw1_a + dw1_p,
         d_w2=dw2_a + dw2_p,
         d_anchors=dxa,
@@ -314,25 +307,86 @@ def init_toy_encoder(m: int = DEFAULT_HASH_DIM, n: int = 64, seed: int = 0) -> T
 
 @dataclass(frozen=True)
 class TrainItem:
-    """One training utterance: the text, the action key that defines
-    positive pairs, and one label string per head."""
+    """One training utterance: the text and the action label that defines
+    its positives and its row of the label table."""
 
     text: str
     action: str
-    labels: tuple[str, ...]
 
 
 def single_items(rows) -> list[TrainItem]:
-    """Label view for the single target: the full action string."""
-    return [TrainItem(text=text, action=a.render(), labels=(a.render(),)) for _, _, text, a in rows]
+    """Training items from labeled utterance rows, labeled by the full action string."""
+    return [TrainItem(text=text, action=a.render()) for _, _, text, a in rows]
 
 
 @dataclass
 class TrainResult:
     encoder: ToyEncoder
-    heads: list[ContrastiveHead]
     loss_curve: list[float]
-    label_texts: list[tuple[str, ...]]
+
+
+def _train_set(items: list[TrainItem], encoder: ToyEncoder, soft: bool):
+    """The items' hashed features, label ids (indices into the sorted
+    actions) and, when `soft`, the label table of those actions."""
+    actions = sorted({it.action for it in items})
+    if len(actions) < 2:
+        raise DegenerateTaskError("training needs at least 2 distinct action labels")
+    index = {a: i for i, a in enumerate(actions)}
+    labels = np.array([index[it.action] for it in items])
+    return encoder.features([it.text for it in items]), labels, build_label_table(actions) if soft else None
+
+
+def _sgd(
+    feats: np.ndarray,
+    labels: np.ndarray,
+    table: LabelTable | None,
+    encoder: ToyEncoder,
+    heads: list[ContrastiveHead],
+    temps: Temperatures,
+    epochs: int,
+    lr_head: float,
+    lr_encoder: float,
+    seed: int,
+    batch_size: int,
+) -> TrainResult:
+    """Train copies of `encoder` and `heads` on hashed features and label ids.
+
+    Each anchor is paired with a positive drawn uniformly from the items
+    sharing its label; in-batch entries act as negatives. Every head adds
+    one loss term against `table` (None: the hard loss) and the terms are
+    summed. Parameters are updated by plain SGD.
+    """
+    pools = [np.flatnonzero(labels == c) for c in range(labels.max() + 1)]
+    rng = substream(seed, "train-toy")
+    encoder = ToyEncoder(weights=encoder.weights.copy())
+    heads = [ContrastiveHead(w1=h.w1.copy(), w2=h.w2.copy()) for h in heads]
+    curve: list[float] = []
+    for _ in range(epochs):
+        order = rng.permutation(len(labels))
+        epoch_losses: list[float] = []
+        for start in range(0, len(labels), batch_size):
+            a_idx = order[start : start + batch_size]
+            if len(a_idx) < 2:
+                continue
+            p_idx = np.array([pools[c][rng.integers(len(pools[c]))] for c in labels[a_idx]])
+            xa, cache_a = encoder.encode_features(feats[a_idx])
+            xp, cache_p = encoder.encode_features(feats[p_idx])
+            batch = ContrastiveBatch(anchors=xa, positives=xp, labels=labels[a_idx])
+            dxa = np.zeros_like(xa)
+            dxp = np.zeros_like(xp)
+            total = 0.0
+            for head in heads:
+                loss, grads = grad_loss(batch, table, temps, head)
+                total += loss
+                dxa += grads.d_anchors
+                dxp += grads.d_positives
+                head.w1 -= lr_head * grads.d_w1
+                head.w2 -= lr_head * grads.d_w2
+            d_enc = encoder.backward(cache_a, dxa) + encoder.backward(cache_p, dxp)
+            encoder.weights -= lr_encoder * d_enc
+            epoch_losses.append(total)
+        curve.append(float(np.mean(epoch_losses)))
+    return TrainResult(encoder=encoder, loss_curve=curve)
 
 
 def train_toy(
@@ -346,69 +400,12 @@ def train_toy(
     seed: int = 0,
     batch_size: int = DEFAULT_BATCH_SIZE,
     soft: bool = True,
-    label_dim: int = 256,
 ) -> TrainResult:
-    """Contrastive training loop, deterministic for a fixed seed.
-
-    Each anchor is paired with a positive drawn uniformly from utterances
-    sharing its action; in-batch entries act as negatives. One loss term
-    per head (soft when `soft`, else hard), terms summed as in the joint
-    target. Parameters are updated by plain SGD.
-    """
-    actions = sorted({it.action for it in items})
-    if len(actions) < 2:
-        raise DegenerateTaskError("training needs at least 2 distinct action labels")
-    n_heads = len(heads)
-    label_texts: list[tuple[str, ...]] = []
-    tables: list[LabelTable | None] = []
-    label_ids = np.zeros((len(items), n_heads), dtype=int)
-    for h in range(n_heads):
-        texts = sorted({it.labels[h] for it in items})
-        label_texts.append(tuple(texts))
-        index = {t: i for i, t in enumerate(texts)}
-        for i, it in enumerate(items):
-            label_ids[i, h] = index[it.labels[h]]
-        tables.append(build_label_table(texts, dim=label_dim) if soft else None)
-
-    pools: dict[str, list[int]] = {}
-    for i, it in enumerate(items):
-        pools.setdefault(it.action, []).append(i)
-
-    feats = np.stack([hashed_bow_vector(it.text, encoder.m, normalize=False) for it in items])
-    rng = substream(seed, "train-toy")
-    encoder = ToyEncoder(weights=encoder.weights.copy())
-    heads = [ContrastiveHead(w1=h.w1.copy(), w2=h.w2.copy()) for h in heads]
-    curve: list[float] = []
-
-    for _ in range(epochs):
-        order = rng.permutation(len(items))
-        epoch_losses: list[float] = []
-        for start in range(0, len(items), batch_size):
-            a_idx = order[start : start + batch_size]
-            if len(a_idx) < 2:
-                continue
-            p_idx = np.array(
-                [pools[items[i].action][rng.integers(len(pools[items[i].action]))] for i in a_idx]
-            )
-            xa, cache_a = encoder.encode_features(feats[a_idx])
-            xp, cache_p = encoder.encode_features(feats[p_idx])
-            dxa = np.zeros_like(xa)
-            dxp = np.zeros_like(xp)
-            total = 0.0
-            for h, head in enumerate(heads):
-                batch = ContrastiveBatch(anchors=xa, positives=xp, labels=label_ids[a_idx, h])
-                loss, grads = grad_loss(batch, tables[h], temps, head)
-                total += loss
-                dxa += grads.d_anchors
-                dxp += grads.d_positives
-                head.w1 -= lr_head * grads.d_w1
-                head.w2 -= lr_head * grads.d_w2
-            d_enc = encoder.backward(cache_a, dxa) + encoder.backward(cache_p, dxp)
-            encoder.weights -= lr_encoder * d_enc
-            epoch_losses.append(total)
-        curve.append(float(np.mean(epoch_losses)))
-
-    return TrainResult(encoder=encoder, heads=heads, loss_curve=curve, label_texts=label_texts)
+    """Contrastive training of the toy encoder, deterministic for a fixed
+    seed: every head trains against the items' action labels, with the
+    soft loss when `soft`, else the hard one."""
+    feats, labels, table = _train_set(items, encoder, soft)
+    return _sgd(feats, labels, table, encoder, heads, temps, epochs, lr_head, lr_encoder, seed, batch_size)
 
 
 def sweep_tau_label(
@@ -420,45 +417,32 @@ def sweep_tau_label(
     epochs: int = 10,
     lr_head: float = DEFAULT_LR_HEAD,
     lr_encoder: float = DEFAULT_LR_ENCODER,
-    batch_size: int = DEFAULT_BATCH_SIZE,
-    feature_dim: int = DEFAULT_HASH_DIM,
     encoder_dim: int = 64,
     head_dim: int = 32,
-    kshot: int = 5,
 ) -> list[tuple[float, float, float]]:
     """Train one model per label temperature and report, per grid value,
     (tau_label, 5-shot macro-F1, anisotropy delta) on the eval rows.
 
-    All models share the same parameter initialization and data order so
-    the temperature is the only varying factor. Rows come back sorted by
-    temperature ascending.
+    All models share the same features, label table, parameter
+    initialization and data order, computed once, so the temperature is
+    the only varying factor. Every temperature is checked before any
+    training. Rows come back sorted by temperature ascending.
     """
-    from .corpus import ActionLabel
-    from .evaluation import LabeledEmbeddings, evaluate_labeled
-    from .embedding import build_store
-
+    temps = [Temperatures(tau=tau, tau_label=t) for t in sorted(grid)]
+    encoder = init_toy_encoder(n=encoder_dim, seed=seed)
+    head = init_head(encoder_dim, head_dim, seed=seed)
+    feats, labels, table = _train_set(train_rows, encoder, soft=True)
+    eval_feats = encoder.features([r.text for r in eval_rows])
+    ids = [f"u{i}" for i in range(len(eval_rows))]
+    eval_labels = {uid: ActionLabel.make(r.action, []) for uid, r in zip(ids, eval_rows)}
     results = []
-    for tau_label in sorted(grid):
-        temps = Temperatures(tau=tau, tau_label=tau_label)
-        encoder = init_toy_encoder(m=feature_dim, n=encoder_dim, seed=seed)
-        heads = [init_head(encoder_dim, head_dim, seed=seed)]
-        trained = train_toy(
-            train_rows,
-            encoder,
-            heads,
-            temps,
-            epochs=epochs,
-            lr_head=lr_head,
-            lr_encoder=lr_encoder,
-            seed=seed,
-            batch_size=batch_size,
-            soft=True,
+    for t in temps:
+        trained = _sgd(
+            feats, labels, table, encoder, [head], t, epochs, lr_head, lr_encoder, seed, DEFAULT_BATCH_SIZE
         )
-        vecs = trained.encoder.encode([r.text for r in eval_rows])
-        ids = [f"u{i}" for i in range(len(eval_rows))]
+        vecs, _ = trained.encoder.encode_features(eval_feats)
         store = build_store(list(zip(ids, vecs)), normalize=True)
-        labels = {ids[i]: ActionLabel.make(eval_rows[i].action, []) for i in range(len(eval_rows))}
-        data = LabeledEmbeddings(store=store, labels=labels)
-        f1, delta = evaluate_labeled(data, kshot=kshot, seed=seed)
-        results.append((float(tau_label), f1, delta))
+        data = LabeledEmbeddings(store=store, labels=eval_labels)
+        f1, delta = evaluate_labeled(data, kshot=SWEEP_KSHOT, seed=seed)
+        results.append((float(t.tau_label), f1, delta))
     return results

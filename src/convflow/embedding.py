@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
+from array import array
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 
@@ -163,9 +164,13 @@ def _load_jsonl(path: str) -> list[tuple[str, np.ndarray]]:
                 rec = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise FormatError(f"{path}:{lineno}: invalid json ({exc.msg})") from exc
-            if "id" not in rec or "vector" not in rec:
+            if not isinstance(rec, dict) or "id" not in rec or "vector" not in rec:
                 raise FormatError(f"{path}:{lineno}: record needs 'id' and 'vector'")
-            pairs.append((str(rec["id"]), np.asarray(rec["vector"], dtype=np.float64)))
+            try:  # array("d") takes JSON numbers only: no strings, nulls or lists
+                vec = np.frombuffer(array("d", rec["vector"]))
+            except (TypeError, OverflowError) as exc:
+                raise FormatError(f"{path}:{lineno}: 'vector' must be a list of numbers") from exc
+            pairs.append((str(rec["id"]), vec))
     return pairs
 
 
@@ -206,7 +211,10 @@ def _load_binary(path: str) -> EmbeddingStore:
             raise FormatError(f"{path}: truncated record header at byte {off}")
         (id_len,) = struct.unpack_from("<H", data, off)
         off += 2
-        uid = data[off : off + id_len].decode("utf-8")
+        try:
+            uid = data[off : off + id_len].decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path}: the id at byte {off} is not valid UTF-8") from exc
         off += id_len
         if off + 4 * dim > len(data):
             raise FormatError(f"{path}: truncated vector for id '{uid}'")
@@ -215,6 +223,8 @@ def _load_binary(path: str) -> EmbeddingStore:
         index[uid] = row
         matrix[row] = np.frombuffer(data, dtype="<f4", count=dim, offset=off)
         off += 4 * dim
+    if off != len(data):
+        raise FormatError(f"{path}: {len(data) - off} bytes after the {count} declared records")
     return EmbeddingStore(dim=dim, vectors=_Rows(index, matrix))
 
 

@@ -227,6 +227,34 @@ def test_sweep_range_grid(sweep_corpus, tmp_path):
     assert len(lines) == 4  # header + 3 rows
 
 
+@pytest.mark.parametrize(
+    "flags,named",
+    [
+        (["--grid", "1:0.5:abc"], "'abc'"),
+        (["--grid", "x"], "'x'"),
+        (["--grid", "inf"], "'inf'"),
+        (["--grid", "0.1,nan"], "'nan'"),
+        (["--grid", "0.1,-0.2"], "'-0.2'"),
+        (["--grid", "0:1:0.5"], "'0'"),
+        (["--tau", "nan"], "tau=nan"),
+        (["--tau", "inf"], "tau=inf"),
+        (["--tau=-1"], "tau=-1.0"),
+        (["--tau", "0"], "tau=0.0"),
+    ],
+)
+def test_sweep_bad_temperature_exits_2_before_training(sweep_corpus, tmp_path, capsys, monkeypatch, flags, named):
+    from convflow import contrastive
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("training started")
+
+    monkeypatch.setattr(contrastive, "_sgd", no_training)
+    out = tmp_path / "sweep.tsv"
+    assert main(["sweep", "--corpus", sweep_corpus, "--out", str(out), "--epochs", "1", *flags]) == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_limit_row_matches_hard_loss(sweep_corpus, tmp_path):
     """tau'=1e-4 sweep row equals a hard-loss training run's metrics."""
     from convflow import contrastive
@@ -244,7 +272,7 @@ def test_sweep_limit_row_matches_hard_loss(sweep_corpus, tmp_path):
 
     soft_rows = contrastive.sweep_tau_label(
         train_rows, eval_rows, [1e-4], seed=0, tau=0.35, epochs=3,
-        lr_head=0.1, lr_encoder=0.01, encoder_dim=16, head_dim=8, kshot=1,
+        lr_head=0.1, lr_encoder=0.01, encoder_dim=16, head_dim=8,
     )
 
     temps = Temperatures(tau=0.35, tau_label=0.35)
@@ -257,7 +285,7 @@ def test_sweep_limit_row_matches_hard_loss(sweep_corpus, tmp_path):
     store = build_store(list(zip(ids, vecs)), normalize=True)
     labels = {ids[i]: ActionLabel.make(eval_rows[i].action, []) for i in range(len(eval_rows))}
     f1_hard, delta_hard = evaluate_labeled(
-        LabeledEmbeddings(store=store, labels=labels), kshot=1, seed=0
+        LabeledEmbeddings(store=store, labels=labels), kshot=5, seed=0
     )
     assert abs(soft_rows[0][1] - f1_hard) < 1e-9
     assert abs(soft_rows[0][2] - delta_hard) < 1e-9
@@ -286,6 +314,33 @@ def test_config_unknown_key_exits_2(planted, tmp_path):
     config.write_text(json.dumps({"bogus": 1}))
     assert main(["eval", "--corpus", corpus_path, "--embeddings", emb_path,
                  "--config", str(config)]) == 2
+
+
+@pytest.mark.parametrize(
+    "text",
+    ['{"seed": 1', b'{"out": "\xff"}', "[1, 2]", '{"epsilon": "abc"}', '{"seed": "x"}', '{"seed": true}',
+     '{"seed": 1.5}', '{"kshot": 5}', '{"kshot": ["1"]}', '{"clusters_user": false}', '{"corpus": 3}',
+     '{"tau_label": 0.7}'],
+)
+def test_config_malformed_or_mistyped_exits_2(planted, tmp_path, capsys, text):
+    _, corpus_path, emb_path = planted
+    config = tmp_path / "bad.json"
+    config.write_bytes(text if isinstance(text, bytes) else text.encode())
+    assert main(["eval", "--corpus", corpus_path, "--embeddings", emb_path,
+                 "--config", str(config)]) == 2
+    assert "config" in capsys.readouterr().err
+
+
+def test_config_types_follow_run_config(tmp_path):
+    from argparse import Namespace
+
+    from convflow.cli import resolve_config
+
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"epsilon": 1, "clusters_user": None, "clusters_system": 4, "kshot": [2, 3]}))
+    resolved = resolve_config(Namespace(config=str(config)))
+    assert (resolved.epsilon, resolved.clusters_user, resolved.clusters_system) == (1, None, 4)
+    assert resolved.kshot == (2, 3)
 
 
 def test_eval_remote_embeddings_via_env(planted, tmp_path, monkeypatch):

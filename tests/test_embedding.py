@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import http.server
 import json
+import struct
 import threading
 
 import numpy as np
@@ -71,6 +72,45 @@ def test_jsonl_dim_mismatch(tmp_path):
     with pytest.raises(FormatError) as exc:
         load_embeddings(str(path), format="jsonl")
     assert "'b'" in str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "record,error",
+    [('{"id": "b", "vector": ' + vector + "}", "'vector' must be a list of numbers")
+     for vector in ('["x", 0]', '["1.5", 0]', '[null, 0]', '[[1], [0]]', '"10"')]
+    + [("7", "record needs 'id' and 'vector'")],
+)
+def test_jsonl_malformed_record_is_a_format_error(tmp_path, record, error):
+    path = tmp_path / "e.jsonl"
+    path.write_text('{"id": "a", "vector": [1, 0]}\n' + record + "\n")
+    with pytest.raises(FormatError, match=f":2: {error}"):
+        load_embeddings(str(path), format="jsonl")
+
+
+def _binary_file(tmp_path) -> tuple:
+    path = tmp_path / "e.bin"
+    save_embeddings(build_store([("a", np.array([1.0, 0.0])), ("b", np.array([0.0, 1.0]))]), str(path), format="binary")
+    return path, bytearray(path.read_bytes())
+
+
+def test_binary_id_not_utf8_is_a_format_error(tmp_path):
+    path, data = _binary_file(tmp_path)
+    data[19] = 0xFF  # the first byte of the first id, after the 17-byte header and the u16 id length
+    path.write_bytes(data)
+    with pytest.raises(FormatError, match="id at byte 19 is not valid UTF-8"):
+        load_embeddings(str(path), format="binary")
+
+
+@pytest.mark.parametrize("damage", ["appended", "count-one-short"])
+def test_binary_bytes_after_the_declared_records_are_a_format_error(tmp_path, damage):
+    path, data = _binary_file(tmp_path)
+    if damage == "appended":
+        data += b"junk"
+    else:
+        struct.pack_into("<Q", data, 9, 1)
+    path.write_bytes(data)
+    with pytest.raises(FormatError, match="bytes after the"):
+        load_embeddings(str(path), format="binary")
 
 
 def test_duplicate_id(tmp_path):
