@@ -21,6 +21,7 @@ from .contrastive import (
     sup_loss,
 )
 from .embedding import l2_normalize
+from .errors import InputError
 from .seeding import substream
 
 
@@ -164,6 +165,11 @@ def run_losscheck(
 ) -> list[CheckResult]:
     """The full check battery. Deterministic per seed; any failing case is
     attached as a JSON-serializable payload for replay."""
+    if min(equivalence_cases, gradient_cases) < 1:
+        raise InputError(
+            f"losscheck needs at least one case per check, got {equivalence_cases} equivalence "
+            f"and {gradient_cases} gradient cases"
+        )
     results: list[CheckResult] = []
     temps = Temperatures()
 

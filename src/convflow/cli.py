@@ -26,6 +26,8 @@ EXIT_CHECK = 1
 EXIT_INPUT = 2
 EXIT_REMOTE = 3
 
+MAX_GRID_POINTS = 1000  # each grid point trains one model
+
 
 @dataclass
 class RunConfig:
@@ -238,7 +240,9 @@ def cmd_extract(args: argparse.Namespace) -> int:
                 model=os.environ.get(flowgraph.ENV_LLM_MODEL),
                 token=os.environ.get(flowgraph.ENV_LLM_TOKEN),
             )
-            llm_names = {requests[i][0]: name for i, name in named.items()}
+            llm_names = {
+                requests[i][0]: name for i, name in named.items() if name != flowgraph.placeholder_label(i)
+            }
         for role, prefix in (("user", "U"), ("system", "S")):
             for cid in range(parts[role].k):
                 node = f"{prefix}{cid}"
@@ -307,6 +311,8 @@ def _parse_grid(text: str | None) -> list[float]:
         out = []
         v = start
         while v <= stop + 1e-12:
+            if len(out) == MAX_GRID_POINTS:  # also a step too small to move v
+                raise InputError(f"grid range '{text}' has more than {MAX_GRID_POINTS} points")
             out.append(round(v, 10))
             v += step
         return out

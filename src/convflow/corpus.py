@@ -206,39 +206,41 @@ def load_table(path: str) -> ActMappingTable:
 # ---------------------------------------------------------------------------
 
 def _parse_turn(obj: dict, dialog_id: str, index: int) -> AnnotatedUtterance:
+    def schema_error(what: str) -> SchemaError:
+        return SchemaError(f"dialog '{dialog_id}' turn {index}: {what}", dialog_id, index)
+
     if not isinstance(obj, dict):
-        raise SchemaError(f"dialog '{dialog_id}' turn {index}: not an object", dialog_id, index)
+        raise schema_error("not an object")
     for required in ("speaker", "text"):
         if required not in obj:
-            raise SchemaError(
-                f"dialog '{dialog_id}' turn {index}: missing required field '{required}'",
-                dialog_id,
-                index,
-            )
+            raise schema_error(f"missing required field '{required}'")
     speaker = obj["speaker"]
     if speaker not in SPEAKERS:
-        raise SchemaError(
-            f"dialog '{dialog_id}' turn {index}: speaker must be one of {SPEAKERS}, got {speaker!r}",
-            dialog_id,
-            index,
-        )
+        raise schema_error(f"speaker must be one of {SPEAKERS}, got {speaker!r}")
     labels = obj.get("labels") or {}
+    if not isinstance(labels, dict):
+        raise schema_error(f"'labels' must be an object, got {type(labels).__name__}")
     dialog_acts = labels.get("dialog_acts") or {}
+    if not isinstance(dialog_acts, dict):
+        raise schema_error(f"'dialog_acts' must be an object, got {type(dialog_acts).__name__}")
 
-    def str_list(value) -> tuple[str, ...]:
+    def str_list(source: dict, key: str) -> tuple[str, ...]:
+        value = source.get(key)
         if value is None:
             return ()
-        return tuple(str(x) for x in value)
+        if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
+            raise schema_error(f"'{key}' must be a list of strings, got {value!r:.60}")
+        return tuple(value)
 
     return AnnotatedUtterance(
         speaker=speaker,
         text=str(obj["text"]),
-        domains=str_list(obj.get("domains")),
-        acts=str_list(dialog_acts.get("acts")),
-        main_acts=str_list(dialog_acts.get("main_acts")),
-        original_acts=str_list(dialog_acts.get("original_acts")),
-        slots=str_list(labels.get("slots")),
-        intents=str_list(labels.get("intents")),
+        domains=str_list(obj, "domains"),
+        acts=str_list(dialog_acts, "acts"),
+        main_acts=str_list(dialog_acts, "main_acts"),
+        original_acts=str_list(dialog_acts, "original_acts"),
+        slots=str_list(labels, "slots"),
+        intents=str_list(labels, "intents"),
     )
 
 
@@ -249,7 +251,10 @@ def parse_unified(document: bytes | str) -> list[UnifiedDialog]:
     are ignored. Malformed JSON raises ParseError with the byte offset;
     schema violations raise SchemaError naming the dialog and turn.
     """
-    text = document.decode("utf-8") if isinstance(document, bytes) else document
+    try:
+        text = document.decode("utf-8") if isinstance(document, bytes) else document
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"document is not UTF-8 at byte {exc.start}", exc.start) from exc
     try:
         root = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -111,10 +111,19 @@ class EmbeddingStore:
     def ids(self) -> list[str]:
         return sorted(self.vectors)
 
+    def rows(self, ids: list[str]) -> np.ndarray:
+        """The matrix row of each id in `ids`, in the given order."""
+        index = self.vectors.index
+        return np.fromiter((index[i] for i in ids), np.intp, len(ids))
+
+    @property
+    def array(self) -> np.ndarray:
+        """The whole read-only (N, dim) matrix; `rows` maps ids into it."""
+        return self.vectors.matrix
+
     def matrix(self, ids: list[str]) -> np.ndarray:
         """A copy of the rows for `ids` in the given order, shape (len(ids), dim)."""
-        index = self.vectors.index
-        return self.vectors.matrix.take(np.fromiter((index[i] for i in ids), np.intp, len(ids)), axis=0)
+        return self.array.take(self.rows(ids), axis=0)
 
     def normalize(self) -> "EmbeddingStore":
         if self.normalized:

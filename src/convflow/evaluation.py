@@ -8,6 +8,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -15,6 +16,17 @@ from .corpus import ActionLabel
 from .embedding import EmbeddingStore
 from .errors import CoverageError, InputError, InsufficientDataError
 from .seeding import substream
+
+
+@dataclass(frozen=True)
+class Layout:
+    """The labeled ids grouped by action, built once per LabeledEmbeddings."""
+
+    ids: tuple[str, ...]  # sorted labeled ids
+    rows: np.ndarray  # store matrix row of each id
+    actions: tuple[str, ...]  # sorted action renders
+    action_of: np.ndarray  # action index of each id
+    members: tuple[np.ndarray, ...]  # each action's positions in `ids`, ascending
 
 
 @dataclass(frozen=True)
@@ -34,12 +46,23 @@ class LabeledEmbeddings:
                 missing_ids=missing,
             )
 
-    def groups(self) -> dict[str, list[str]]:
-        """Action render -> sorted member ids."""
-        out: dict[str, list[str]] = {}
-        for uid, label in self.labels.items():
-            out.setdefault(label.render(), []).append(uid)
-        return {k: sorted(v) for k, v in sorted(out.items())}
+    @cached_property
+    def layout(self) -> Layout:
+        """The grouping every metric reads, built on first use."""
+        ids = sorted(self.labels)
+        renders = [self.labels[uid].render() for uid in ids]
+        actions = sorted(set(renders))
+        index = {a: i for i, a in enumerate(actions)}
+        action_of = np.fromiter((index[r] for r in renders), np.intp, len(ids))
+        order = np.argsort(action_of, kind="stable")
+        bounds = np.searchsorted(action_of[order], np.arange(len(actions) + 1))
+        return Layout(
+            ids=tuple(ids),
+            rows=self.store.rows(ids),
+            actions=tuple(actions),
+            action_of=action_of,
+            members=tuple(order[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])),
+        )
 
 
 def anisotropy(vectors: np.ndarray) -> float:
@@ -64,29 +87,32 @@ class AnisotropyReport:
 
 def intra_inter_anisotropy(data: LabeledEmbeddings) -> AnisotropyReport:
     """Mean within-action anisotropy, mean absolute cross-action average
-    cosine over unordered action pairs, and their difference."""
-    groups = data.groups()
-    if len(groups) < 2:
+    cosine over unordered action pairs, and their difference.
+
+    Both come from per-action sum vectors s_a: the off-diagonal sum of an
+    action's Gram matrix is |s_a|^2 - sum |x|^2, and the sum of its cross
+    block with action b is s_a . s_b.
+    """
+    layout = data.layout
+    if len(layout.actions) < 2:
         raise InsufficientDataError("need at least 2 actions")
-    mats = {a: data.store.matrix(ids) for a, ids in groups.items()}
-    intra_terms = []
-    excluded = 0
-    for a, ids in groups.items():
-        if len(ids) < 2:
-            excluded += 1
-            continue
-        intra_terms.append(anisotropy(mats[a]))
-    if not intra_terms:
+    sums = np.empty((len(layout.actions), data.store.dim))
+    squares = np.empty(len(layout.actions))
+    for a, members in enumerate(layout.members):
+        x = data.store.array.take(layout.rows[members], axis=0)
+        sums[a] = x.sum(axis=0)
+        squares[a] = np.einsum("ij,ij->", x, x)
+    n = np.array([len(m) for m in layout.members], dtype=np.float64)
+    multi = n >= 2
+    if not multi.any():
         raise InsufficientDataError("no action has 2 or more embeddings")
-    actions = list(groups)
-    inter_terms = []
-    for i in range(len(actions)):
-        for j in range(i + 1, len(actions)):
-            cross = mats[actions[i]] @ mats[actions[j]].T
-            inter_terms.append(abs(float(cross.sum())) / cross.size)
-    intra = float(np.mean(intra_terms))
-    inter = float(np.mean(inter_terms))
-    return AnisotropyReport(intra=intra, inter=inter, delta=intra - inter, excluded_intra=excluded)
+    off = np.einsum("ij,ij->i", sums, sums) - squares
+    intra = float(np.mean(np.abs(off[multi]) / (n[multi] * n[multi] - n[multi])))
+    cross = np.abs(sums @ sums.T) / np.outer(n, n)
+    inter = float(np.mean(cross[np.triu_indices(len(n), 1)]))
+    return AnisotropyReport(
+        intra=intra, inter=inter, delta=intra - inter, excluded_intra=int(np.sum(~multi))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -108,58 +134,50 @@ def prototype_classify(data: LabeledEmbeddings, k: int, seed: int = 0) -> Classi
     highest-cosine prototype (ties to the lowest action index)."""
     if k < 1:
         raise InputError("k must be >= 1")
-    groups = data.groups()
+    layout = data.layout
     rng = substream(seed, "prototype", k)
     included: list[str] = []
     prototypes = []
-    eval_ids: list[str] = []
-    gold: list[int] = []
+    eval_rows = []
     excluded: list[str] = []
-    for action, ids in groups.items():
-        if len(ids) <= k:
+    for action, members in zip(layout.actions, layout.members):
+        if len(members) <= k:
             excluded.append(action)
             continue
-        picks = set(int(p) for p in rng.choice(len(ids), size=k, replace=False))
-        mat = data.store.matrix(ids)
-        proto = mat[sorted(picks)].mean(axis=0)
+        picked = np.zeros(len(members), dtype=bool)
+        picked[rng.choice(len(members), size=k, replace=False)] = True
+        proto = data.store.array.take(layout.rows[members[picked]], axis=0).mean(axis=0)
         norm = np.linalg.norm(proto)
         if norm == 0.0:
             raise InputError(f"prototype for action '{action}' collapsed to zero")
         prototypes.append(proto / norm)
-        idx = len(included)
         included.append(action)
-        for pos, uid in enumerate(ids):
-            if pos not in picks:
-                eval_ids.append(uid)
-                gold.append(idx)
+        eval_rows.append(layout.rows[members[~picked]])
     if not included:
         raise InsufficientDataError(f"no action has more than k={k} embeddings")
-    proto_mat = np.stack(prototypes)
-    items = data.store.matrix(eval_ids)
-    sims = items @ proto_mat.T
+    gold = np.repeat(np.arange(len(included)), [len(r) for r in eval_rows])
+    sims = data.store.array.take(np.concatenate(eval_rows), axis=0) @ np.stack(prototypes).T
     predicted = np.argmax(sims, axis=1)  # first max wins: lowest action index
-    gold_arr = np.asarray(gold)
+    tps = np.bincount(gold[predicted == gold], minlength=len(included))
+    n_predicted = np.bincount(predicted, minlength=len(included))
+    n_gold = np.bincount(gold, minlength=len(included))
 
     per_class: dict[str, dict[str, float]] = {}
     f1s = []
-    for idx, action in enumerate(included):
-        tp = int(np.sum((predicted == idx) & (gold_arr == idx)))
-        fp = int(np.sum((predicted == idx) & (gold_arr != idx)))
-        fn = int(np.sum((predicted != idx) & (gold_arr == idx)))
-        precision = tp / (tp + fp) if tp + fp else 0.0
-        recall = tp / (tp + fn) if tp + fn else 0.0
+    for action, tp, n_pred, n_true in zip(included, tps.tolist(), n_predicted.tolist(), n_gold.tolist()):
+        precision = tp / n_pred if n_pred else 0.0
+        recall = tp / n_true if n_true else 0.0
         f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
         per_class[action] = {
             "precision": precision,
             "recall": recall,
             "f1": f1,
-            "support": float(tp + fn),
+            "support": float(n_true),
         }
         f1s.append(f1)
-    accuracy = float(np.mean(predicted == gold_arr))
     return ClassificationResult(
         macro_f1=float(np.mean(f1s)),
-        accuracy=accuracy,
+        accuracy=float(np.mean(predicted == gold)),
         per_class=per_class,
         excluded=tuple(excluded),
     )
@@ -168,10 +186,6 @@ def prototype_classify(data: LabeledEmbeddings, k: int, seed: int = 0) -> Classi
 # ---------------------------------------------------------------------------
 # nDCG ranking
 # ---------------------------------------------------------------------------
-
-def _dcg(relevances) -> float:
-    return sum(rel / math.log2(rank + 2) for rank, rel in enumerate(relevances))
-
 
 @dataclass(frozen=True)
 class RankingResult:
@@ -189,37 +203,47 @@ def ndcg_ranking(
 ) -> RankingResult:
     """nDCG@k with one seeded query per action per repetition.
 
-    The query is excluded from its own candidate ranking; relevance is
-    binary (same action); ideal DCG counts min(k, #relevant) hits. The
-    per-repetition value is the mean over actions; mean and std are over
-    repetitions.
+    The query is excluded from its own candidate ranking, and candidates
+    are ranked by (-cosine, id). Relevance is binary (same action); ideal
+    DCG counts min(k, #relevant) hits. The per-repetition value is the mean
+    over actions; mean and std are over repetitions.
     """
-    groups = data.groups()
-    all_ids = sorted(data.labels)
-    matrix = data.store.matrix(all_ids)
-    pos_of = {uid: i for i, uid in enumerate(all_ids)}
-    eligible = {a: ids for a, ids in groups.items() if len(ids) >= 2}
-    excluded = len(groups) - len(eligible)
+    layout = data.layout
+    eligible = [a for a, members in enumerate(layout.members) if len(members) >= 2]
+    excluded = len(layout.actions) - len(eligible)
     if not eligible:
         raise InsufficientDataError("no action has 2 or more embeddings")
+    # rank over the store's own rows, so no copy is made; unlabeled rows rank last
+    matrix = data.store.array
+    position = np.full(len(matrix), -1)  # store row -> position in layout.ids
+    position[layout.rows] = np.arange(len(layout.ids))
+    unlabeled = np.flatnonzero(position < 0)
+    depth = min(k, len(layout.ids) - 1)  # candidates ranked per query
+    discounts = [1.0 / math.log2(rank + 2) for rank in range(depth)]
+    ideal = [0.0]  # ideal[m]: DCG of m hits at the top, summed left to right
+    for discount in discounts:
+        ideal.append(ideal[-1] + discount)
+    idcg = np.array([ideal[min(depth, len(layout.members[a]) - 1)] for a in eligible])
+    relevant = np.array(eligible)[:, None]  # each query's own action
     per_rep = []
     for rep in range(repetitions):
         rng = substream(seed, "ndcg", rep)
-        scores = []
-        for action, ids in eligible.items():
-            query = ids[int(rng.integers(len(ids)))]
-            qvec = data.store.get(query)
-            sims = matrix @ qvec
-            order = sorted(
-                (i for i in range(len(all_ids)) if all_ids[i] != query),
-                key=lambda i: (-sims[i], all_ids[i]),
-            )
-            top = order[:k]
-            rels = [1.0 if data.labels[all_ids[i]].render() == action else 0.0 for i in top]
-            n_relevant = len(ids) - 1
-            idcg = _dcg([1.0] * min(k, n_relevant))
-            scores.append(_dcg(rels) / idcg)
-        per_rep.append(float(np.mean(scores)))
+        queries = layout.rows[[layout.members[a][int(rng.integers(len(layout.members[a])))] for a in eligible]]
+        neg = matrix.take(queries, axis=0) @ matrix.T
+        neg[np.arange(len(queries)), queries] = np.inf  # the query ranks first, then is dropped
+        np.negative(neg, out=neg)
+        neg[:, unlabeled] = np.inf
+        top = np.empty((len(queries), depth), dtype=np.intp)
+        for i, row in enumerate(neg):
+            # the depth+1 smallest -sims, with every tie at the boundary, by (-sim, id)
+            candidates = np.flatnonzero(row <= np.partition(row, depth)[depth])
+            ranked = candidates[np.lexsort((position[candidates], row[candidates]))]
+            top[i] = position[ranked[1 : depth + 1]]
+        hits = layout.action_of[top] == relevant
+        dcg = np.zeros(len(eligible))
+        for rank, discount in enumerate(discounts):
+            dcg[hits[:, rank]] += discount
+        per_rep.append(float(np.mean(dcg / idcg)))
     arr = np.asarray(per_rep)
     return RankingResult(
         mean=float(arr.mean()),

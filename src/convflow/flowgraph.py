@@ -331,6 +331,11 @@ def extract_canonical_form(reply: str) -> str:
     return reply.strip()
 
 
+def placeholder_label(cid: int) -> str:
+    """The label `label_clusters_llm` gives a cluster it could not name."""
+    return f"cluster-{cid}"
+
+
 def label_clusters_llm(
     clusters: list[tuple[int, list[str]]],
     endpoint: str | None,
@@ -354,7 +359,7 @@ def label_clusters_llm(
             raise InputError(f"cluster {cid} has no member texts")
     if endpoint is None:
         warnings.warn("no LLM endpoint configured; using placeholder cluster labels")
-        return {cid: f"cluster-{cid}" for cid, _ in clusters}
+        return {cid: placeholder_label(cid) for cid, _ in clusters}
     down = threading.Event()  # set once a request has failed past its retries
 
     def one(cluster: tuple[int, list[str]]) -> str:
@@ -374,7 +379,7 @@ def label_clusters_llm(
             if isinstance(exc, UnavailableError):
                 down.set()
             warnings.warn(f"cluster {cid} labeling failed ({exc!r}); using placeholder")
-            return f"cluster-{cid}"
+            return placeholder_label(cid)
         label = extract_canonical_form(content)
         remote.cache_put(cache_dir, key, {"label": label})
         return label

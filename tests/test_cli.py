@@ -4,9 +4,10 @@ import struct
 
 import pytest
 
-from convflow.cli import main
+from convflow.cli import _parse_grid, main
 from convflow.corpus import serialize_unified
 from convflow.embedding import save_embeddings
+from convflow.errors import InputError
 from convflow.synth import planted_flow, random_corpus
 
 
@@ -44,6 +45,35 @@ def test_ingest_corrupt_file_exits_2(tmp_path, capsys):
     src.write_text('{"dialogs": {{')
     assert main(["ingest", "--corpus", str(src), "--out", str(tmp_path / "o.json")]) == 2
     assert "byte" in capsys.readouterr().err
+
+
+def test_ingest_non_utf8_corpus_exits_2(tmp_path, capsys):
+    src = tmp_path / "latin1.json"
+    raw = '{"dialogs": {"d": [{"speaker": "user", "text": "caf\u00e9"}]}}'.encode("latin-1")
+    src.write_bytes(raw)
+    assert main(["ingest", "--corpus", str(src), "--out", str(tmp_path / "o.json")]) == 2
+    assert f"not UTF-8 at byte {raw.index(0xE9)}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "turn,named",
+    [
+        ({"labels": ["inform"]}, "'labels' must be an object"),
+        ({"labels": {"dialog_acts": "inform"}}, "'dialog_acts' must be an object"),
+        ({"domains": 5}, "'domains' must be a list of strings"),
+        ({"labels": {"slots": [1]}}, "'slots' must be a list of strings"),
+        ({"labels": {"dialog_acts": {"acts": "inform"}}}, "'acts' must be a list of strings"),
+    ],
+    ids=["labels-list", "dialog-acts-string", "domains-int", "slots-int", "acts-string"],
+)
+def test_ingest_mistyped_turn_field_exits_2(tmp_path, capsys, turn, named):
+    ok = {"speaker": "user", "text": "hi", "labels": {"dialog_acts": {"acts": ["inform"]}}}
+    doc = {"dialogs": {"d1": [ok, {"speaker": "system", "text": "x", **turn}]}}
+    src = tmp_path / "in.json"
+    src.write_text(json.dumps(doc))
+    assert main(["ingest", "--corpus", str(src), "--out", str(tmp_path / "o.json")]) == 2
+    err = capsys.readouterr().err
+    assert f"dialog 'd1' turn 1: {named}" in err
 
 
 def test_ingest_missing_file_exits_2(tmp_path):
@@ -183,6 +213,14 @@ def test_losscheck_failure_serialization_deterministic(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+@pytest.mark.parametrize("cases", ["0", "-1"])
+def test_losscheck_without_cases_exits_2(capsys, cases):
+    assert main(["losscheck", "--cases", cases, "--seed", "0"]) == 2
+    captured = capsys.readouterr()
+    assert "[PASS]" not in captured.out
+    assert "at least one case" in captured.err
+
+
 @pytest.fixture()
 def sweep_corpus(tmp_path):
     from convflow.corpus import AnnotatedUtterance, UnifiedDialog
@@ -225,6 +263,11 @@ def test_sweep_range_grid(sweep_corpus, tmp_path):
                  "--grid", "0.2:0.6:0.2", "--epochs", "1", "--seed", "0"]) == 0
     lines = out.read_text().strip().split("\n")
     assert len(lines) == 4  # header + 3 rows
+
+
+def test_grid_range_whose_step_cannot_advance_is_an_input_error():
+    with pytest.raises(InputError, match="'0.1:1:1e-300'"):
+        _parse_grid("0.1:1:1e-300")
 
 
 @pytest.mark.parametrize(
@@ -466,8 +509,17 @@ def test_extract_malformed_llm_reply_gets_a_placeholder(planted, tmp_path, monke
     assert code == 0
     labels = [n["label"] for n in json.loads((out / "flow.json").read_text())["nodes"]]
     assert len(labels) == 6
-    assert sum("cluster-" in label for label in labels) == 1
+    assert sum("cluster-" in label for label in labels) == 0
     assert sum("request the planted field" in label for label in labels) == 5
+    # the cluster the LLM could not name carries its representative utterance, as without an LLM
+    unnamed = next(label for label in labels if "request the planted field" not in label)
+    no_llm = tmp_path / "no-llm"
+    monkeypatch.delenv("D2F_LLM_URL")
+    assert main(
+        ["extract", "--corpus", corpus_path, "--embeddings", emb_path, "--out", str(no_llm),
+         "--clusters-user", "3", "--clusters-system", "3", "--seed", "11"]
+    ) == 0
+    assert unnamed in [n["label"] for n in json.loads((no_llm / "flow.json").read_text())["nodes"]]
 
 
 def test_extract_warns_when_epsilon_prunes_every_node(planted, tmp_path, capsys):

@@ -1,13 +1,18 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from convflow.corpus import ActionLabel
+from convflow import evaluation
+from convflow.corpus import ActionLabel, labeled_utterances
 from convflow.embedding import EmbeddingStore
 from convflow.errors import CoverageError, InputError, InsufficientDataError
 from convflow.evaluation import (
+    AnisotropyReport,
+    ClassificationResult,
     LabeledEmbeddings,
+    RankingResult,
     anisotropy,
     evaluate,
     intra_inter_anisotropy,
@@ -16,6 +21,7 @@ from convflow.evaluation import (
     report_to_json,
 )
 from convflow.seeding import substream
+from convflow.synth import planted_flow
 
 
 def _unit_rows(rng, n, d):
@@ -32,6 +38,133 @@ def _labeled(vectors: dict[str, np.ndarray], labels: dict[str, str]) -> LabeledE
     dim = len(next(iter(vectors.values())))
     store = EmbeddingStore(dim=dim, vectors={k: np.asarray(v, float) for k, v in vectors.items()}, normalized=True)
     return LabeledEmbeddings(store=store, labels={k: ActionLabel.make(v, []) for k, v in labels.items()})
+
+
+# ---------------------------------------------------------------------------
+# Reference implementations: the per-action loops the vectorized metrics
+# replaced, kept as oracles
+# ---------------------------------------------------------------------------
+
+def _groups(data: LabeledEmbeddings) -> dict[str, list[str]]:
+    """Action render -> sorted member ids."""
+    out: dict[str, list[str]] = {}
+    for uid, label in data.labels.items():
+        out.setdefault(label.render(), []).append(uid)
+    return {k: sorted(v) for k, v in sorted(out.items())}
+
+
+def _reference_intra_inter_anisotropy(data: LabeledEmbeddings) -> AnisotropyReport:
+    groups = _groups(data)
+    if len(groups) < 2:
+        raise InsufficientDataError("need at least 2 actions")
+    mats = {a: data.store.matrix(ids) for a, ids in groups.items()}
+    intra_terms = []
+    excluded = 0
+    for a, ids in groups.items():
+        if len(ids) < 2:
+            excluded += 1
+            continue
+        intra_terms.append(anisotropy(mats[a]))
+    if not intra_terms:
+        raise InsufficientDataError("no action has 2 or more embeddings")
+    actions = list(groups)
+    inter_terms = []
+    for i in range(len(actions)):
+        for j in range(i + 1, len(actions)):
+            cross = mats[actions[i]] @ mats[actions[j]].T
+            inter_terms.append(abs(float(cross.sum())) / cross.size)
+    intra = float(np.mean(intra_terms))
+    inter = float(np.mean(inter_terms))
+    return AnisotropyReport(intra=intra, inter=inter, delta=intra - inter, excluded_intra=excluded)
+
+
+def _reference_prototype_classify(data: LabeledEmbeddings, k: int, seed: int = 0) -> ClassificationResult:
+    if k < 1:
+        raise InputError("k must be >= 1")
+    groups = _groups(data)
+    rng = substream(seed, "prototype", k)
+    included: list[str] = []
+    prototypes = []
+    eval_ids: list[str] = []
+    gold: list[int] = []
+    excluded: list[str] = []
+    for action, ids in groups.items():
+        if len(ids) <= k:
+            excluded.append(action)
+            continue
+        picks = set(int(p) for p in rng.choice(len(ids), size=k, replace=False))
+        mat = data.store.matrix(ids)
+        proto = mat[sorted(picks)].mean(axis=0)
+        norm = np.linalg.norm(proto)
+        if norm == 0.0:
+            raise InputError(f"prototype for action '{action}' collapsed to zero")
+        prototypes.append(proto / norm)
+        idx = len(included)
+        included.append(action)
+        for pos, uid in enumerate(ids):
+            if pos not in picks:
+                eval_ids.append(uid)
+                gold.append(idx)
+    if not included:
+        raise InsufficientDataError(f"no action has more than k={k} embeddings")
+    proto_mat = np.stack(prototypes)
+    items = data.store.matrix(eval_ids)
+    sims = items @ proto_mat.T
+    predicted = np.argmax(sims, axis=1)
+    gold_arr = np.asarray(gold)
+    per_class: dict[str, dict[str, float]] = {}
+    f1s = []
+    for idx, action in enumerate(included):
+        tp = int(np.sum((predicted == idx) & (gold_arr == idx)))
+        fp = int(np.sum((predicted == idx) & (gold_arr != idx)))
+        fn = int(np.sum((predicted != idx) & (gold_arr == idx)))
+        precision = tp / (tp + fp) if tp + fp else 0.0
+        recall = tp / (tp + fn) if tp + fn else 0.0
+        f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
+        per_class[action] = {"precision": precision, "recall": recall, "f1": f1, "support": float(tp + fn)}
+        f1s.append(f1)
+    return ClassificationResult(
+        macro_f1=float(np.mean(f1s)),
+        accuracy=float(np.mean(predicted == gold_arr)),
+        per_class=per_class,
+        excluded=tuple(excluded),
+    )
+
+
+def _reference_dcg(relevances) -> float:
+    return sum(rel / math.log2(rank + 2) for rank, rel in enumerate(relevances))
+
+
+def _reference_ndcg_ranking(
+    data: LabeledEmbeddings, k: int = 10, seed: int = 0, repetitions: int = 10
+) -> RankingResult:
+    groups = _groups(data)
+    all_ids = sorted(data.labels)
+    matrix = data.store.matrix(all_ids)
+    eligible = {a: ids for a, ids in groups.items() if len(ids) >= 2}
+    excluded = len(groups) - len(eligible)
+    if not eligible:
+        raise InsufficientDataError("no action has 2 or more embeddings")
+    per_rep = []
+    for rep in range(repetitions):
+        rng = substream(seed, "ndcg", rep)
+        scores = []
+        for action, ids in eligible.items():
+            query = ids[int(rng.integers(len(ids)))]
+            qvec = data.store.get(query)
+            sims = matrix @ qvec
+            order = sorted(
+                (i for i in range(len(all_ids)) if all_ids[i] != query),
+                key=lambda i: (-sims[i], all_ids[i]),
+            )
+            rels = [1.0 if data.labels[all_ids[i]].render() == action else 0.0 for i in order[:k]]
+            idcg = _reference_dcg([1.0] * min(k, len(ids) - 1))
+            scores.append(_reference_dcg(rels) / idcg)
+        per_rep.append(float(np.mean(scores)))
+    arr = np.asarray(per_rep)
+    return RankingResult(
+        mean=float(arr.mean()), std=float(arr.std()), per_repetition=tuple(per_rep), excluded=excluded
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +331,7 @@ def test_prototype_brute_force_assignments():
         seed = 100 + trial
         res = prototype_classify(data, k=2, seed=seed)
 
-        groups = data.groups()
+        groups = _groups(data)
         rng_check = substream(seed, "prototype", 2)
         protos, included = [], []
         eval_items = []
@@ -380,3 +513,76 @@ def test_labeled_embeddings_requires_normalized():
     store = EmbeddingStore(dim=2, vectors={"a": np.array([2.0, 0.0])}, normalized=False)
     with pytest.raises(InputError):
         LabeledEmbeddings(store=store, labels={"a": ActionLabel.make("A", [])})
+
+
+# ---------------------------------------------------------------------------
+# Vectorized metrics against the reference implementations
+# ---------------------------------------------------------------------------
+
+def _outcome(fn, *args, **kwargs):
+    """The result of fn, or the type of the InputError it raised."""
+    try:
+        return fn(*args, **kwargs)
+    except InputError as exc:
+        return type(exc)
+
+
+def _tie_heavy(rng) -> LabeledEmbeddings:
+    """Few distinct vectors (many exact ties, some exactly orthogonal), many
+    actions (often singletons), ids shuffled in the store, and sometimes
+    store rows without a label."""
+    n = int(rng.integers(2, 40))
+    d = int(rng.integers(2, 5))
+    pool = np.concatenate([np.eye(d), _unit_rows(rng, 3, d)])
+    distinct = pool[rng.choice(len(pool), size=int(rng.integers(1, 5)))]
+    x = distinct[rng.integers(len(distinct), size=n)]
+    actions = rng.integers(int(rng.integers(2, n + 2)), size=n)
+    names = [f"u{i:02d}" for i in rng.permutation(n + 3)]
+    vectors = {names[i]: x[i] for i in rng.permutation(n)}
+    if rng.random() < 0.3:
+        vectors.update({names[n + j]: distinct[0] for j in range(3)})
+    return _labeled(vectors, {names[i]: f"act{actions[i]}" for i in range(n)})
+
+
+def test_metrics_equal_the_reference_on_tie_heavy_inputs():
+    rng = np.random.default_rng(12)
+    for case in range(300):
+        data = _tie_heavy(rng)
+        seed = int(rng.integers(1000))
+        got = _outcome(intra_inter_anisotropy, data)
+        want = _outcome(_reference_intra_inter_anisotropy, data)
+        if isinstance(want, type):
+            assert got is want, case
+        else:
+            assert got.excluded_intra == want.excluded_intra, case
+            for name in ("intra", "inter", "delta"):
+                assert abs(getattr(got, name) - getattr(want, name)) < 1e-9, (case, name)
+        for k in (1, 2, 5):
+            assert _outcome(prototype_classify, data, k, seed=seed) == _outcome(
+                _reference_prototype_classify, data, k, seed=seed
+            ), (case, k)
+        n = len(data.labels)
+        for k in (1, n - 1, n + 3):  # n + 3: fewer candidates than k
+            if k >= 1:
+                assert _outcome(ndcg_ranking, data, k=k, seed=seed, repetitions=3) == _outcome(
+                    _reference_ndcg_ranking, data, k=k, seed=seed, repetitions=3
+                ), (case, k)
+
+
+def test_report_matches_the_reference_on_a_many_action_planted_flow(monkeypatch):
+    # 80-degree dispersion lets actions overlap, so no score is a trivial 1.0
+    pf = planted_flow(
+        k_user=64, k_system=64, dim=256, n_dialogs=150, seed=3, min_len=8, max_len=8, max_dispersion_deg=80.0
+    )
+    rows = labeled_utterances(pf.dialogs)
+    data = LabeledEmbeddings(store=pf.store, labels={uid: action for uid, _, _, action in rows})
+    got = evaluate(data, seed=5)
+    monkeypatch.setattr(evaluation, "intra_inter_anisotropy", _reference_intra_inter_anisotropy)
+    monkeypatch.setattr(evaluation, "prototype_classify", _reference_prototype_classify)
+    monkeypatch.setattr(evaluation, "ndcg_ranking", _reference_ndcg_ranking)
+    want = evaluate(data, seed=5)
+    # summing per-action vectors instead of Gram blocks moves the last bits
+    for name in ("intra", "inter", "delta"):
+        assert abs(getattr(got, name) - getattr(want, name)) < 1e-9, name
+    want = dataclasses.replace(want, intra=got.intra, inter=got.inter, delta=got.delta)
+    assert report_to_json(got) == report_to_json(want)
