@@ -138,42 +138,56 @@ class Dendrogram:
 def agglomerative(store: EmbeddingStore, ids: list[str]) -> Dendrogram:
     """Average-linkage agglomerative clustering with cosine distance,
     via Lance-Williams updates. Ties break on the smallest (left, right)
-    node-id pair."""
+    node-id pair.
+
+    Greedy global minimum over one n x n distance matrix: a merged cluster
+    takes the lower of its two rows, the other row and column become inf.
+    Each row's minimum is cached, so a merge scans a length-n vector, the
+    rows tied at the global minimum, the merged row, and the rows whose
+    minimum sat on one of the two merged columns. Any other row keeps its
+    minimum or takes its new entry in the merged column, whichever is
+    lower. Memory is O(n^2); time is O(n^2) unless many rows share the
+    merged pair as their nearest neighbour, up to O(n^3) when all do."""
     if len(ids) < 2:
         raise InsufficientDataError("agglomerative clustering needs at least 2 items")
     x = store.matrix(list(ids))
     n = len(ids)
-    dist = 1.0 - np.clip(x @ x.T, -1.0, 1.0)
-    np.fill_diagonal(dist, np.inf)
-
-    node_ids = list(range(n))  # position -> dendrogram node id
-    sizes = {i: 1 for i in range(n)}
-    active = dist.copy()
+    active = x @ x.T
+    np.clip(active, -1.0, 1.0, out=active)
+    np.subtract(1.0, active, out=active)
+    np.fill_diagonal(active, np.inf)
+    row_min = active.min(axis=1)
+    alive = np.ones(n, dtype=bool)
+    node_ids = np.arange(n)  # row -> dendrogram node id
+    sizes = np.ones(n, dtype=np.int64)
     merges: list[tuple[int, int, float, int]] = []
-    next_id = n
-    for _ in range(n - 1):
-        dmin = float(active.min())
-        rows, cols = np.where(active == dmin)
-        best = min(
-            (min(node_ids[r], node_ids[c]), max(node_ids[r], node_ids[c]), r, c)
-            for r, c in zip(rows, cols)
-        )
-        left_id, right_id, r, c = best
-        if r > c:
-            r, c = c, r
-        size = sizes[left_id] + sizes[right_id]
-        merges.append((left_id, right_id, dmin, size))
+    for next_id in range(n, 2 * n - 1):
+        dmin = row_min.min()
+        tie_rows = np.flatnonzero(row_min == dmin)
+        tie_at, cols = np.nonzero(active[tie_rows] == dmin)
+        rows = tie_rows[tie_at]
+        lows = np.minimum(node_ids[rows], node_ids[cols])
+        highs = np.maximum(node_ids[rows], node_ids[cols])
+        best = np.lexsort((highs, lows))[0]
+        r, c = sorted((int(rows[best]), int(cols[best])))
+        ni, nj = int(sizes[r]), int(sizes[c])
+        merges.append((int(lows[best]), int(highs[best]), float(dmin), ni + nj))
+        stale = alive & ((active[:, r] == row_min) | (active[:, c] == row_min))
         # Lance-Williams average-linkage update into row/col r
-        ni, nj = sizes[node_ids[r]], sizes[node_ids[c]]
         merged_row = (ni * active[r] + nj * active[c]) / (ni + nj)
         active[r, :] = merged_row
         active[:, r] = merged_row
         active[r, r] = np.inf
-        active = np.delete(np.delete(active, c, axis=0), c, axis=1)
+        active[c, :] = np.inf
+        active[:, c] = np.inf
+        alive[c] = False
+        stale[[r, c]] = True  # row c is all inf now
+        # an average can round up to two ulps below both of its inputs, so
+        # below the minimum of a row that is not stale
+        np.minimum(row_min, merged_row, out=row_min)
+        row_min[stale] = active[stale].min(axis=1)
         node_ids[r] = next_id
-        sizes[next_id] = size
-        del node_ids[c]
-        next_id += 1
+        sizes[r] = ni + nj
     return Dendrogram(leaves=tuple(ids), merges=tuple(merges))
 
 

@@ -181,23 +181,27 @@ def load_table(path: str) -> ActMappingTable:
     raw_to_standard: dict[str, str] = {}
     standard_to_parent: dict[str, str] = {}
     section = None
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if line == "[raw_to_standard]":
-                section = raw_to_standard
-                continue
-            if line == "[standard_to_parent]":
-                section = standard_to_parent
-                continue
-            if section is None:
-                raise InputError(f"{path}:{lineno}: entry before a section marker")
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise InputError(f"{path}:{lineno}: expected two tab-separated columns")
-            section[parts[0].strip().lower()] = parts[1].strip().lower()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 at byte {exc.start}") from exc
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if line == "[raw_to_standard]":
+            section = raw_to_standard
+            continue
+        if line == "[standard_to_parent]":
+            section = standard_to_parent
+            continue
+        if section is None:
+            raise InputError(f"{path}:{lineno}: entry before a section marker")
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise InputError(f"{path}:{lineno}: expected two tab-separated columns")
+        section[parts[0].strip().lower()] = parts[1].strip().lower()
     return ActMappingTable(raw_to_standard=raw_to_standard, standard_to_parent=standard_to_parent)
 
 
@@ -217,6 +221,9 @@ def _parse_turn(obj: dict, dialog_id: str, index: int) -> AnnotatedUtterance:
     speaker = obj["speaker"]
     if speaker not in SPEAKERS:
         raise schema_error(f"speaker must be one of {SPEAKERS}, got {speaker!r}")
+    text = obj["text"]
+    if not isinstance(text, str):
+        raise schema_error(f"'text' must be a string, got {type(text).__name__}")
     labels = obj.get("labels") or {}
     if not isinstance(labels, dict):
         raise schema_error(f"'labels' must be an object, got {type(labels).__name__}")
@@ -234,7 +241,7 @@ def _parse_turn(obj: dict, dialog_id: str, index: int) -> AnnotatedUtterance:
 
     return AnnotatedUtterance(
         speaker=speaker,
-        text=str(obj["text"]),
+        text=text,
         domains=str_list(obj, "domains"),
         acts=str_list(dialog_acts, "acts"),
         main_acts=str_list(dialog_acts, "main_acts"),

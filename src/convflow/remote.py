@@ -23,9 +23,10 @@ sleep = time.sleep  # every backoff wait goes through this; tests replace it
 
 def post_json(url: str, payload: dict, token: str | None) -> dict:
     """POST `payload` as JSON with bearer auth and return the reply's JSON object.
-    HTTP 5xx and connection failures are retried MAX_RETRIES times with doubling
-    backoff, then raise UnavailableError; other HTTP errors raise RemoteError,
-    and a reply that is not a JSON object raises ProtocolError."""
+    HTTP 429, 5xx and connection failures are retried MAX_RETRIES times with
+    doubling backoff, then raise UnavailableError; a Retry-After header in
+    whole seconds lengthens a wait, never shortens it. Other HTTP errors raise
+    RemoteError, and a reply that is not a JSON object raises ProtocolError."""
     headers = {"Content-Type": "application/json"}
     if token:
         headers["Authorization"] = f"Bearer {token}"
@@ -37,13 +38,17 @@ def post_json(url: str, payload: dict, token: str | None) -> dict:
             break
         except (OSError, http.client.HTTPException) as exc:
             status = exc.code if isinstance(exc, urllib.error.HTTPError) else None
+            wait = BACKOFF * 2**attempt
             if status is not None:
+                retry_after = (exc.headers.get("Retry-After") or "").strip()
                 exc.close()  # an HTTPError holds the reply and its socket
-            if status is not None and not 500 <= status < 600:
-                raise RemoteError(f"{url} failed: HTTP {status}", status=status) from exc
+                if status != 429 and not 500 <= status < 600:
+                    raise RemoteError(f"{url} failed: HTTP {status}", status=status) from exc
+                if retry_after.isdecimal():  # the HTTP-date form is ignored
+                    wait = max(wait, int(retry_after))
             if attempt == MAX_RETRIES:
                 raise UnavailableError(f"{url} unavailable: {exc}", status=status) from exc
-        sleep(BACKOFF * 2**attempt)
+        sleep(wait)
     try:
         reply = json.loads(raw)
     except ValueError as exc:

@@ -63,8 +63,9 @@ def test_ingest_non_utf8_corpus_exits_2(tmp_path, capsys):
         ({"domains": 5}, "'domains' must be a list of strings"),
         ({"labels": {"slots": [1]}}, "'slots' must be a list of strings"),
         ({"labels": {"dialog_acts": {"acts": "inform"}}}, "'acts' must be a list of strings"),
+        ({"text": ["hi", 5]}, "'text' must be a string, got list"),
     ],
-    ids=["labels-list", "dialog-acts-string", "domains-int", "slots-int", "acts-string"],
+    ids=["labels-list", "dialog-acts-string", "domains-int", "slots-int", "acts-string", "text-list"],
 )
 def test_ingest_mistyped_turn_field_exits_2(tmp_path, capsys, turn, named):
     ok = {"speaker": "user", "text": "hi", "labels": {"dialog_acts": {"acts": ["inform"]}}}
@@ -74,6 +75,17 @@ def test_ingest_mistyped_turn_field_exits_2(tmp_path, capsys, turn, named):
     assert main(["ingest", "--corpus", str(src), "--out", str(tmp_path / "o.json")]) == 2
     err = capsys.readouterr().err
     assert f"dialog 'd1' turn 1: {named}" in err
+
+
+def test_ingest_non_utf8_act_table_exits_2(tmp_path, capsys):
+    src = tmp_path / "in.json"
+    src.write_bytes(serialize_unified(random_corpus(seed=1)))
+    table = tmp_path / "acts.tsv"
+    raw = "[raw_to_standard]\ninform\tinform\ncaf\u00e9\tinform\n".encode("latin-1")
+    table.write_bytes(raw)
+    argv = ["ingest", "--corpus", str(src), "--acts", str(table), "--out", str(tmp_path / "o.json")]
+    assert main(argv) == 2
+    assert f"{table}: not UTF-8 at byte {raw.index(0xE9)}" in capsys.readouterr().err
 
 
 def test_ingest_missing_file_exits_2(tmp_path):

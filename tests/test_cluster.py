@@ -3,6 +3,7 @@ import pytest
 
 from convflow.cluster import (
     Clustering,
+    Dendrogram,
     agglomerative,
     clustering_to_text,
     cut,
@@ -12,6 +13,7 @@ from convflow.cluster import (
 )
 from convflow.embedding import EmbeddingStore
 from convflow.errors import InfeasibleError, InsufficientDataError, RangeError
+from convflow.synth import planted_flow
 
 
 def _store(vectors: dict[str, np.ndarray]) -> EmbeddingStore:
@@ -156,6 +158,104 @@ def test_agglomerative_matches_naive_recomputation():
             assert got[0] == want[0] and got[1] == want[1]
             assert abs(got[2] - want[2]) < 1e-9
             assert got[3] == want[3]
+
+
+# ---------------------------------------------------------------------------
+# Reference implementation: the full-rescan merge loop the cached row minima
+# replaced, kept as an oracle. Same Lance-Williams arithmetic in the same
+# merge order, so merges must be equal, not merely close.
+# ---------------------------------------------------------------------------
+
+def _reference_agglomerative(store: EmbeddingStore, ids: list[str]) -> Dendrogram:
+    """Average-linkage agglomerative clustering with cosine distance,
+    via Lance-Williams updates. Ties break on the smallest (left, right)
+    node-id pair."""
+    if len(ids) < 2:
+        raise InsufficientDataError("agglomerative clustering needs at least 2 items")
+    x = store.matrix(list(ids))
+    n = len(ids)
+    dist = 1.0 - np.clip(x @ x.T, -1.0, 1.0)
+    np.fill_diagonal(dist, np.inf)
+
+    node_ids = list(range(n))  # position -> dendrogram node id
+    sizes = {i: 1 for i in range(n)}
+    active = dist.copy()
+    merges: list[tuple[int, int, float, int]] = []
+    next_id = n
+    for _ in range(n - 1):
+        dmin = float(active.min())
+        rows, cols = np.where(active == dmin)
+        best = min(
+            (min(node_ids[r], node_ids[c]), max(node_ids[r], node_ids[c]), r, c)
+            for r, c in zip(rows, cols)
+        )
+        left_id, right_id, r, c = best
+        if r > c:
+            r, c = c, r
+        size = sizes[left_id] + sizes[right_id]
+        merges.append((left_id, right_id, dmin, size))
+        # Lance-Williams average-linkage update into row/col r
+        ni, nj = sizes[node_ids[r]], sizes[node_ids[c]]
+        merged_row = (ni * active[r] + nj * active[c]) / (ni + nj)
+        active[r, :] = merged_row
+        active[:, r] = merged_row
+        active[r, r] = np.inf
+        active = np.delete(np.delete(active, c, axis=0), c, axis=1)
+        node_ids[r] = next_id
+        sizes[next_id] = size
+        del node_ids[c]
+        next_id += 1
+    return Dendrogram(leaves=tuple(ids), merges=tuple(merges))
+
+
+def test_agglomerative_equals_the_reference_on_a_planted_subsample():
+    pf = planted_flow(k_user=5, k_system=5, n_dialogs=80, dim=16, seed=3)
+    all_ids = sorted(pf.store.vectors)
+    picks = np.random.default_rng(0).choice(len(all_ids), size=300, replace=False)
+    ids = [all_ids[i] for i in sorted(picks)]
+    assert agglomerative(pf.store, ids).merges == _reference_agglomerative(pf.store, ids).merges
+
+
+def test_agglomerative_equals_the_reference_on_tie_heavy_inputs():
+    # coordinates from {-1, 0, 1}: few distinct directions, many exact ties
+    # at every height, and averages of equal distances that round
+    rng = np.random.default_rng(13)
+    for trial in range(300):
+        n = int(rng.integers(2, 14))
+        vectors = {}
+        while len(vectors) < n:
+            v = rng.integers(-1, 2, size=3)
+            if v.any():
+                vectors[f"u{len(vectors)}"] = v
+        store = _store(vectors)
+        ids = list(rng.permutation(sorted(vectors)))
+        assert agglomerative(store, ids).merges == _reference_agglomerative(store, ids).merges, trial
+
+
+def test_agglomerative_exact_ties_take_the_smallest_node_pair():
+    # five orthonormal leaves: every distance, and every average of them,
+    # is exactly 1. Each merge takes the smallest (left, right) node pair,
+    # not the pair whose matrix row comes first: the second merge is (2, 3)
+    # although node 5 sits in row 0.
+    store = _store({f"e{i}": np.eye(5)[i] for i in range(5)})
+    dendro = agglomerative(store, [f"e{i}" for i in range(5)])
+    assert dendro.merges == (
+        (0, 1, 1.0, 2),
+        (2, 3, 1.0, 2),
+        (4, 5, 1.0, 3),
+        (6, 7, 1.0, 5),
+    )
+
+
+def test_agglomerative_heights_equal_scipy_linkage():
+    hierarchy = pytest.importorskip("scipy.cluster.hierarchy")
+    rng = np.random.default_rng(14)
+    x = rng.standard_normal((120, 8))
+    x /= np.linalg.norm(x, axis=1, keepdims=True)
+    store = _store({f"u{i:03d}": x[i] for i in range(120)})
+    dendro = agglomerative(store, sorted(store.vectors))
+    reference = hierarchy.linkage(x, method="average", metric="cosine")[:, 2]
+    assert np.allclose([m[2] for m in dendro.merges], reference, rtol=0.0, atol=1e-9)
 
 
 def test_agglomerative_merge_distances_non_decreasing():

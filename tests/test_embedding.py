@@ -24,6 +24,7 @@ from convflow.errors import (
     FormatError,
     ProtocolError,
     RemoteError,
+    UnavailableError,
 )
 
 
@@ -221,6 +222,8 @@ def test_hashed_bow_splits_underscores():
 class _MockHandler(http.server.BaseHTTPRequestHandler):
     calls = 0
     fail_next = 0
+    fail_status = 503
+    retry_after = None
     status_for_all = None
 
     def do_POST(self):
@@ -232,7 +235,9 @@ class _MockHandler(http.server.BaseHTTPRequestHandler):
             return
         if cls.fail_next > 0:
             cls.fail_next -= 1
-            self.send_response(503)
+            self.send_response(cls.fail_status)
+            if cls.retry_after is not None:
+                self.send_header("Retry-After", cls.retry_after)
             self.end_headers()
             return
         length = int(self.headers["Content-Length"])
@@ -255,6 +260,8 @@ def mock_server(monkeypatch):
     monkeypatch.setattr(remote, "sleep", lambda seconds: None)
     _MockHandler.calls = 0
     _MockHandler.fail_next = 0
+    _MockHandler.fail_status = 503
+    _MockHandler.retry_after = None
     _MockHandler.status_for_all = None
     server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), _MockHandler)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
@@ -283,6 +290,34 @@ def test_fetch_remote_retries_transient_then_succeeds(mock_server, monkeypatch):
     assert np.allclose(store.get("0"), [3.0, 1.0, 0.0])
     assert _MockHandler.calls == 3
     assert sleeps == [0.5, 1.0]
+
+
+@pytest.mark.parametrize(
+    "retry_after,expected",
+    [(None, [0.5, 1.0]), ("0", [0.5, 1.0]), ("3", [3, 3]), ("Wed, 21 Oct 2015 07:28:00 GMT", [0.5, 1.0])],
+    ids=["no-header", "shorter-than-backoff", "whole-seconds", "http-date"],
+)
+def test_fetch_remote_retries_429_waiting_at_least_retry_after(mock_server, monkeypatch, retry_after, expected):
+    sleeps = []
+    monkeypatch.setattr(remote, "sleep", sleeps.append)
+    _MockHandler.fail_next = 2
+    _MockHandler.fail_status = 429
+    _MockHandler.retry_after = retry_after
+    store = fetch_remote(mock_server, ["abc"])
+    assert np.allclose(store.get("0"), [3.0, 1.0, 0.0])
+    assert _MockHandler.calls == 3
+    assert sleeps == expected
+
+
+def test_fetch_remote_429_past_the_retries_is_unavailable(mock_server, monkeypatch):
+    sleeps = []
+    monkeypatch.setattr(remote, "sleep", sleeps.append)
+    _MockHandler.status_for_all = 429
+    with pytest.raises(UnavailableError) as exc:
+        fetch_remote(mock_server, ["abc"])
+    assert exc.value.status == 429
+    assert _MockHandler.calls == remote.MAX_RETRIES + 1
+    assert sleeps == [0.5, 1.0, 2.0]
 
 
 def test_fetch_remote_non_transient_raises(mock_server):
