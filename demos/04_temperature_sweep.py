@@ -6,7 +6,7 @@ soft loss behave exactly like the hard one, splitting each action into its
 variants; tau' around 0.35 keeps variants merged, which shows up as higher
 5-shot F1 and higher anisotropy delta on the true action labels.
 
-Run: python demos/04_temperature_sweep.py  (about a minute)
+Run: python demos/04_temperature_sweep.py  (a few seconds)
 """
 
 from convflow.contrastive import single_items, sweep_tau_label

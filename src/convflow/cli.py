@@ -18,7 +18,7 @@ import typing
 from dataclasses import dataclass
 
 from . import checks, cluster, contrastive, corpus, embedding, evaluation, flowgraph
-from .errors import CheckFailure, InputError, RemoteError
+from .errors import InputError, RemoteError
 from .seeding import substream
 
 EXIT_OK = 0
@@ -106,23 +106,19 @@ def _load_corpus(path: str) -> list[corpus.UnifiedDialog]:
         return corpus.parse_unified(fh.read())
 
 
-def _embedding_format(path: str, explicit: str | None) -> str:
-    if explicit in ("jsonl", "binary"):
-        return explicit
-    return "jsonl" if path.endswith(".jsonl") else "binary"
+def _embedding_format(path: str) -> str:
+    """Binary when the file starts with the binary magic bytes, else JSONL."""
+    with open(path, "rb") as fh:
+        return "binary" if fh.read(4) == embedding.BINARY_MAGIC else "jsonl"
 
 
 def _resolve_store(
-    embeddings_path: str | None,
-    explicit_format: str | None,
-    dialogs: list[corpus.UnifiedDialog],
+    embeddings_path: str | None, dialogs: list[corpus.UnifiedDialog]
 ) -> embedding.EmbeddingStore:
     """Embedding file when a path is given, else the remote encoder from
     the environment (one vector per utterance, keyed by utterance id)."""
     if embeddings_path:
-        return embedding.load_embeddings(
-            embeddings_path, format=_embedding_format(embeddings_path, explicit_format)
-        )
+        return embedding.load_embeddings(embeddings_path, format=_embedding_format(embeddings_path))
     endpoint = os.environ.get(embedding.ENV_EMBED_URL)
     if not endpoint:
         raise InputError(
@@ -175,7 +171,7 @@ def _labeled_data(
 def cmd_eval(args: argparse.Namespace) -> int:
     config = resolve_config(args)
     dialogs = _load_corpus(_require(config.corpus, "--corpus"))
-    store = _resolve_store(config.embeddings, args.format, dialogs)
+    store = _resolve_store(config.embeddings, dialogs)
     data = _labeled_data(dialogs, store)
     report = evaluation.evaluate(
         data,
@@ -207,7 +203,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
     else:
         if config.clusters_user is None or config.clusters_system is None:
             raise InputError("induced extraction needs --clusters-user and --clusters-system")
-        store = _resolve_store(config.embeddings, args.format, dialogs).normalize()
+        store = _resolve_store(config.embeddings, dialogs).normalize()
         ids_user, ids_system = [], []
         texts = {}
         for dialog in dialogs:
@@ -228,29 +224,22 @@ def cmd_extract(args: argparse.Namespace) -> int:
             with open(os.path.join(out_dir, f"clusters_{role}.tsv"), "w", encoding="utf-8") as fh:
                 fh.write(cluster.clustering_to_text(parts[role]))
         trajectories = flowgraph.trajectories_induced(dialogs, parts["user"], parts["system"])
+        nodes = [(f"{prefix}{cid}", role, cid) for role, prefix in (("user", "U"), ("system", "S"))
+                 for cid in range(parts[role].k)]
         llm_names = {}
         if os.environ.get(flowgraph.ENV_LLM_URL):
-            requests = []
-            for role, prefix in (("user", "U"), ("system", "S")):
-                for cid in range(parts[role].k):
-                    requests.append((f"{prefix}{cid}", parts[role].members(cid)))
-            named = flowgraph.label_clusters_llm(
-                [(i, [texts[m] for m in members]) for i, (_, members) in enumerate(requests)],
-                os.environ.get(flowgraph.ENV_LLM_URL),
+            llm_names = flowgraph.label_clusters_llm(
+                [(node, [texts[m] for m in parts[role].members(cid)]) for node, role, cid in nodes],
+                os.environ[flowgraph.ENV_LLM_URL],
                 model=os.environ.get(flowgraph.ENV_LLM_MODEL),
                 token=os.environ.get(flowgraph.ENV_LLM_TOKEN),
             )
-            llm_names = {
-                requests[i][0]: name for i, name in named.items() if name != flowgraph.placeholder_label(i)
-            }
-        for role, prefix in (("user", "U"), ("system", "S")):
-            for cid in range(parts[role].k):
-                node = f"{prefix}{cid}"
-                if node in llm_names:
-                    labels[node] = f"{node}: {llm_names[node]}"
-                else:
-                    rep = cluster.representative(store, parts[role], cid)
-                    labels[node] = f"{node}: {texts[rep][:40]}"
+        for node, role, cid in nodes:
+            if node in llm_names:
+                labels[node] = f"{node}: {llm_names[node]}"
+            else:
+                rep = cluster.representative(store, parts[role], cid)
+                labels[node] = f"{node}: {texts[rep][:40]}"
     full = flowgraph.build_graph(trajectories)
     graph = flowgraph.prune(full, config.epsilon)
     if not graph.nodes:
@@ -259,9 +248,8 @@ def cmd_extract(args: argparse.Namespace) -> int:
     dot = flowgraph.export_dot(graph, flowgraph.DotOptions(labels=labels))
     with open(os.path.join(out_dir, "flow.dot"), "w", encoding="utf-8") as fh:
         fh.write(dot)
-    if args.format != "dot":
-        with open(os.path.join(out_dir, "flow.json"), "w", encoding="utf-8") as fh:
-            fh.write(flowgraph.export_json(graph, labels=labels) + "\n")
+    with open(os.path.join(out_dir, "flow.json"), "w", encoding="utf-8") as fh:
+        fh.write(flowgraph.export_json(graph, labels=labels) + "\n")
     print(f"{'gold' if args.gold else 'induced'} graph: {graph.size} nodes, "
           f"{len(graph.edge_weights)} edges (epsilon={config.epsilon}) -> {out_dir}")
     return EXIT_OK
@@ -368,14 +356,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.add_argument("--acts", default=None, help="act mapping table file (default: built-in)")
     p.add_argument("--permissive", action="store_true", help="pass unknown acts through")
-    _add_common(p)
+    p.add_argument("--config", default=None, help="JSON config file")
     p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("eval", help="similarity-based metrics for labeled embeddings")
     p.add_argument("--corpus", default=None)
     p.add_argument("--embeddings", default=None, help=f"embedding file (default: fetch via ${embedding.ENV_EMBED_URL})")
     p.add_argument("--out", default=None)
-    p.add_argument("--format", choices=["jsonl", "binary"], default=None)
     p.add_argument("--kshot", default=None, help="comma-separated shot counts (default 1,5)")
     p.add_argument("--ndcg-k", dest="ndcg_k", type=int, default=None)
     p.add_argument("--reps", type=int, default=None)
@@ -386,12 +373,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", default=None)
     p.add_argument("--embeddings", default=None)
     p.add_argument("--out", default=None, help="output directory")
-    p.add_argument(
-        "--format",
-        choices=["jsonl", "binary", "dot"],
-        default=None,
-        help="embeddings input format; 'dot' limits output to the DOT file",
-    )
     p.add_argument("--gold", action="store_true", help="build the reference graph from annotations")
     p.add_argument("--epsilon", type=float, default=None)
     p.add_argument("--clusters-user", dest="clusters_user", type=int, default=None)
@@ -424,10 +405,7 @@ def main(argv: list[str] | None = None) -> int:
     except RemoteError as exc:
         print(f"remote error: {exc}", file=sys.stderr)
         return EXIT_REMOTE
-    except CheckFailure as exc:
-        print(f"check failed: {exc}", file=sys.stderr)
-        return EXIT_CHECK
-    except (InputError, FileNotFoundError, IsADirectoryError) as exc:
+    except (InputError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -21,8 +21,6 @@ from .errors import (
 
 SPEAKERS = ("user", "system")
 
-UNLABELED_ACTION = "unlabeled"
-
 
 # ---------------------------------------------------------------------------
 # Domain types
@@ -365,30 +363,22 @@ def standardize_corpus(
 # Action labels
 # ---------------------------------------------------------------------------
 
-def action_of(utt: AnnotatedUtterance, strict: bool = True) -> ActionLabel:
+def action_of(utt: AnnotatedUtterance) -> ActionLabel:
     """The utterance's action: sorted acts joined with '+', slots deduped
     and sorted. Slot order in the input never affects the result."""
     if not utt.acts:
-        if strict:
-            raise MissingAnnotationError(f"utterance {utt.text!r} has no act annotation")
-        return ActionLabel.make(UNLABELED_ACTION, [])
+        raise MissingAnnotationError(f"utterance {utt.text!r} has no act annotation")
     act = "+".join(sorted(set(utt.acts)))
     return ActionLabel.make(act, list(utt.slots))
 
 
-def labeled_utterances(
-    corpus: list[UnifiedDialog], strict: bool = False
-) -> list[tuple[str, str, str, ActionLabel]]:
+def labeled_utterances(corpus: list[UnifiedDialog]) -> list[tuple[str, str, str, ActionLabel]]:
     """Flatten a corpus to (utterance id, speaker, text, action) rows,
-    skipping unannotated turns unless strict (which raises on them)."""
+    skipping unannotated turns."""
     rows = []
     for dialog in corpus:
         for i, turn in enumerate(dialog.turns):
             if not turn.acts:
-                if strict:
-                    raise MissingAnnotationError(
-                        f"dialog '{dialog.dialog_id}' turn {i} has no act annotation"
-                    )
                 continue
             rows.append((utterance_id(dialog.dialog_id, i), turn.speaker, turn.text, action_of(turn)))
     return rows

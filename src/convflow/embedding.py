@@ -164,9 +164,12 @@ def save_jsonl(store: EmbeddingStore, path: str) -> None:
 
 def _load_jsonl(path: str) -> list[tuple[str, np.ndarray]]:
     pairs: list[tuple[str, np.ndarray]] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
+    with open(path, "rb") as fh:  # decoded line by line, so a bad byte names its line
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError as exc:
+                raise FormatError(f"{path}:{lineno}: not UTF-8 at byte {exc.start} of the line") from exc
             if not line:
                 continue
             try:

@@ -1,7 +1,7 @@
 """Exception hierarchy shared across the pipeline.
 
-Three families map onto the CLI exit codes: InputError -> 2,
-CheckFailure -> 1, RemoteError -> 3.
+Two families map onto the CLI exit codes: InputError -> 2,
+RemoteError -> 3.
 """
 
 
@@ -35,7 +35,7 @@ class UnknownActError(InputError):
 
 
 class MissingAnnotationError(InputError):
-    """Utterance lacks the act annotation required in strict mode."""
+    """Utterance lacks the act annotation its action label needs."""
 
 
 class FormatError(InputError):
@@ -88,10 +88,6 @@ class DegenerateTaskError(InputError):
 
 class UndefinedMetricError(InputError):
     """Metric has no value for this input (e.g. empty reference graph)."""
-
-
-class CheckFailure(ConvflowError):
-    """A verification check (gradient, limit, oracle) failed."""
 
 
 class RemoteError(ConvflowError):

@@ -15,6 +15,7 @@ import concurrent.futures
 import json
 import threading
 import warnings
+from collections.abc import Hashable
 from dataclasses import dataclass, field
 
 from . import remote
@@ -70,14 +71,15 @@ class FlowGraph:
 # Trajectories
 # ---------------------------------------------------------------------------
 
-def trajectories_gold(dialogs: list[UnifiedDialog], strict: bool = True) -> list[Trajectory]:
+def trajectories_gold(dialogs: list[UnifiedDialog]) -> list[Trajectory]:
     """Trajectories from ground-truth annotations; the step action is the
-    canonical action string prefixed with the speaker role."""
+    canonical action string prefixed with the speaker role. An unannotated
+    turn raises MissingAnnotationError."""
     out = []
     for dialog in dialogs:
         steps = []
         for turn in dialog.turns:
-            label = action_of(turn, strict=strict)
+            label = action_of(turn)
             steps.append(TrajectoryStep(speaker=turn.speaker, action=f"{turn.speaker}:{label.render()}"))
         out.append(Trajectory(dialog_id=dialog.dialog_id, steps=tuple(steps)))
     return out
@@ -198,16 +200,8 @@ class GraphDiff:
         )
 
 
-def graph_size_diff(
-    reference: FlowGraph, induced: FlowGraph, epsilon: float | None = None
-) -> GraphDiff:
-    """Compare graph sizes; with `epsilon`, both graphs are pruned with the
-    same threshold first."""
-    if epsilon is not None:
-        reference = prune(reference, epsilon)
-        induced = prune(induced, epsilon)
-    if reference.size < 1:
-        raise UndefinedMetricError("reference graph has no nodes")
+def graph_size_diff(reference: FlowGraph, induced: FlowGraph) -> GraphDiff:
+    """Compare the node counts of two (already pruned) graphs."""
     return GraphDiff.from_sizes(reference.size, induced.size)
 
 
@@ -331,38 +325,30 @@ def extract_canonical_form(reply: str) -> str:
     return reply.strip()
 
 
-def placeholder_label(cid: int) -> str:
-    """The label `label_clusters_llm` gives a cluster it could not name."""
-    return f"cluster-{cid}"
-
-
 def label_clusters_llm(
-    clusters: list[tuple[int, list[str]]],
-    endpoint: str | None,
+    clusters: list[tuple[Hashable, list[str]]],
+    endpoint: str,
     model: str | None = None,
     token: str | None = None,
     cache_dir: str | None = None,
-) -> dict[int, str]:
-    """Name clusters through a chat-completion endpoint, LLM_WORKERS at a time.
+) -> dict[Hashable, str]:
+    """Name (key, member texts) clusters through a chat-completion endpoint,
+    LLM_WORKERS at a time; the result maps each named cluster's key to its name.
 
     Requests go through `remote.post_json` (HTTP 5xx and connection failures
     retried 3 times with 0.5 s doubling backoff). A cluster whose request
-    still fails, or whose reply is malformed, gets the placeholder
-    "cluster-<id>" with a warning; once one request has failed past its
-    retries, clusters not yet sent get placeholders without a request. A None
-    endpoint (offline mode) gives placeholders for all. With `cache_dir`,
-    labels are cached under sha256 of the "\n"-joined endpoint, model and
-    member texts, written atomically; an unreadable entry is a miss.
+    still fails, or whose reply is malformed, is left out of the result with
+    a warning; once one request has failed past its retries, clusters not yet
+    sent are left out without a request. With `cache_dir`, labels are cached
+    under sha256 of the "\n"-joined endpoint, model and member texts, written
+    atomically; an unreadable entry is a miss.
     """
     for cid, texts in clusters:
         if not texts:
             raise InputError(f"cluster {cid} has no member texts")
-    if endpoint is None:
-        warnings.warn("no LLM endpoint configured; using placeholder cluster labels")
-        return {cid: placeholder_label(cid) for cid, _ in clusters}
     down = threading.Event()  # set once a request has failed past its retries
 
-    def one(cluster: tuple[int, list[str]]) -> str:
+    def one(cluster: tuple[Hashable, list[str]]) -> str | None:
         cid, texts = cluster
         key = [endpoint, model or ""] + texts
         label = (remote.cache_get(cache_dir, key) or {}).get("label")
@@ -378,11 +364,12 @@ def label_clusters_llm(
         except (RemoteError, LookupError, TypeError) as exc:
             if isinstance(exc, UnavailableError):
                 down.set()
-            warnings.warn(f"cluster {cid} labeling failed ({exc!r}); using placeholder")
-            return placeholder_label(cid)
+            warnings.warn(f"cluster {cid} labeling failed ({exc!r}); left unnamed")
+            return None
         label = extract_canonical_form(content)
         remote.cache_put(cache_dir, key, {"label": label})
         return label
 
     with concurrent.futures.ThreadPoolExecutor(max_workers=LLM_WORKERS) as pool:
-        return dict(zip((cid for cid, _ in clusters), pool.map(one, clusters)))
+        named = zip((cid for cid, _ in clusters), pool.map(one, clusters))
+        return {cid: label for cid, label in named if label is not None}

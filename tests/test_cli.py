@@ -154,6 +154,42 @@ def test_eval_non_finite_vector_exits_2(planted, tmp_path, capsys, fmt):
     assert not out.exists()
 
 
+def test_embedding_format_comes_from_the_first_four_bytes(planted, tmp_path):
+    pf, corpus_path, _ = planted
+    for fmt, name in (("binary", "vectors.jsonl"), ("jsonl", "vectors.bin")):
+        emb = tmp_path / name
+        save_embeddings(pf.store, str(emb), format=fmt)
+        assert main(["eval", "--corpus", corpus_path, "--embeddings", str(emb), "--reps", "2"]) == 0
+        assert main(["extract", "--corpus", corpus_path, "--embeddings", str(emb), "--out", str(tmp_path / fmt),
+                     "--clusters-user", "3", "--clusters-system", "3"]) == 0
+
+
+def test_eval_non_utf8_jsonl_exits_2(planted, tmp_path, capsys):
+    _, corpus_path, emb_path = planted
+    emb = tmp_path / "bad.jsonl"
+    with open(emb_path, "rb") as fh:
+        emb.write_bytes(fh.read().replace(b"\n", b"\n\xff", 1))
+    assert main(["eval", "--corpus", corpus_path, "--embeddings", str(emb)]) == 2
+    assert f"{emb}:2: not UTF-8 at byte 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv,named",
+    [
+        (["ingest", "--corpus", "{corpus}", "--out", "{file}/x"], "{file}/x"),
+        (["extract", "--corpus", "{corpus}", "--gold", "--out", "{file}"], "{file}"),
+        (["eval", "--corpus", "{corpus}", "--embeddings", "{dir}"], "{dir}"),
+    ],
+    ids=["out-under-a-file", "out-dir-is-a-file", "embeddings-is-a-dir"],
+)
+def test_unusable_path_exits_2_naming_it(planted, tmp_path, capsys, argv, named):
+    _, corpus_path, _ = planted
+    paths = {"corpus": corpus_path, "file": str(tmp_path / "a-file"), "dir": str(tmp_path)}
+    (tmp_path / "a-file").write_text("")
+    assert main([arg.format(**paths) for arg in argv]) == 2
+    assert named.format(**paths) in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flag,value", [("--ndcg-k", "0"), ("--ndcg-k", "-1"), ("--reps", "0"), ("--reps", "-1")])
 def test_eval_counts_below_one_exit_2(planted, tmp_path, capsys, flag, value):
     _, corpus_path, emb_path = planted
@@ -534,6 +570,18 @@ def test_extract_malformed_llm_reply_gets_a_placeholder(planted, tmp_path, monke
     assert unnamed in [n["label"] for n in json.loads((no_llm / "flow.json").read_text())["nodes"]]
 
 
+def test_extract_keeps_an_llm_name_that_reads_like_a_cluster_id(planted, tmp_path, monkeypatch, reply_server):
+    _, corpus_path, emb_path = planted
+    reply = json.dumps({"choices": [{"message": {"content": 'cluster-0"'}}]}).encode()
+    monkeypatch.setenv("D2F_LLM_URL", reply_server(lambda n, payload: reply))
+    out = tmp_path / "llm-extract"
+    assert main(["extract", "--corpus", corpus_path, "--embeddings", emb_path, "--out", str(out),
+                 "--clusters-user", "3", "--clusters-system", "3", "--seed", "11"]) == 0
+    nodes = json.loads((out / "flow.json").read_text())["nodes"]
+    assert [n["label"] for n in nodes] == [f"{n['id']}: cluster-0" for n in nodes]
+    assert len(nodes) == 6
+
+
 def test_extract_warns_when_epsilon_prunes_every_node(planted, tmp_path, capsys):
     _, corpus_path, _ = planted
     out_dir = tmp_path / "gold"
@@ -581,15 +629,6 @@ def test_extract_llm_cluster_names_via_env(planted, tmp_path, monkeypatch):
     finally:
         server.shutdown()
         server.server_close()
-
-
-def test_extract_format_dot_writes_only_dot(planted, tmp_path):
-    _, corpus_path, _ = planted
-    out = tmp_path / "dot-only"
-    assert main(["extract", "--corpus", corpus_path, "--out", str(out), "--gold",
-                 "--format", "dot"]) == 0
-    assert (out / "flow.dot").exists()
-    assert not (out / "flow.json").exists()
 
 
 def test_config_file_can_carry_paths(planted, tmp_path):

@@ -158,7 +158,6 @@ def test_action_of_multiple_acts_joined_sorted():
 def test_action_of_missing_annotation():
     with pytest.raises(MissingAnnotationError):
         action_of(_utt([], []))
-    assert action_of(_utt([], []), strict=False).render() == "unlabeled"
 
 
 def test_action_label_rendering_injective_on_slot_sets():

@@ -1,6 +1,4 @@
-"""Smoke test: the quick demos run to completion without writing to stderr.
-Demo 04 (about a minute) is left out; its sweep settings are covered by
-test_criterion_4_sweep_soft_beats_hard."""
+"""Smoke test: every demo runs to completion without writing to stderr."""
 
 import os
 import subprocess
@@ -11,7 +9,10 @@ import pytest
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-@pytest.mark.parametrize("demo", ["01_contrastive_losses.py", "02_similarity_metrics.py", "03_flow_extraction.py"])
+@pytest.mark.parametrize(
+    "demo",
+    ["01_contrastive_losses.py", "02_similarity_metrics.py", "03_flow_extraction.py", "04_temperature_sweep.py"],
+)
 def test_demo_runs_cleanly(demo):
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     result = subprocess.run(
