@@ -13,9 +13,9 @@ from convflow.cluster import kmeans, representative
 from convflow.corpus import utterance_id
 from convflow.flowgraph import (
     DotOptions,
+    GraphDiff,
     build_graph,
     export_dot,
-    graph_size_diff,
     prune,
     trajectories_gold,
     trajectories_induced,
@@ -50,7 +50,7 @@ induced = prune(
 )
 print(f"\ninduced graph: {induced.size} nodes, {len(induced.edge_weights)} edges")
 
-diff = graph_size_diff(gold, induced)
+diff = GraphDiff.from_sizes(gold.size, induced.size)
 print(f"size difference: {diff.normalized_pct:.2f}% (raw {diff.raw:+d})")
 
 # Node labels carry the utterance closest to each cluster centroid

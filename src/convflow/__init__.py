@@ -52,7 +52,6 @@ from .flowgraph import (
     Trajectory,
     build_graph,
     export_dot,
-    graph_size_diff,
     label_clusters_llm,
     prune,
     trajectories_gold,

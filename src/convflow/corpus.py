@@ -9,7 +9,9 @@ on read. Parsed corpora are immutable and safely shareable.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring as _encode  # the C escaper behind ensure_ascii=False
 
 from .errors import (
     InputError,
@@ -249,12 +251,38 @@ def _parse_turn(obj: dict, dialog_id: str, index: int) -> AnnotatedUtterance:
     )
 
 
+_SURROGATE = re.compile("[\ud800-\udfff]")
+# UTF-8 bytes cannot hold a surrogate, so in a bytes document an unpaired
+# one can only come from a \uD800-\uDFFF escape; paired escapes decode to
+# one character and never match _SURROGATE.
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
+_TURN_STRINGS = ("text", "domains", "acts", "main_acts", "original_acts", "slots", "intents")
+
+
+def _reject_unpaired_surrogates(dialogs: list[UnifiedDialog]) -> None:
+    """Raise SchemaError on the first kept string that cannot be written
+    back as UTF-8."""
+    for dialog in dialogs:
+        if _SURROGATE.search(dialog.dialog_id):
+            raise SchemaError(f"dialog {dialog.dialog_id!r}: id holds an unpaired surrogate", dialog.dialog_id)
+        for index, turn in enumerate(dialog.turns):
+            for name in _TURN_STRINGS:
+                value = getattr(turn, name)
+                if any(_SURROGATE.search(s) for s in ([value] if name == "text" else value)):
+                    raise SchemaError(
+                        f"dialog '{dialog.dialog_id}' turn {index}: '{name}' holds an unpaired surrogate",
+                        dialog.dialog_id,
+                        index,
+                    )
+
+
 def parse_unified(document: bytes | str) -> list[UnifiedDialog]:
     """Parse a unified-format document into dialogs, in file order.
 
     The "stats" header is ignored (always recomputed); unknown extra fields
     are ignored. Malformed JSON raises ParseError with the byte offset;
-    schema violations raise SchemaError naming the dialog and turn.
+    schema violations, among them a kept string holding an unpaired
+    surrogate, raise SchemaError naming the dialog and turn.
     """
     try:
         text = document.decode("utf-8") if isinstance(document, bytes) else document
@@ -276,6 +304,8 @@ def parse_unified(document: bytes | str) -> list[UnifiedDialog]:
             raise SchemaError(f"dialog '{dialog_id}': turns must be a non-empty list", dialog_id)
         turns = tuple(_parse_turn(t, dialog_id, i) for i, t in enumerate(turns_obj))
         dialogs.append(UnifiedDialog(dialog_id=dialog_id, turns=turns))
+    if _SURROGATE_ESCAPE.search(text) or (isinstance(document, str) and _SURROGATE.search(text)):
+        _reject_unpaired_surrogates(dialogs)
     return dialogs
 
 
@@ -295,33 +325,72 @@ def compute_stats(corpus: list[UnifiedDialog]) -> dict:
     }
 
 
+# The layout json.dumps(tree, ensure_ascii=False, indent=1) gives the
+# unified schema; serialize_unified fills it in directly, because with an
+# indent set json.dumps skips its C encoder for a pure-Python one.
+_DOCUMENT = """{
+ "stats": {
+  "domains": %s,
+  "labels": %s
+ },
+ "dialogs": %s
+}
+"""
+_TURN = """{
+    "speaker": %s,
+    "text": %s,
+    "domains": %s,
+    "labels": {
+     "dialog_acts": {
+      "acts": %s,
+      "main_acts": %s,
+      "original_acts": %s
+     },
+     "slots": %s,
+     "intents": %s
+    }
+   }"""
+
+
+def _json_block(open_: str, entries: list[str], close: str, pad: str) -> str:
+    """`entries` one per line, one space deeper than `pad`; empty renders
+    as `open_ + close`, as json.dumps does."""
+    if not entries:
+        return open_ + close
+    return f"{open_}\n{pad} " + f",\n{pad} ".join(entries) + f"\n{pad}{close}"
+
+
+def _json_list(items: tuple[str, ...], pad: str) -> str:
+    return _json_block("[", list(map(_encode, items)), "]", pad)
+
+
+def _json_turn(t: AnnotatedUtterance) -> str:
+    return _TURN % (
+        _encode(t.speaker),
+        _encode(t.text),
+        _json_list(t.domains, "    "),
+        _json_list(t.acts, "      "),
+        _json_list(t.main_acts, "      "),
+        _json_list(t.original_acts, "      "),
+        _json_list(t.slots, "     "),
+        _json_list(t.intents, "     "),
+    )
+
+
 def serialize_unified(corpus: list[UnifiedDialog]) -> bytes:
     """Canonical UTF-8 rendering; a pure function of the parsed structure,
-    so write -> read -> write is byte-identical."""
-    root = {
-        "stats": compute_stats(corpus),
-        "dialogs": {
-            d.dialog_id: [
-                {
-                    "speaker": t.speaker,
-                    "text": t.text,
-                    "domains": list(t.domains),
-                    "labels": {
-                        "dialog_acts": {
-                            "acts": list(t.acts),
-                            "main_acts": list(t.main_acts),
-                            "original_acts": list(t.original_acts),
-                        },
-                        "slots": list(t.slots),
-                        "intents": list(t.intents),
-                    },
-                }
-                for t in d.turns
-            ]
-            for d in corpus
-        },
-    }
-    return (json.dumps(root, ensure_ascii=False, indent=1) + "\n").encode("utf-8")
+    so write -> read -> write is byte-identical. Dialog ids are assumed
+    unique, as they are in anything parse_unified returns."""
+    stats = compute_stats(corpus)
+    domains, labels = (
+        _json_block("{", [f"{_encode(k)}: {n}" for k, n in stats[key].items()], "}", "  ")
+        for key in ("domains", "labels")
+    )
+    dialogs = [
+        f"{_encode(d.dialog_id)}: " + _json_block("[", [_json_turn(t) for t in d.turns], "]", "  ")
+        for d in corpus
+    ]
+    return (_DOCUMENT % (domains, labels, _json_block("{", dialogs, "}", " "))).encode("utf-8")
 
 
 def standardize_corpus(

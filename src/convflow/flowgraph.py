@@ -200,11 +200,6 @@ class GraphDiff:
         )
 
 
-def graph_size_diff(reference: FlowGraph, induced: FlowGraph) -> GraphDiff:
-    """Compare the node counts of two (already pruned) graphs."""
-    return GraphDiff.from_sizes(reference.size, induced.size)
-
-
 # ---------------------------------------------------------------------------
 # Exports
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import random
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from convflow.corpus import (
     STANDARD_ACTS,
     action_of,
     builtin_table,
+    compute_stats,
     load_table,
     parse_unified,
     serialize_unified,
@@ -23,7 +25,7 @@ from convflow.errors import (
     SchemaError,
     UnknownActError,
 )
-from convflow.synth import random_corpus
+from convflow.synth import planted_flow, random_corpus
 
 
 MINIMAL = json.dumps(
@@ -78,6 +80,108 @@ def test_roundtrip_byte_identical():
         first = serialize_unified(corpus)
         second = serialize_unified(parse_unified(first))
         assert first == second
+
+
+def _reference_serialize_unified(corpus: list[UnifiedDialog]) -> bytes:
+    """The generic json.dumps rendering that serialize_unified reproduces."""
+    root = {
+        "stats": compute_stats(corpus),
+        "dialogs": {
+            d.dialog_id: [
+                {
+                    "speaker": t.speaker,
+                    "text": t.text,
+                    "domains": list(t.domains),
+                    "labels": {
+                        "dialog_acts": {
+                            "acts": list(t.acts),
+                            "main_acts": list(t.main_acts),
+                            "original_acts": list(t.original_acts),
+                        },
+                        "slots": list(t.slots),
+                        "intents": list(t.intents),
+                    },
+                }
+                for t in d.turns
+            ]
+            for d in corpus
+        },
+    }
+    return (json.dumps(root, ensure_ascii=False, indent=1) + "\n").encode("utf-8")
+
+
+# Characters json escapes, or must not: quote, backslash, control
+# characters, DEL, non-ASCII, an astral character and U+2028.
+_ESCAPE_ALPHABET = ['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "é", "😀", "\u2028", "a", " "]
+
+
+def _escape_corpus(rng: random.Random) -> list[UnifiedDialog]:
+    def string() -> str:
+        return "".join(rng.choice(_ESCAPE_ALPHABET) for _ in range(rng.randrange(4)))
+
+    def strings() -> tuple[str, ...]:
+        return tuple(string() for _ in range(rng.randrange(3)))
+
+    ids = list(dict.fromkeys(string() for _ in range(rng.randrange(4))))
+    return [
+        UnifiedDialog(
+            dialog_id,
+            tuple(
+                AnnotatedUtterance(
+                    rng.choice(("user", "system")), string(), strings(), strings(), strings(), strings(), strings(), strings()
+                )
+                for _ in range(rng.randrange(1, 4))
+            ),
+        )
+        for dialog_id in ids
+    ]
+
+
+def test_serialize_matches_json_dumps_on_escape_alphabet():
+    rng = random.Random(12)
+    corpora = [_escape_corpus(rng) for _ in range(300)] + [[]]
+    # stats keys (domains, acts) and dialog ids that need escaping
+    tricky = AnnotatedUtterance("user", "", ("d\"\n",), ("a\\\x00",), (), (), (), ())
+    corpora.append([UnifiedDialog('id "\t\u2028', (tricky,)), UnifiedDialog("", (tricky,))])
+    for corpus in corpora:
+        assert serialize_unified(corpus) == _reference_serialize_unified(corpus)
+
+
+def test_serialize_matches_json_dumps_on_generated_corpora():
+    corpora = [random_corpus(seed=seed) for seed in range(50)]
+    corpora.append(planted_flow(k_user=3, k_system=3, n_dialogs=20, dim=8, seed=2).dialogs)
+    for corpus in corpora:
+        assert serialize_unified(corpus) == _reference_serialize_unified(corpus)
+
+
+@pytest.mark.parametrize(
+    "turn",
+    [
+        rb'{"speaker": "user", "text": "a\ud800"}',
+        rb'{"speaker": "user", "text": "ok", "domains": ["x\uDC00y"]}',
+        rb'{"speaker": "user", "text": "ok", "labels": {"dialog_acts": {"original_acts": ["\udbff"]}}}',
+        rb'{"speaker": "user", "text": "ok", "labels": {"slots": ["\udfff"]}}',
+    ],
+)
+def test_parse_rejects_unpaired_surrogate(turn):
+    doc = b'{"dialogs": {"d1": [{"speaker": "user", "text": "hi"}, ' + turn + b"]}}"
+    with pytest.raises(SchemaError, match="unpaired surrogate") as exc:
+        parse_unified(doc)
+    assert (exc.value.dialog_id, exc.value.turn_index) == ("d1", 1)
+
+
+def test_parse_rejects_unpaired_surrogate_in_id_or_raw_str():
+    with pytest.raises(SchemaError, match="unpaired surrogate") as exc:
+        parse_unified(b'{"dialogs": {"d\\ud800": [{"speaker": "user", "text": "hi"}]}}')
+    assert exc.value.dialog_id == "d\ud800" and exc.value.turn_index is None
+    with pytest.raises(SchemaError, match="unpaired surrogate"):
+        parse_unified('{"dialogs": {"d1": [{"speaker": "user", "text": "raw \ud800"}]}}')
+
+
+def test_parse_accepts_surrogate_pairs_and_escaped_backslashes():
+    doc = b'{"dialogs": {"d1": [{"speaker": "user", "text": "\\ud83d\\ude00 \\\\ud800", "extra": "\\ud800"}]}}'
+    (dialog,) = parse_unified(doc)
+    assert dialog.turns[0].text == "\U0001f600 \\ud800"
 
 
 def test_standardize_act_table_values():

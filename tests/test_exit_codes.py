@@ -4,6 +4,7 @@ holds, a command exits 0 (ok) or 2 (input error) and never raises."""
 import os
 import tempfile
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -89,3 +90,11 @@ def test_valid_inputs_exit_0():
 def test_mutated_input_exits_0_or_2(case, mutations):
     target, command = case
     assert _run(target, command, _mutate(VALID[target], mutations)) in (0, 2)
+
+
+@pytest.mark.parametrize("command", ["ingest", "extract", "sweep"])
+def test_unpaired_surrogate_escape_exits_2(command, capsys):
+    # byte mutations cannot spell this escape; writing the text back as UTF-8 would fail
+    corpus = VALID["corpus"].replace(b'"text": "', b'"text": "\\ud800', 1)
+    assert _run("corpus", command, corpus) == 2
+    assert "turn 0: 'text' holds an unpaired surrogate" in capsys.readouterr().err
