@@ -98,6 +98,13 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         config.repetitions = args.reps
     if getattr(args, "kshot", None) is not None:
         config.kshot = _parse_kshot(args.kshot)
+    for key in ("corpus", "embeddings", "out"):
+        value = getattr(config, key)
+        try:
+            if value is not None:
+                os.fsencode(value)
+        except UnicodeEncodeError as exc:  # an unpaired surrogate, e.g. "\ud800" in a JSON config
+            raise InputError(f"'{key}' is not a valid file name: {value!r}") from exc
     return config
 
 

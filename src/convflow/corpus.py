@@ -8,6 +8,7 @@ on read. Parsed corpora are immutable and safely shareable.
 
 from __future__ import annotations
 
+import gc
 import json
 import re
 from dataclasses import dataclass, field
@@ -209,45 +210,52 @@ def load_table(path: str) -> ActMappingTable:
 # Parsing and serialization
 # ---------------------------------------------------------------------------
 
-def _parse_turn(obj: dict, dialog_id: str, index: int) -> AnnotatedUtterance:
-    def schema_error(what: str) -> SchemaError:
-        return SchemaError(f"dialog '{dialog_id}' turn {index}: {what}", dialog_id, index)
+def _schema_error(dialog_id: str, index: int, what: str) -> SchemaError:
+    return SchemaError(f"dialog '{dialog_id}' turn {index}: {what}", dialog_id, index)
 
-    if not isinstance(obj, dict):
-        raise schema_error("not an object")
+
+def _str_list(value, key: str, dialog_id: str, index: int) -> tuple[str, ...]:
+    if value is None:
+        return ()
+    if type(value) is list:
+        try:
+            "".join(value)  # one C-level pass; TypeError on any non-string item
+        except TypeError:
+            pass
+        else:
+            return tuple(value)
+    raise _schema_error(dialog_id, index, f"'{key}' must be a list of strings, got {value!r:.60}")
+
+
+def _parse_turn(obj, dialog_id: str, index: int) -> AnnotatedUtterance:
+    # json.loads builds exact dicts, lists and strs, so type() is checks
+    # say what isinstance would.
+    if type(obj) is not dict:
+        raise _schema_error(dialog_id, index, "not an object")
     for required in ("speaker", "text"):
         if required not in obj:
-            raise schema_error(f"missing required field '{required}'")
+            raise _schema_error(dialog_id, index, f"missing required field '{required}'")
     speaker = obj["speaker"]
     if speaker not in SPEAKERS:
-        raise schema_error(f"speaker must be one of {SPEAKERS}, got {speaker!r}")
+        raise _schema_error(dialog_id, index, f"speaker must be one of {SPEAKERS}, got {speaker!r}")
     text = obj["text"]
-    if not isinstance(text, str):
-        raise schema_error(f"'text' must be a string, got {type(text).__name__}")
+    if type(text) is not str:
+        raise _schema_error(dialog_id, index, f"'text' must be a string, got {type(text).__name__}")
     labels = obj.get("labels") or {}
-    if not isinstance(labels, dict):
-        raise schema_error(f"'labels' must be an object, got {type(labels).__name__}")
+    if type(labels) is not dict:
+        raise _schema_error(dialog_id, index, f"'labels' must be an object, got {type(labels).__name__}")
     dialog_acts = labels.get("dialog_acts") or {}
-    if not isinstance(dialog_acts, dict):
-        raise schema_error(f"'dialog_acts' must be an object, got {type(dialog_acts).__name__}")
-
-    def str_list(source: dict, key: str) -> tuple[str, ...]:
-        value = source.get(key)
-        if value is None:
-            return ()
-        if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
-            raise schema_error(f"'{key}' must be a list of strings, got {value!r:.60}")
-        return tuple(value)
-
+    if type(dialog_acts) is not dict:
+        raise _schema_error(dialog_id, index, f"'dialog_acts' must be an object, got {type(dialog_acts).__name__}")
     return AnnotatedUtterance(
-        speaker=speaker,
-        text=text,
-        domains=str_list(obj, "domains"),
-        acts=str_list(dialog_acts, "acts"),
-        main_acts=str_list(dialog_acts, "main_acts"),
-        original_acts=str_list(dialog_acts, "original_acts"),
-        slots=str_list(labels, "slots"),
-        intents=str_list(labels, "intents"),
+        speaker,
+        text,
+        _str_list(obj.get("domains"), "domains", dialog_id, index),
+        _str_list(dialog_acts.get("acts"), "acts", dialog_id, index),
+        _str_list(dialog_acts.get("main_acts"), "main_acts", dialog_id, index),
+        _str_list(dialog_acts.get("original_acts"), "original_acts", dialog_id, index),
+        _str_list(labels.get("slots"), "slots", dialog_id, index),
+        _str_list(labels.get("intents"), "intents", dialog_id, index),
     )
 
 
@@ -288,6 +296,20 @@ def parse_unified(document: bytes | str) -> list[UnifiedDialog]:
         text = document.decode("utf-8") if isinstance(document, bytes) else document
     except UnicodeDecodeError as exc:
         raise ParseError(f"document is not UTF-8 at byte {exc.start}", exc.start) from exc
+    # ~30 acyclic containers a turn keep gen-0 collections rescanning the tree; refcounting frees them all
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        dialogs = _parse_dialogs(text)
+    finally:
+        if was_enabled:
+            gc.enable()
+    if _SURROGATE_ESCAPE.search(text) or (isinstance(document, str) and _SURROGATE.search(text)):
+        _reject_unpaired_surrogates(dialogs)
+    return dialogs
+
+
+def _parse_dialogs(text: str) -> list[UnifiedDialog]:
     try:
         root = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -302,10 +324,8 @@ def parse_unified(document: bytes | str) -> list[UnifiedDialog]:
     for dialog_id, turns_obj in dialogs_obj.items():
         if not isinstance(turns_obj, list) or not turns_obj:
             raise SchemaError(f"dialog '{dialog_id}': turns must be a non-empty list", dialog_id)
-        turns = tuple(_parse_turn(t, dialog_id, i) for i, t in enumerate(turns_obj))
+        turns = tuple([_parse_turn(t, dialog_id, i) for i, t in enumerate(turns_obj)])
         dialogs.append(UnifiedDialog(dialog_id=dialog_id, turns=turns))
-    if _SURROGATE_ESCAPE.search(text) or (isinstance(document, str) and _SURROGATE.search(text)):
-        _reject_unpaired_surrogates(dialogs)
     return dialogs
 
 
@@ -401,26 +421,31 @@ def standardize_corpus(
     """Re-derive standardized acts and parents from the rawest act names
     available (original_acts when present, else acts); canonicalize slots."""
     table = table or builtin_table()
+    canonical: dict[tuple, tuple] = {}  # (source acts, slots) -> (acts, main_acts, slots)
     out: list[UnifiedDialog] = []
     for dialog in corpus:
         turns = []
         for turn in dialog.turns:
             source = turn.original_acts if turn.original_acts else turn.acts
-            standards: list[str] = []
-            parents: list[str] = []
-            for raw in source:
-                std, parent = standardize_act(raw, table, permissive=permissive)
-                standards.append(std)
-                parents.append(parent)
+            key = (source, turn.slots)
+            fields = canonical.get(key)
+            if fields is None:
+                pairs = [standardize_act(raw, table, permissive=permissive) for raw in source]
+                fields = canonical[key] = (
+                    tuple(sorted({std for std, _ in pairs})),
+                    tuple(sorted({parent for _, parent in pairs})),
+                    tuple(sorted(set(turn.slots))),
+                )
+            acts, main_acts, slots = fields
             turns.append(
                 AnnotatedUtterance(
                     speaker=turn.speaker,
                     text=turn.text,
                     domains=turn.domains,
-                    acts=tuple(sorted(set(standards))),
-                    main_acts=tuple(sorted(set(parents))),
+                    acts=acts,
+                    main_acts=main_acts,
                     original_acts=source,
-                    slots=tuple(sorted(set(turn.slots))),
+                    slots=slots,
                     intents=turn.intents,
                 )
             )
@@ -444,10 +469,15 @@ def action_of(utt: AnnotatedUtterance) -> ActionLabel:
 def labeled_utterances(corpus: list[UnifiedDialog]) -> list[tuple[str, str, str, ActionLabel]]:
     """Flatten a corpus to (utterance id, speaker, text, action) rows,
     skipping unannotated turns."""
+    labels: dict[tuple, ActionLabel] = {}  # (acts, slots) -> the shared action
     rows = []
     for dialog in corpus:
         for i, turn in enumerate(dialog.turns):
             if not turn.acts:
                 continue
-            rows.append((utterance_id(dialog.dialog_id, i), turn.speaker, turn.text, action_of(turn)))
+            key = (turn.acts, turn.slots)
+            label = labels.get(key)
+            if label is None:
+                label = labels[key] = action_of(turn)
+            rows.append((utterance_id(dialog.dialog_id, i), turn.speaker, turn.text, label))
     return rows

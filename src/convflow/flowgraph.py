@@ -75,12 +75,17 @@ def trajectories_gold(dialogs: list[UnifiedDialog]) -> list[Trajectory]:
     """Trajectories from ground-truth annotations; the step action is the
     canonical action string prefixed with the speaker role. An unannotated
     turn raises MissingAnnotationError."""
+    shared: dict[tuple, TrajectoryStep] = {}  # (speaker, acts, slots) -> the step
     out = []
     for dialog in dialogs:
         steps = []
         for turn in dialog.turns:
-            label = action_of(turn)
-            steps.append(TrajectoryStep(speaker=turn.speaker, action=f"{turn.speaker}:{label.render()}"))
+            key = (turn.speaker, turn.acts, turn.slots)
+            step = shared.get(key)
+            if step is None:
+                label = action_of(turn)
+                step = shared[key] = TrajectoryStep(speaker=turn.speaker, action=f"{turn.speaker}:{label.render()}")
+            steps.append(step)
         out.append(Trajectory(dialog_id=dialog.dialog_id, steps=tuple(steps)))
     return out
 

@@ -642,6 +642,20 @@ def test_config_file_can_carry_paths(planted, tmp_path):
     assert report.exists()
 
 
+@pytest.mark.parametrize("key", ["corpus", "embeddings", "out"])
+def test_config_path_with_unpaired_surrogate_exits_2(planted, tmp_path, capsys, monkeypatch, key):
+    _, corpus_path, emb_path = planted
+    values = {"corpus": corpus_path, "embeddings": emb_path, "out": str(tmp_path / "report.json")}
+    values[key] = "x\ud800"
+    config = tmp_path / "paths.json"
+    config.write_text(json.dumps(values))  # ASCII: the surrogate is written as the escape \ud800
+    # rejected while the settings are resolved, before any input is read
+    monkeypatch.setattr("convflow.cli._load_corpus", lambda path: pytest.fail("the corpus was read"))
+    assert main(["eval", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and f"'{key}'" in err
+
+
 def test_extract_protocol_gold_vs_induced_size_diff(planted, tmp_path):
     """The evaluation protocol: cluster with budgets equal to the gold
     action counts, then compare induced and reference graph sizes."""

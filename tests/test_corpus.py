@@ -1,3 +1,4 @@
+import gc
 import json
 import random
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 from convflow.corpus import (
+    SPEAKERS,
     ActionLabel,
     AnnotatedUtterance,
     UnifiedDialog,
@@ -13,18 +15,22 @@ from convflow.corpus import (
     action_of,
     builtin_table,
     compute_stats,
+    labeled_utterances,
     load_table,
     parse_unified,
     serialize_unified,
     standardize_act,
     standardize_corpus,
+    utterance_id,
 )
 from convflow.errors import (
+    InputError,
     MissingAnnotationError,
     ParseError,
     SchemaError,
     UnknownActError,
 )
+from convflow.flowgraph import Trajectory, TrajectoryStep, trajectories_gold
 from convflow.synth import planted_flow, random_corpus
 
 
@@ -184,6 +190,151 @@ def test_parse_accepts_surrogate_pairs_and_escaped_backslashes():
     assert dialog.turns[0].text == "\U0001f600 \\ud800"
 
 
+def _reference_parse_turn(obj: dict, dialog_id: str, index: int) -> AnnotatedUtterance:
+    """The closure-based turn check that parse_unified's lean helpers reproduce."""
+    def schema_error(what: str) -> SchemaError:
+        return SchemaError(f"dialog '{dialog_id}' turn {index}: {what}", dialog_id, index)
+
+    if not isinstance(obj, dict):
+        raise schema_error("not an object")
+    for required in ("speaker", "text"):
+        if required not in obj:
+            raise schema_error(f"missing required field '{required}'")
+    speaker = obj["speaker"]
+    if speaker not in SPEAKERS:
+        raise schema_error(f"speaker must be one of {SPEAKERS}, got {speaker!r}")
+    text = obj["text"]
+    if not isinstance(text, str):
+        raise schema_error(f"'text' must be a string, got {type(text).__name__}")
+    labels = obj.get("labels") or {}
+    if not isinstance(labels, dict):
+        raise schema_error(f"'labels' must be an object, got {type(labels).__name__}")
+    dialog_acts = labels.get("dialog_acts") or {}
+    if not isinstance(dialog_acts, dict):
+        raise schema_error(f"'dialog_acts' must be an object, got {type(dialog_acts).__name__}")
+
+    def str_list(source: dict, key: str) -> tuple[str, ...]:
+        value = source.get(key)
+        if value is None:
+            return ()
+        if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
+            raise schema_error(f"'{key}' must be a list of strings, got {value!r:.60}")
+        return tuple(value)
+
+    return AnnotatedUtterance(
+        speaker=speaker,
+        text=text,
+        domains=str_list(obj, "domains"),
+        acts=str_list(dialog_acts, "acts"),
+        main_acts=str_list(dialog_acts, "main_acts"),
+        original_acts=str_list(dialog_acts, "original_acts"),
+        slots=str_list(labels, "slots"),
+        intents=str_list(labels, "intents"),
+    )
+
+
+def _outcome(function, *args):
+    """What `function(*args)` returns, or the type, message and attributes
+    (such as the dialog and turn) of the input error it raises."""
+    try:
+        return function(*args)
+    except InputError as exc:
+        return type(exc), str(exc), vars(exc)
+
+
+def _reference_parse(document: bytes) -> list[UnifiedDialog]:
+    return [
+        UnifiedDialog(dialog_id, tuple(_reference_parse_turn(t, dialog_id, i) for i, t in enumerate(turns)))
+        for dialog_id, turns in json.loads(document)["dialogs"].items()
+    ]
+
+
+def test_parse_matches_reference_turn_parser_on_planted_corpora():
+    for seed in range(6):
+        document = serialize_unified(planted_flow(k_user=4, k_system=3, n_dialogs=40, dim=8, seed=seed).dialogs)
+        assert parse_unified(document) == _reference_parse(document)
+
+
+# A value of every JSON type, and lists holding a non-string.
+_JSON_VALUES = [None, True, False, 0, 7, 1.5, "", "user", "system", "s", [], ["a", "b"], ["a", 1], [None],
+                ["a", ["b"]], [{"k": "v"}], {}, {"k": "v"}, {"acts": ["inform"]}]
+_TURN_FIELDS = {  # field -> the path of objects holding it
+    "speaker": (), "text": (), "domains": (), "labels": (),
+    "dialog_acts": ("labels",), "slots": ("labels",), "intents": ("labels",),
+    "acts": ("labels", "dialog_acts"), "main_acts": ("labels", "dialog_acts"),
+    "original_acts": ("labels", "dialog_acts"),
+}
+
+
+def _full_turn() -> dict:
+    return {
+        "speaker": "system", "text": "ok", "domains": ["taxi"],
+        "labels": {
+            "dialog_acts": {"acts": ["inform"], "main_acts": ["inform"], "original_acts": ["inform"]},
+            "slots": ["phone"], "intents": ["book"],
+        },
+    }
+
+
+def _set_fields(turn: dict, values: dict) -> dict:
+    """`turn` with each field set to its value; ... deletes the field. A
+    field whose holder was already removed or replaced is left out."""
+    for field, value in values.items():
+        holder = turn
+        for key in _TURN_FIELDS[field]:
+            holder = holder.get(key) if isinstance(holder, dict) else None
+        if not isinstance(holder, dict):
+            continue
+        if value is ...:
+            holder.pop(field, None)
+        else:
+            holder[field] = value
+    return turn
+
+
+def test_parse_matches_reference_turn_parser_on_every_json_type_at_every_field():
+    turns = [_full_turn(), *_JSON_VALUES]  # the whole turn replaced, too
+    for field in _TURN_FIELDS:
+        for value in [*_JSON_VALUES, ...]:  # ... stands for an absent field
+            turns.append(_set_fields(_full_turn(), {field: value}))
+    # two wrong fields at once: the check order decides which is reported
+    for first in _TURN_FIELDS:
+        for second in _TURN_FIELDS:
+            for value in (..., 1, ["a", 1]):
+                if first != second:
+                    turns.append(_set_fields(_full_turn(), {first: value, second: value}))
+    assert len(turns) > 400
+    for turn in turns:
+        document = json.dumps({"dialogs": {"d1": [_full_turn(), turn]}}).encode()
+        expected = _outcome(_reference_parse, document)
+        assert _outcome(parse_unified, document) == expected, turn
+
+
+@pytest.mark.parametrize(
+    "document, error",
+    [
+        (MINIMAL, None),
+        (b'{"dialogs": {{', ParseError),
+        (b"\xff", ParseError),
+        (b'{"dialogs": {"d1": [{"speaker": "bot", "text": "hi"}]}}', SchemaError),
+        (b'{"dialogs": []}', SchemaError),
+    ],
+)
+@pytest.mark.parametrize("enabled", [True, False])
+def test_parse_leaves_the_collector_as_it_found_it(document, error, enabled):
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if error is None:
+            parse_unified(document)
+        else:
+            with pytest.raises(error):
+                parse_unified(document)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+
+
 def test_standardize_act_table_values():
     assert standardize_act("notify_fail") == ("inform_failure", "inform")
     assert standardize_act("thanks") == ("thank_you", "thank_you")
@@ -283,3 +434,122 @@ def test_standardize_corpus_maps_original_acts():
 def test_standardize_corpus_idempotent():
     corpus = standardize_corpus(random_corpus(seed=3))
     assert standardize_corpus(corpus) == corpus
+
+
+# ---------------------------------------------------------------------------
+# One action per distinct annotation: the memoized loops against their
+# per-turn bodies
+# ---------------------------------------------------------------------------
+
+def _reference_trajectories_gold(dialogs: list[UnifiedDialog]) -> list[Trajectory]:
+    out = []
+    for dialog in dialogs:
+        steps = []
+        for turn in dialog.turns:
+            label = action_of(turn)
+            steps.append(TrajectoryStep(speaker=turn.speaker, action=f"{turn.speaker}:{label.render()}"))
+        out.append(Trajectory(dialog_id=dialog.dialog_id, steps=tuple(steps)))
+    return out
+
+
+def _reference_labeled_utterances(corpus: list[UnifiedDialog]) -> list[tuple[str, str, str, ActionLabel]]:
+    rows = []
+    for dialog in corpus:
+        for i, turn in enumerate(dialog.turns):
+            if not turn.acts:
+                continue
+            rows.append((utterance_id(dialog.dialog_id, i), turn.speaker, turn.text, action_of(turn)))
+    return rows
+
+
+def _reference_standardize_corpus(corpus: list[UnifiedDialog], table=None, permissive=False) -> list[UnifiedDialog]:
+    table = table or builtin_table()
+    out: list[UnifiedDialog] = []
+    for dialog in corpus:
+        turns = []
+        for turn in dialog.turns:
+            source = turn.original_acts if turn.original_acts else turn.acts
+            standards: list[str] = []
+            parents: list[str] = []
+            for raw in source:
+                std, parent = standardize_act(raw, table, permissive=permissive)
+                standards.append(std)
+                parents.append(parent)
+            turns.append(
+                AnnotatedUtterance(
+                    speaker=turn.speaker,
+                    text=turn.text,
+                    domains=turn.domains,
+                    acts=tuple(sorted(set(standards))),
+                    main_acts=tuple(sorted(set(parents))),
+                    original_acts=source,
+                    slots=tuple(sorted(set(turn.slots))),
+                    intents=turn.intents,
+                )
+            )
+        out.append(UnifiedDialog(dialog_id=dialog.dialog_id, turns=tuple(turns)))
+    return out
+
+
+# Raw names, among them case variants and several that standardize alike.
+_RAW_ACTS = ["inform", "INFORM", "notify_fail", "sorry", "request", "req_more", "thanks", "thank_you", "greeting"]
+_SLOTS = ["phone", "area", "name"]
+
+
+def _annotation_corpus(rng: random.Random, unannotated: float, unknown: float) -> list[UnifiedDialog]:
+    """Few distinct annotations over many turns, in every act and slot order."""
+
+    def acts() -> tuple[str, ...]:
+        drawn = tuple(rng.choice(_RAW_ACTS) for _ in range(rng.randrange(1, 3)))
+        return drawn + ("frobnicate",) if rng.random() < unknown else drawn
+
+    dialogs = []
+    for d in range(rng.randrange(1, 10)):
+        turns = []
+        for i in range(rng.randrange(1, 8)):
+            turns.append(
+                AnnotatedUtterance(
+                    speaker=rng.choice(SPEAKERS),
+                    text=f"turn {d}.{i}",
+                    domains=("taxi",),
+                    acts=() if rng.random() < unannotated else acts(),
+                    original_acts=acts() if rng.random() < 0.5 else (),
+                    slots=tuple(rng.choice(_SLOTS) for _ in range(rng.randrange(4))),
+                    intents=("book",) * rng.randrange(2),
+                )
+            )
+        dialogs.append(UnifiedDialog(f"d{d}", tuple(turns)))
+    return dialogs
+
+
+def test_memoized_action_loops_match_per_turn_bodies():
+    rng = random.Random(4)
+    corpora = [random_corpus(seed=seed) for seed in range(10)]
+    corpora.append(planted_flow(k_user=4, k_system=3, n_dialogs=40, dim=8, seed=1).dialogs)
+    corpora += [_annotation_corpus(rng, unannotated=0.0, unknown=0.0) for _ in range(100)]
+    for corpus in corpora:
+        assert trajectories_gold(corpus) == _reference_trajectories_gold(corpus)
+        assert labeled_utterances(corpus) == _reference_labeled_utterances(corpus)
+        for permissive in (False, True):
+            assert standardize_corpus(corpus, permissive=permissive) == _reference_standardize_corpus(
+                corpus, permissive=permissive
+            )
+
+
+def test_memoized_action_loops_raise_at_the_first_offending_turn():
+    rng = random.Random(5)
+    raised = {MissingAnnotationError: 0, UnknownActError: 0}
+    for _ in range(300):
+        corpus = _annotation_corpus(rng, unannotated=0.1, unknown=0.1)
+        cases = [
+            (trajectories_gold, _reference_trajectories_gold),
+            (labeled_utterances, _reference_labeled_utterances),
+            (standardize_corpus, _reference_standardize_corpus),
+            (lambda c: standardize_corpus(c, permissive=True), lambda c: _reference_standardize_corpus(c, permissive=True)),
+        ]
+        for function, reference in cases:
+            expected = _outcome(reference, corpus)
+            assert _outcome(function, corpus) == expected
+            if isinstance(expected, tuple):
+                raised[expected[0]] += 1
+    assert min(raised.values()) > 50  # both errors were reached, many times

@@ -1,6 +1,7 @@
 """Property test of the exit-code contract: whatever bytes an input file
 holds, a command exits 0 (ok) or 2 (input error) and never raises."""
 
+import json
 import os
 import tempfile
 
@@ -90,6 +91,42 @@ def test_valid_inputs_exit_0():
 def test_mutated_input_exits_0_or_2(case, mutations):
     target, command = case
     assert _run(target, command, _mutate(VALID[target], mutations)) in (0, 2)
+
+
+# Positions in a corpus turn, as paths from the turn; a trailing 0 is the
+# list's first item.
+_LISTS = [("domains",), *(("labels", "dialog_acts", key) for key in ("acts", "main_acts", "original_acts")),
+          ("labels", "slots"), ("labels", "intents")]
+_TURN_POSITIONS = [(), ("speaker",), ("text",), ("labels",), ("labels", "dialog_acts"), *_LISTS,
+                   *((*path, 0) for path in _LISTS)]
+_JSON_VALUE = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(
+    command=st.sampled_from(["ingest", "eval", "extract", "sweep"]),
+    dialog=st.integers(min_value=0),
+    turn=st.integers(min_value=0),
+    position=st.sampled_from(_TURN_POSITIONS),
+    value=_JSON_VALUE,
+)
+def test_retyped_turn_value_exits_0_or_2(command, dialog, turn, position, value):
+    """Valid JSON, with one value in one turn swapped for any JSON value."""
+    root = json.loads(VALID["corpus"])
+    turns = list(root["dialogs"].values())[dialog % len(root["dialogs"])]
+    *path, last = (turn % len(turns), *position)
+    holder = turns
+    for key in path:
+        holder = holder[key]
+    if isinstance(last, int) and not holder:
+        holder.append(value)
+    else:
+        holder[last] = value
+    assert _run("corpus", command, json.dumps(root).encode()) in (0, 2)
 
 
 @pytest.mark.parametrize("command", ["ingest", "extract", "sweep"])
