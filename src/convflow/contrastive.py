@@ -280,7 +280,8 @@ class ToyEncoder:
         return self.weights.shape[1]
 
     def features(self, texts: list[str]) -> np.ndarray:
-        return np.stack([hashed_bow_vector(t, self.m, normalize=False) for t in texts])
+        rows, inverse = _distinct_features(texts, self.m)
+        return rows[inverse]
 
     def encode_features(self, feats: np.ndarray):
         a = feats @ self.weights
@@ -298,6 +299,14 @@ class ToyEncoder:
         x = a / norms
         da = (dx - np.sum(dx * x, axis=1, keepdims=True) * x) / norms
         return feats.T @ da
+
+
+def _distinct_features(texts: list[str], m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Hashed count features of each distinct text, in order of first
+    appearance, and the row of each text: `rows[inverse]` are the texts'."""
+    first: dict[str, int] = {}
+    inverse = np.array([first.setdefault(t, len(first)) for t in texts], dtype=np.intp)
+    return np.stack([hashed_bow_vector(t, m, normalize=False) for t in first]), inverse
 
 
 def init_toy_encoder(m: int = DEFAULT_HASH_DIM, n: int = 64, seed: int = 0) -> ToyEncoder:
@@ -326,18 +335,39 @@ class TrainResult:
 
 
 def _train_set(items: list[TrainItem], encoder: ToyEncoder, soft: bool):
-    """The items' hashed features, label ids (indices into the sorted
-    actions) and, when `soft`, the label table of those actions."""
+    """The items' hashed features as `_distinct_features` gives them, label
+    ids (indices into the sorted actions) and, when `soft`, the label table."""
     actions = sorted({it.action for it in items})
     if len(actions) < 2:
         raise DegenerateTaskError("training needs at least 2 distinct action labels")
     index = {a: i for i, a in enumerate(actions)}
     labels = np.array([index[it.action] for it in items])
-    return encoder.features([it.text for it in items]), labels, build_label_table(actions) if soft else None
+    rows, inverse = _distinct_features([it.text for it in items], encoder.m)
+    return rows, inverse, labels, build_label_table(actions) if soft else None
 
 
+def _positive_draws(labels: np.ndarray):
+    """`draw(rng, anchor_labels)` picks a uniform item of each anchor's label,
+    with the draws and `rng` state of one `rng.integers(pool size)` per anchor."""
+    sizes = np.bincount(labels)
+    starts = np.cumsum(sizes) - sizes
+    by_label = np.argsort(labels, kind="stable")  # each label's pool, ascending
+    return lambda rng, anchor_labels: by_label[starts[anchor_labels] + rng.integers(sizes[anchor_labels])]
+
+
+def _check_finite(temps: Temperatures, *values) -> None:
+    """Raise InputError naming the temperatures unless every value is finite."""
+    if not all(np.isfinite(v).all() for v in values):
+        raise InputError(
+            f"training diverged at tau={temps.tau!r}, tau_label={temps.tau_label!r}: "
+            "a loss, gradient or encoder output is not finite (try a larger temperature)"
+        )
+
+
+@np.errstate(all="ignore")  # a step that overflows raises InputError instead
 def _sgd(
-    feats: np.ndarray,
+    rows: np.ndarray,
+    inverse: np.ndarray,
     labels: np.ndarray,
     table: LabelTable | None,
     encoder: ToyEncoder,
@@ -349,16 +379,21 @@ def _sgd(
     seed: int,
     batch_size: int,
 ) -> TrainResult:
-    """Train copies of `encoder` and `heads` on hashed features and label ids.
+    """Train copies of `encoder` and `heads` on the hashed features
+    `rows[inverse]` and label ids.
 
     Each anchor is paired with a positive drawn uniformly from the items
     sharing its label; in-batch entries act as negatives. Every head adds
     one loss term against `table` (None: the hard loss) and the terms are
-    summed. Parameters are updated by plain SGD.
+    summed. Plain SGD updates the parameters; of the encoder, only the rows
+    of hashed columns some text uses, as the others' gradient is exactly 0.
+    A step that is not finite raises `InputError` before it is applied.
     """
-    pools = [np.flatnonzero(labels == c) for c in range(labels.max() + 1)]
+    cols = np.flatnonzero(rows.any(axis=0))
+    feats = rows[:, cols][inverse]
+    draw_positives = _positive_draws(labels)
     rng = substream(seed, "train-toy")
-    encoder = ToyEncoder(weights=encoder.weights.copy())
+    used = ToyEncoder(weights=encoder.weights[cols])
     heads = [ContrastiveHead(w1=h.w1.copy(), w2=h.w2.copy()) for h in heads]
     curve: list[float] = []
     for _ in range(epochs):
@@ -368,25 +403,26 @@ def _sgd(
             a_idx = order[start : start + batch_size]
             if len(a_idx) < 2:
                 continue
-            p_idx = np.array([pools[c][rng.integers(len(pools[c]))] for c in labels[a_idx]])
-            xa, cache_a = encoder.encode_features(feats[a_idx])
-            xp, cache_p = encoder.encode_features(feats[p_idx])
+            p_idx = draw_positives(rng, labels[a_idx])
+            xa, cache_a = used.encode_features(feats[a_idx])
+            xp, cache_p = used.encode_features(feats[p_idx])
+            _check_finite(temps, cache_a[2], cache_p[2])  # the output norms
             batch = ContrastiveBatch(anchors=xa, positives=xp, labels=labels[a_idx])
-            dxa = np.zeros_like(xa)
-            dxp = np.zeros_like(xp)
-            total = 0.0
-            for head in heads:
-                loss, grads = grad_loss(batch, table, temps, head)
-                total += loss
-                dxa += grads.d_anchors
-                dxp += grads.d_positives
+            steps = [grad_loss(batch, table, temps, head) for head in heads]
+            total = sum(loss for loss, _ in steps)
+            dxa = sum(grads.d_anchors for _, grads in steps)
+            dxp = sum(grads.d_positives for _, grads in steps)
+            d_enc = used.backward(cache_a, dxa) + used.backward(cache_p, dxp)
+            _check_finite(temps, total, d_enc, *(d for _, grads in steps for d in (grads.d_w1, grads.d_w2)))
+            for head, (_, grads) in zip(heads, steps):
                 head.w1 -= lr_head * grads.d_w1
                 head.w2 -= lr_head * grads.d_w2
-            d_enc = encoder.backward(cache_a, dxa) + encoder.backward(cache_p, dxp)
-            encoder.weights -= lr_encoder * d_enc
+            used.weights -= lr_encoder * d_enc
             epoch_losses.append(total)
         curve.append(float(np.mean(epoch_losses)))
-    return TrainResult(encoder=encoder, loss_curve=curve)
+    weights = encoder.weights.copy()
+    weights[cols] = used.weights
+    return TrainResult(encoder=ToyEncoder(weights=weights), loss_curve=curve)
 
 
 def train_toy(
@@ -404,8 +440,8 @@ def train_toy(
     """Contrastive training of the toy encoder, deterministic for a fixed
     seed: every head trains against the items' action labels, with the
     soft loss when `soft`, else the hard one."""
-    feats, labels, table = _train_set(items, encoder, soft)
-    return _sgd(feats, labels, table, encoder, heads, temps, epochs, lr_head, lr_encoder, seed, batch_size)
+    rows, inverse, labels, table = _train_set(items, encoder, soft)
+    return _sgd(rows, inverse, labels, table, encoder, heads, temps, epochs, lr_head, lr_encoder, seed, batch_size)
 
 
 def sweep_tau_label(
@@ -431,14 +467,14 @@ def sweep_tau_label(
     temps = [Temperatures(tau=tau, tau_label=t) for t in sorted(grid)]
     encoder = init_toy_encoder(n=encoder_dim, seed=seed)
     head = init_head(encoder_dim, head_dim, seed=seed)
-    feats, labels, table = _train_set(train_rows, encoder, soft=True)
+    rows, inverse, labels, table = _train_set(train_rows, encoder, soft=True)
     eval_feats = encoder.features([r.text for r in eval_rows])
     ids = [f"u{i}" for i in range(len(eval_rows))]
     eval_labels = {uid: ActionLabel.make(r.action, []) for uid, r in zip(ids, eval_rows)}
     results = []
     for t in temps:
         trained = _sgd(
-            feats, labels, table, encoder, [head], t, epochs, lr_head, lr_encoder, seed, DEFAULT_BATCH_SIZE
+            rows, inverse, labels, table, encoder, [head], t, epochs, lr_head, lr_encoder, seed, DEFAULT_BATCH_SIZE
         )
         vecs, _ = trained.encoder.encode_features(eval_feats)
         store = build_store(list(zip(ids, vecs)), normalize=True)

@@ -241,10 +241,10 @@ def _parse_turn(obj, dialog_id: str, index: int) -> AnnotatedUtterance:
     text = obj["text"]
     if type(text) is not str:
         raise _schema_error(dialog_id, index, f"'text' must be a string, got {type(text).__name__}")
-    labels = obj.get("labels") or {}
+    labels = {} if obj.get("labels") is None else obj["labels"]
     if type(labels) is not dict:
         raise _schema_error(dialog_id, index, f"'labels' must be an object, got {type(labels).__name__}")
-    dialog_acts = labels.get("dialog_acts") or {}
+    dialog_acts = {} if labels.get("dialog_acts") is None else labels["dialog_acts"]
     if type(dialog_acts) is not dict:
         raise _schema_error(dialog_id, index, f"'dialog_acts' must be an object, got {type(dialog_acts).__name__}")
     return AnnotatedUtterance(

@@ -41,7 +41,8 @@ from convflow.flowgraph import (
     trajectories_induced,
 )
 from convflow.seeding import substream
-from convflow.synth import SWEEP_TOY, graded_label_rows, planted_flow, random_corpus
+from convflow.synth import SWEEP_TOY, graded_label_rows, planted_flow
+from corpora import random_corpus
 
 
 def _unit_rows(rng, n, d):

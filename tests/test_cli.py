@@ -8,7 +8,8 @@ from convflow.cli import _parse_grid, main
 from convflow.corpus import serialize_unified
 from convflow.embedding import save_embeddings
 from convflow.errors import InputError
-from convflow.synth import planted_flow, random_corpus
+from convflow.synth import planted_flow
+from corpora import random_corpus
 
 
 @pytest.fixture()
@@ -343,6 +344,18 @@ def test_sweep_bad_temperature_exits_2_before_training(sweep_corpus, tmp_path, c
     out = tmp_path / "sweep.tsv"
     assert main(["sweep", "--corpus", sweep_corpus, "--out", str(out), "--epochs", "1", *flags]) == 2
     assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("tau", ["1e-300", "5e-324"])
+def test_sweep_diverging_training_names_the_temperatures(sweep_corpus, tmp_path, capsys, tau):
+    out = tmp_path / "sweep.tsv"
+    code = main(["sweep", "--corpus", sweep_corpus, "--out", str(out), "--tau", tau, "--grid", "0.5", "--epochs", "2"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"training diverged at tau={float(tau)!r}, tau_label=0.5" in err
+    assert "unit-norm" not in err and "Warning" not in err
     assert not out.exists()
 
 

@@ -4,10 +4,17 @@ import numpy as np
 import pytest
 
 from convflow.contrastive import (
+    _distinct_features,
     _head_forward_batch,
+    _positive_draws,
+    _sgd,
+    _train_set,
     ContrastiveBatch,
     ContrastiveHead,
     Temperatures,
+    ToyEncoder,
+    TrainItem,
+    TrainResult,
     build_label_table,
     grad_loss,
     init_head,
@@ -18,7 +25,7 @@ from convflow.contrastive import (
     sup_loss,
     train_toy,
 )
-from convflow.embedding import build_store
+from convflow.embedding import build_store, hashed_bow_vector
 from convflow.errors import (
     DegenerateProjectionError,
     DegenerateTaskError,
@@ -27,6 +34,7 @@ from convflow.errors import (
 )
 from convflow.evaluation import LabeledEmbeddings, intra_inter_anisotropy
 from convflow.corpus import ActionLabel
+from convflow.seeding import substream
 
 
 def _unit_rows(rng, n, d):
@@ -379,6 +387,111 @@ def test_train_toy_needs_two_labels():
     with pytest.raises(DegenerateTaskError):
         train_toy(single_items(rows), init_toy_encoder(m=128, n=8, seed=0), [init_head(8, 4, seed=0)],
                   Temperatures(), epochs=1, seed=0)
+
+
+def _reference_sgd(feats, labels, table, encoder, heads, temps, epochs, lr_head, lr_encoder, seed, batch_size):
+    """The dense training loop `_sgd` reproduces: every step multiplies the
+    full (m, n) weights, and positives are drawn one scalar call at a time."""
+    pools = [np.flatnonzero(labels == c) for c in range(labels.max() + 1)]
+    rng = substream(seed, "train-toy")
+    encoder = ToyEncoder(weights=encoder.weights.copy())
+    heads = [ContrastiveHead(w1=h.w1.copy(), w2=h.w2.copy()) for h in heads]
+    curve = []
+    for _ in range(epochs):
+        order = rng.permutation(len(labels))
+        epoch_losses = []
+        for start in range(0, len(labels), batch_size):
+            a_idx = order[start : start + batch_size]
+            if len(a_idx) < 2:
+                continue
+            p_idx = np.array([pools[c][rng.integers(len(pools[c]))] for c in labels[a_idx]])
+            xa, cache_a = encoder.encode_features(feats[a_idx])
+            xp, cache_p = encoder.encode_features(feats[p_idx])
+            batch = ContrastiveBatch(anchors=xa, positives=xp, labels=labels[a_idx])
+            dxa = np.zeros_like(xa)
+            dxp = np.zeros_like(xp)
+            total = 0.0
+            for head in heads:
+                loss, grads = grad_loss(batch, table, temps, head)
+                total += loss
+                dxa += grads.d_anchors
+                dxp += grads.d_positives
+                head.w1 -= lr_head * grads.d_w1
+                head.w2 -= lr_head * grads.d_w2
+            d_enc = encoder.backward(cache_a, dxa) + encoder.backward(cache_p, dxp)
+            encoder.weights -= lr_encoder * d_enc
+            epoch_losses.append(total)
+        curve.append(float(np.mean(epoch_losses)))
+    return TrainResult(encoder=encoder, loss_curve=curve)
+
+
+_WORDS = ["hello", "hi", "bye", "later", "phone", "number", "price", "area", "book", "taxi"]
+
+
+def _sgd_items(seed, n_items):
+    """Items over 3 actions, whose last action has a single item; texts are
+    drawn from a small vocabulary, so many of them repeat."""
+    rng = np.random.default_rng(seed)
+    items = [TrainItem(text=" ".join(rng.choice(_WORDS, size=2)), action=f"act{i % 2}") for i in range(n_items - 1)]
+    return items + [TrainItem(text="hello taxi", action="act_single")]
+
+
+@pytest.mark.parametrize("soft", [True, False])
+@pytest.mark.parametrize("seed, n_items, batch_size", [(0, 33, 16), (1, 40, 8), (2, 7, 64)])
+def test_sgd_matches_the_dense_reference_loop(soft, seed, n_items, batch_size):
+    # 33 items in batches of 16 end in a batch of 1, which both loops skip
+    items = _sgd_items(seed, n_items)
+    encoder = init_toy_encoder(m=256, n=8, seed=seed)
+    heads = [init_head(8, 4, seed=seed)]
+    temps = Temperatures(tau=0.3, tau_label=0.5)
+    rows, inverse, labels, table = _train_set(items, encoder, soft)
+    assert np.bincount(labels).min() == 1
+    args = (table, encoder, heads, temps, 4, 0.1, 0.05, seed, batch_size)
+    fast = _sgd(rows, inverse, labels, *args)
+    slow = _reference_sgd(rows[inverse], labels, *args)
+    assert len(fast.loss_curve) == 4
+    assert np.max(np.abs(np.array(fast.loss_curve) - slow.loss_curve)) < 1e-12
+    assert np.max(np.abs(fast.encoder.weights - slow.encoder.weights)) < 1e-12
+    assert not np.array_equal(fast.encoder.weights, encoder.weights)  # it trained
+
+
+def test_sgd_returns_the_rows_of_unused_columns_bit_for_bit():
+    items = _sgd_items(3, 24)
+    encoder = init_toy_encoder(m=512, n=8, seed=3)
+    rows, inverse, labels, table = _train_set(items, encoder, soft=True)
+    trained = _sgd(rows, inverse, labels, table, encoder, [init_head(8, 4, seed=3)],
+                   Temperatures(tau=0.3), 3, 0.1, 0.05, 3, 8).encoder.weights
+    used = rows.any(axis=0)
+    assert 0 < used.sum() < len(used)
+    assert np.array_equal(trained[~used], encoder.weights[~used])
+    assert not np.any(trained[used] == encoder.weights[used])
+
+
+def test_features_hash_each_distinct_text_once_and_keep_every_row():
+    texts = ["b a", "a b", "b a", "", "c_d", "a b"]
+    rows, inverse = _distinct_features(texts, 64)
+    assert rows.shape == (4, 64) and inverse.tolist() == [0, 1, 0, 2, 3, 1]
+    expected = np.stack([hashed_bow_vector(t, 64, normalize=False) for t in texts])
+    assert np.array_equal(init_toy_encoder(m=64, n=4).features(texts), expected)
+
+
+def test_positive_draws_equal_one_scalar_draw_per_anchor():
+    for state in range(200):
+        labels = np.random.default_rng(state).integers(0, 1 + state % 7, size=40)
+        labels[0] = labels.max() + 1  # a pool of size 1
+        pools = [np.flatnonzero(labels == c) for c in range(labels.max() + 1)]
+        anchors = labels[np.random.default_rng(10_000 + state).permutation(len(labels))[:16]]
+        scalar_rng, vector_rng = np.random.default_rng(state), np.random.default_rng(state)
+        expected = [pools[c][scalar_rng.integers(len(pools[c]))] for c in anchors]
+        drawn = _positive_draws(labels)(vector_rng, anchors)
+        assert drawn.tolist() == expected
+        assert vector_rng.bit_generator.state == scalar_rng.bit_generator.state
+
+
+def test_train_toy_on_texts_that_hash_to_zero_raises():
+    items = [TrainItem(text=text, action=action) for text in ("", " ", "_ _") for action in ("a", "b")]
+    with pytest.raises(DegenerateProjectionError):
+        train_toy(items, init_toy_encoder(m=64, n=4, seed=0), [init_head(4, 2, seed=0)], Temperatures(), epochs=1)
 
 
 def test_label_table_diagonal_is_row_max():

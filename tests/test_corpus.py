@@ -31,7 +31,8 @@ from convflow.errors import (
     UnknownActError,
 )
 from convflow.flowgraph import Trajectory, TrajectoryStep, trajectories_gold
-from convflow.synth import planted_flow, random_corpus
+from convflow.synth import planted_flow
+from corpora import random_corpus
 
 
 MINIMAL = json.dumps(
@@ -304,10 +305,27 @@ def test_parse_matches_reference_turn_parser_on_every_json_type_at_every_field()
                 if first != second:
                     turns.append(_set_fields(_full_turn(), {first: value, second: value}))
     assert len(turns) > 400
+    tightened = 0
     for turn in turns:
         document = json.dumps({"dialogs": {"d1": [_full_turn(), turn]}}).encode()
         expected = _outcome(_reference_parse, document)
-        assert _outcome(parse_unified, document) == expected, turn
+        outcome = _outcome(parse_unified, document)
+        if isinstance(expected, list) and _falsy_non_object(turn):
+            # the oracle reads a falsy `labels` or `dialog_acts` as empty;
+            # parse_unified accepts only an absent key or null
+            assert outcome[0] is SchemaError and "must be an object" in outcome[1], turn
+            tightened += 1
+        else:
+            assert outcome == expected, turn
+    assert tightened == 8  # [], 0, False and "" at each of the two fields
+
+
+def _falsy_non_object(turn) -> bool:
+    """Whether the turn's `labels` or `labels.dialog_acts` is a falsy value
+    other than null and {}."""
+    labels = turn.get("labels") if isinstance(turn, dict) else None
+    dialog_acts = labels.get("dialog_acts") if isinstance(labels, dict) else None
+    return any(v is not None and not v and not isinstance(v, dict) for v in (labels, dialog_acts))
 
 
 @pytest.mark.parametrize(
