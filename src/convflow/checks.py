@@ -21,7 +21,7 @@ from .contrastive import (
     sup_loss,
 )
 from .embedding import l2_normalize
-from .errors import InputError
+from .errors import DegenerateProjectionError, InputError
 from .seeding import substream
 
 
@@ -65,16 +65,13 @@ def random_label_table(rng: np.random.Generator, n_labels: int, dim: int = 12) -
     embs = random_unit_rows(rng, n_labels, dim)
     delta = embs @ embs.T
     delta = (delta + delta.T) / 2.0
-    return LabelTable(texts=tuple(f"label-{i}" for i in range(n_labels)), embeddings=embs, delta=delta)
+    return LabelTable(delta=delta)
 
 
 def orthogonal_label_table(n_labels: int) -> LabelTable:
     """delta is exactly 1 on the diagonal and 0 elsewhere: the geometry the
     soft-to-hard limit check requires."""
-    embs = np.eye(n_labels)
-    return LabelTable(
-        texts=tuple(f"label-{i}" for i in range(n_labels)), embeddings=embs, delta=np.eye(n_labels)
-    )
+    return LabelTable(delta=np.eye(n_labels))
 
 
 FD_STEP = 1e-5  # central-difference step
@@ -105,18 +102,26 @@ def relative_error(a: np.ndarray, b: np.ndarray) -> float:
 def gradient_check_case(rng: np.random.Generator, soft: bool, perturb: float = 0.0) -> float:
     """One random instance (2-8 pairs, encoder dim 4-16, head dim 2-8);
     returns the worst relative error across W1, W2, anchors, and positives.
-    `perturb` injects a deliberate analytic gradient fault (test mode)."""
-    n = int(rng.integers(2, 9))
-    enc = int(rng.integers(4, 17))
-    d = int(rng.integers(2, 9))
-    xa = random_unit_rows(rng, n, enc)
-    xp = random_unit_rows(rng, n, enc)
-    labels = rng.integers(0, max(2, n // 2), size=n)
-    head = init_head(enc, d, seed=int(rng.integers(2**31)))
-    table = random_label_table(rng, int(labels.max()) + 1) if soft else None
+    `perturb` injects a deliberate analytic gradient fault (test mode).
+    An instance whose projection collapses to zero (every hidden unit off)
+    has no gradient to check and is drawn again."""
     temps = Temperatures()
-    batch = ContrastiveBatch(anchors=xa, positives=xp, labels=labels, validate=False)
-    _, grads = grad_loss(batch, table, temps, head)
+    while True:
+        n = int(rng.integers(2, 9))
+        enc = int(rng.integers(4, 17))
+        d = int(rng.integers(2, 9))
+        xa = random_unit_rows(rng, n, enc)
+        xp = random_unit_rows(rng, n, enc)
+        labels = rng.integers(0, max(2, n // 2), size=n)
+        head = init_head(enc, d, seed=int(rng.integers(2**31)))
+        table = random_label_table(rng, int(labels.max()) + 1) if soft else None
+        # built from the unit rows before the finite differences move them in place
+        batch = ContrastiveBatch(anchors=xa, positives=xp, labels=labels)
+        try:
+            _, grads = grad_loss(batch, table, temps, head)
+            break
+        except DegenerateProjectionError:
+            continue
 
     def loss_now() -> float:
         return grad_loss(batch, table, temps, head)[0]

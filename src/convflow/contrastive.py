@@ -59,14 +59,13 @@ class Temperatures:
 class ContrastiveBatch:
     """N anchor/positive unit-vector pairs with integer label ids.
 
-    `validate=False` skips the unit-norm check; finite-difference probes
-    need to nudge coordinates off the sphere.
+    The unit-norm check runs once, here; finite-difference probes build
+    the batch first and then nudge its arrays off the sphere in place.
     """
 
     anchors: np.ndarray
     positives: np.ndarray
     labels: np.ndarray
-    validate: bool = True
 
     def __post_init__(self):
         a, p = np.asarray(self.anchors), np.asarray(self.positives)
@@ -74,11 +73,10 @@ class ContrastiveBatch:
             raise ShapeError(f"anchors {a.shape} and positives {p.shape} must be equal 2-d shapes")
         if len(self.labels) != a.shape[0]:
             raise ShapeError("one label per anchor required")
-        if self.validate:
-            for name, m in (("anchors", a), ("positives", p)):
-                norms = np.linalg.norm(m, axis=1)
-                if m.shape[0] and np.max(np.abs(norms - 1.0)) > 1e-6:
-                    raise InputError(f"{name} must be unit-norm within 1e-6")
+        for name, m in (("anchors", a), ("positives", p)):
+            norms = np.linalg.norm(m, axis=1)
+            if m.shape[0] and np.max(np.abs(norms - 1.0)) > 1e-6:
+                raise InputError(f"{name} must be unit-norm within 1e-6")
 
     @property
     def size(self) -> int:
@@ -95,14 +93,6 @@ class ContrastiveHead:
 
     w1: np.ndarray  # (n, n)
     w2: np.ndarray  # (n, d)
-
-    @property
-    def n(self) -> int:
-        return self.w1.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.w2.shape[1]
 
 
 def init_head(n: int = DEFAULT_ENCODER_DIM, d: int = DEFAULT_HEAD_DIM, seed: int = 0) -> ContrastiveHead:
@@ -144,11 +134,9 @@ def _head_backward(head: ContrastiveHead, cache, dz: np.ndarray):
 
 @dataclass(frozen=True)
 class LabelTable:
-    """Label texts, their unit embeddings, and the pairwise similarity
-    matrix delta(y_i, y_j) = dot of label embeddings."""
+    """The pairwise label-similarity matrix delta(y_i, y_j), the dot of
+    the labels' unit embeddings, indexed by label id."""
 
-    texts: tuple[str, ...]
-    embeddings: np.ndarray
     delta: np.ndarray
 
 
@@ -162,7 +150,7 @@ def build_label_table(texts: list[str], dim: int = 256) -> LabelTable:
     embs = np.stack([l2_normalize(hashed_bow_vector(t, dim)) for t in texts])
     delta = embs @ embs.T
     delta = (delta + delta.T) / 2.0  # exact symmetry against fp noise
-    return LabelTable(texts=tuple(texts), embeddings=embs, delta=delta)
+    return LabelTable(delta=delta)
 
 
 def _log_softmax_rows(logits: np.ndarray) -> np.ndarray:
@@ -275,10 +263,6 @@ class ToyEncoder:
     def m(self) -> int:
         return self.weights.shape[0]
 
-    @property
-    def n(self) -> int:
-        return self.weights.shape[1]
-
     def features(self, texts: list[str]) -> np.ndarray:
         rows, inverse = _distinct_features(texts, self.m)
         return rows[inverse]
@@ -371,7 +355,7 @@ def _sgd(
     labels: np.ndarray,
     table: LabelTable | None,
     encoder: ToyEncoder,
-    heads: list[ContrastiveHead],
+    head: ContrastiveHead,
     temps: Temperatures,
     epochs: int,
     lr_head: float,
@@ -379,22 +363,22 @@ def _sgd(
     seed: int,
     batch_size: int,
 ) -> TrainResult:
-    """Train copies of `encoder` and `heads` on the hashed features
+    """Train copies of `encoder` and `head` on the hashed features
     `rows[inverse]` and label ids.
 
     Each anchor is paired with a positive drawn uniformly from the items
-    sharing its label; in-batch entries act as negatives. Every head adds
-    one loss term against `table` (None: the hard loss) and the terms are
-    summed. Plain SGD updates the parameters; of the encoder, only the rows
-    of hashed columns some text uses, as the others' gradient is exactly 0.
-    A step that is not finite raises `InputError` before it is applied.
+    sharing its label; in-batch entries act as negatives. The loss is taken
+    through the head against `table` (None: the hard loss). Plain SGD
+    updates the parameters; of the encoder, only the rows of hashed columns
+    some text uses, as the others' gradient is exactly 0. A step that is
+    not finite raises `InputError` before it is applied.
     """
     cols = np.flatnonzero(rows.any(axis=0))
     feats = rows[:, cols][inverse]
     draw_positives = _positive_draws(labels)
     rng = substream(seed, "train-toy")
     used = ToyEncoder(weights=encoder.weights[cols])
-    heads = [ContrastiveHead(w1=h.w1.copy(), w2=h.w2.copy()) for h in heads]
+    head = ContrastiveHead(w1=head.w1.copy(), w2=head.w2.copy())
     curve: list[float] = []
     for _ in range(epochs):
         order = rng.permutation(len(labels))
@@ -408,17 +392,13 @@ def _sgd(
             xp, cache_p = used.encode_features(feats[p_idx])
             _check_finite(temps, cache_a[2], cache_p[2])  # the output norms
             batch = ContrastiveBatch(anchors=xa, positives=xp, labels=labels[a_idx])
-            steps = [grad_loss(batch, table, temps, head) for head in heads]
-            total = sum(loss for loss, _ in steps)
-            dxa = sum(grads.d_anchors for _, grads in steps)
-            dxp = sum(grads.d_positives for _, grads in steps)
-            d_enc = used.backward(cache_a, dxa) + used.backward(cache_p, dxp)
-            _check_finite(temps, total, d_enc, *(d for _, grads in steps for d in (grads.d_w1, grads.d_w2)))
-            for head, (_, grads) in zip(heads, steps):
-                head.w1 -= lr_head * grads.d_w1
-                head.w2 -= lr_head * grads.d_w2
+            loss, grads = grad_loss(batch, table, temps, head)
+            d_enc = used.backward(cache_a, grads.d_anchors) + used.backward(cache_p, grads.d_positives)
+            _check_finite(temps, loss, d_enc, grads.d_w1, grads.d_w2)
+            head.w1 -= lr_head * grads.d_w1
+            head.w2 -= lr_head * grads.d_w2
             used.weights -= lr_encoder * d_enc
-            epoch_losses.append(total)
+            epoch_losses.append(loss)
         curve.append(float(np.mean(epoch_losses)))
     weights = encoder.weights.copy()
     weights[cols] = used.weights
@@ -437,11 +417,20 @@ def train_toy(
     batch_size: int = DEFAULT_BATCH_SIZE,
     soft: bool = True,
 ) -> TrainResult:
-    """Contrastive training of the toy encoder, deterministic for a fixed
-    seed: every head trains against the items' action labels, with the
-    soft loss when `soft`, else the hard one."""
+    """Contrastive training of the toy encoder through one projection head,
+    deterministic for a fixed seed, against the items' action labels with
+    the soft loss when `soft`, else the hard one.
+
+    `heads` is a list that must hold exactly one head: the parameter keeps
+    the list form its existing callers pass. `batch_size` must be at least
+    2, as a batch of one anchor has no negatives and is never trained on.
+    """
+    if len(heads) != 1:
+        raise InputError(f"train_toy trains exactly one projection head, got {len(heads)}")
+    if batch_size < 2:
+        raise InputError(f"batch_size={batch_size!r} must be at least 2")
     rows, inverse, labels, table = _train_set(items, encoder, soft)
-    return _sgd(rows, inverse, labels, table, encoder, heads, temps, epochs, lr_head, lr_encoder, seed, batch_size)
+    return _sgd(rows, inverse, labels, table, encoder, heads[0], temps, epochs, lr_head, lr_encoder, seed, batch_size)
 
 
 def sweep_tau_label(
@@ -474,7 +463,7 @@ def sweep_tau_label(
     results = []
     for t in temps:
         trained = _sgd(
-            rows, inverse, labels, table, encoder, [head], t, epochs, lr_head, lr_encoder, seed, DEFAULT_BATCH_SIZE
+            rows, inverse, labels, table, encoder, head, t, epochs, lr_head, lr_encoder, seed, DEFAULT_BATCH_SIZE
         )
         vecs, _ = trained.encoder.encode_features(eval_feats)
         store = build_store(list(zip(ids, vecs)), normalize=True)

@@ -54,15 +54,11 @@ def _random_table(rng, n_labels, dim=10) -> LabelTable:
     embs = _unit_rows(rng, n_labels, dim)
     delta = embs @ embs.T
     delta = (delta + delta.T) / 2.0
-    return LabelTable(texts=tuple(f"l{i}" for i in range(n_labels)), embeddings=embs, delta=delta)
+    return LabelTable(delta=delta)
 
 
 def _orthogonal_table(n_labels) -> LabelTable:
-    return LabelTable(
-        texts=tuple(f"l{i}" for i in range(n_labels)),
-        embeddings=np.eye(n_labels),
-        delta=np.eye(n_labels),
-    )
+    return LabelTable(delta=np.eye(n_labels))
 
 
 # ---------------------------------------------------------------------------
@@ -182,17 +178,16 @@ def test_criterion_3_gradient_correctness():
         labels = rng.integers(0, max(2, n // 2), size=n)
         head = init_head(enc, d, seed=int(rng.integers(2**31)))
         table = _random_table(rng, int(labels.max()) + 1) if soft_mode else None
+        batch = ContrastiveBatch(xa, xp, labels)  # _fd_grad moves xa and xp in place
 
         def loss_now():
-            value, _ = grad_loss(
-                ContrastiveBatch(xa, xp, labels, validate=False), table, temps, head
-            )
+            value, _ = grad_loss(batch, table, temps, head)
             return value
 
         from convflow.errors import DegenerateProjectionError
 
         try:
-            _, grads = grad_loss(ContrastiveBatch(xa, xp, labels, validate=False), table, temps, head)
+            _, grads = grad_loss(batch, table, temps, head)
         except DegenerateProjectionError:
             continue  # precondition violation (dead projection); redraw
         case += 1

@@ -247,6 +247,14 @@ def test_losscheck_passes(capsys):
     assert out.count("[PASS]") == 4
 
 
+def test_losscheck_defaults_redraw_a_collapsed_projection(capsys):
+    # seed 0's gradient check draws a head whose hidden units are all off
+    assert main(["losscheck"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.count("[PASS]") == 4 and "over 20 instances" in captured.out
+    assert captured.err == ""
+
+
 def test_losscheck_inject_fault_exits_1(tmp_path, capsys):
     out_path = tmp_path / "failure.json"
     assert main(["losscheck", "--cases", "10", "--seed", "0", "--inject-fault",

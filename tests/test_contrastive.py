@@ -290,13 +290,13 @@ def test_gradients_match_finite_differences(soft):
         labels = rng.integers(0, 2, size=n)
         head = init_head(enc, d, seed=int(rng.integers(1000)))
         table = build_label_table(["tok a", "tok b"], dim=32) if soft else None
+        batch = ContrastiveBatch(xa, xp, labels)  # the differences below move xa and xp in place
 
         def loss_now():
-            batch = ContrastiveBatch(xa, xp, labels, validate=False)
             value, _ = grad_loss(batch, table, temps, head)
             return value
 
-        _, grads = grad_loss(ContrastiveBatch(xa, xp, labels, validate=False), table, temps, head)
+        _, grads = grad_loss(batch, table, temps, head)
         assert _rel_err(grads.d_w1, _numeric_gradient(loss_now, head.w1)) < 1e-5
         assert _rel_err(grads.d_w2, _numeric_gradient(loss_now, head.w2)) < 1e-5
         assert _rel_err(grads.d_anchors, _numeric_gradient(loss_now, xa)) < 1e-5
@@ -389,6 +389,32 @@ def test_train_toy_needs_two_labels():
                   Temperatures(), epochs=1, seed=0)
 
 
+@pytest.mark.filterwarnings("error")
+def test_train_toy_rejects_a_batch_size_below_two():
+    items = [TrainItem(text="hello there", action="greeting"), TrainItem(text="hi", action="greeting"),
+             TrainItem(text="bye now", action="good_bye")]
+    with pytest.raises(InputError, match="batch_size=1"):
+        train_toy(items, init_toy_encoder(m=128, n=8, seed=0), [init_head(8, 4, seed=0)],
+                  Temperatures(), epochs=2, seed=0, batch_size=1)
+
+
+def test_train_toy_smallest_batch_size_trains_every_epoch():
+    items = [TrainItem(text="hello there", action="greeting"), TrainItem(text="bye now", action="good_bye")]
+    encoder = init_toy_encoder(m=128, n=8, seed=0)
+    result = train_toy(items, encoder, [init_head(8, 4, seed=0)], Temperatures(tau=0.3), epochs=2,
+                       lr_encoder=0.05, seed=0, batch_size=2)
+    assert len(result.loss_curve) == 2 and np.isfinite(result.loss_curve).all()
+    assert not np.array_equal(result.encoder.weights, encoder.weights)
+
+
+@pytest.mark.parametrize("n_heads", [0, 2])
+def test_train_toy_trains_exactly_one_head(n_heads):
+    items = single_items(_two_label_rows(4, per=4))
+    heads = [init_head(8, 4, seed=s) for s in range(n_heads)]
+    with pytest.raises(InputError, match=f"exactly one projection head, got {n_heads}"):
+        train_toy(items, init_toy_encoder(m=128, n=8, seed=0), heads, Temperatures(), epochs=1)
+
+
 def _reference_sgd(feats, labels, table, encoder, heads, temps, epochs, lr_head, lr_encoder, seed, batch_size):
     """The dense training loop `_sgd` reproduces: every step multiplies the
     full (m, n) weights, and positives are drawn one scalar call at a time."""
@@ -442,13 +468,13 @@ def test_sgd_matches_the_dense_reference_loop(soft, seed, n_items, batch_size):
     # 33 items in batches of 16 end in a batch of 1, which both loops skip
     items = _sgd_items(seed, n_items)
     encoder = init_toy_encoder(m=256, n=8, seed=seed)
-    heads = [init_head(8, 4, seed=seed)]
+    head = init_head(8, 4, seed=seed)
     temps = Temperatures(tau=0.3, tau_label=0.5)
     rows, inverse, labels, table = _train_set(items, encoder, soft)
     assert np.bincount(labels).min() == 1
-    args = (table, encoder, heads, temps, 4, 0.1, 0.05, seed, batch_size)
-    fast = _sgd(rows, inverse, labels, *args)
-    slow = _reference_sgd(rows[inverse], labels, *args)
+    rest = (temps, 4, 0.1, 0.05, seed, batch_size)
+    fast = _sgd(rows, inverse, labels, table, encoder, head, *rest)
+    slow = _reference_sgd(rows[inverse], labels, table, encoder, [head], *rest)
     assert len(fast.loss_curve) == 4
     assert np.max(np.abs(np.array(fast.loss_curve) - slow.loss_curve)) < 1e-12
     assert np.max(np.abs(fast.encoder.weights - slow.encoder.weights)) < 1e-12
@@ -459,7 +485,7 @@ def test_sgd_returns_the_rows_of_unused_columns_bit_for_bit():
     items = _sgd_items(3, 24)
     encoder = init_toy_encoder(m=512, n=8, seed=3)
     rows, inverse, labels, table = _train_set(items, encoder, soft=True)
-    trained = _sgd(rows, inverse, labels, table, encoder, [init_head(8, 4, seed=3)],
+    trained = _sgd(rows, inverse, labels, table, encoder, init_head(8, 4, seed=3),
                    Temperatures(tau=0.3), 3, 0.1, 0.05, 3, 8).encoder.weights
     used = rows.any(axis=0)
     assert 0 < used.sum() < len(used)
@@ -504,4 +530,4 @@ def test_label_table_diagonal_is_row_max():
 
 def test_default_head_dimensions():
     head = init_head(seed=0)
-    assert head.n == 768 and head.d == 128
+    assert head.w1.shape == (768, 768) and head.w2.shape == (768, 128)
