@@ -190,16 +190,13 @@ def save_binary(store: EmbeddingStore, path: str) -> None:
     """Binary layout: magic 'D2FV', version u8, dim u32 LE, count u64 LE,
     then per record: id length u16 LE, UTF-8 id, dim little-endian f32."""
     ids = store.ids()
+    vectors = store.array.astype("<f4")
+    parts = [BINARY_MAGIC, struct.pack("<BIQ", BINARY_VERSION, store.dim, len(ids))]
+    for uid, row in zip(ids, store.rows(ids).tolist()):
+        raw = uid.encode("utf-8")
+        parts += (struct.pack("<H", len(raw)), raw, vectors[row].tobytes())
     with open(path, "wb") as fh:
-        fh.write(BINARY_MAGIC)
-        fh.write(struct.pack("<B", BINARY_VERSION))
-        fh.write(struct.pack("<I", store.dim))
-        fh.write(struct.pack("<Q", len(ids)))
-        for uid in ids:
-            raw = uid.encode("utf-8")
-            fh.write(struct.pack("<H", len(raw)))
-            fh.write(raw)
-            fh.write(np.asarray(store.vectors[uid], dtype="<f4").tobytes())
+        fh.write(b"".join(parts))
 
 
 def _load_binary(path: str) -> EmbeddingStore:

@@ -5,12 +5,13 @@ desk-scale training.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
 from .corpus import ActionLabel, AnnotatedUtterance, UnifiedDialog, utterance_id
-from .embedding import EmbeddingStore
+from .embedding import EmbeddingStore, _Rows
 from .errors import InputError
 from .seeding import substream
 
@@ -28,22 +29,15 @@ class PlantedFlow:
 
 
 def _orthonormal_rows(k: int, dim: int, rng: np.random.Generator) -> np.ndarray:
-    if k > dim:
-        raise InputError(f"cannot fit {k} orthonormal rows in dimension {dim}")
     q, _ = np.linalg.qr(rng.standard_normal((dim, k)))
     return q.T[:k]
 
 
-def _sample_around(center: np.ndarray, max_angle_rad: float, rng: np.random.Generator) -> np.ndarray:
-    """Unit vector at an angle <= max_angle_rad from the unit center."""
-    tangent = rng.standard_normal(center.shape)
-    tangent -= np.dot(tangent, center) * center
-    norm = np.linalg.norm(tangent)
-    if norm == 0.0:
-        return center.copy()
-    tangent /= norm
-    theta = rng.uniform(0.0, max_angle_rad)
-    return np.cos(theta) * center + np.sin(theta) * tangent
+def _cdf(p: np.ndarray) -> list[float]:
+    """The normalized cumulative sum `Generator.choice(k, p=p)` bisects."""
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return cdf.tolist()
 
 
 def planted_flow(
@@ -58,10 +52,30 @@ def planted_flow(
 ) -> PlantedFlow:
     """Plant k_user + k_system action clusters on the sphere (orthogonal
     centroids, so 90 degrees apart; per-point dispersion bounded) and emit
-    dialogs from a seeded user/system-alternating transition chain."""
+    dialogs from a seeded user/system-alternating transition chain.
+
+    Each turn's vector lies at an angle drawn uniformly from
+    [0, max_dispersion_deg] from its action's centre, in a random direction.
+    The per-turn loop only draws (the next state, the direction, the angle);
+    the geometry runs over all turns at once, with the same floating-point
+    operations a turn-by-turn computation does, so the vectors are
+    bit-identical to it for a given BLAS.
+    """
+    for name, k in (("k_user", k_user), ("k_system", k_system)):
+        if k < 1:
+            raise InputError(f"{name} must be >= 1, got {k}")
+    if k_user + k_system > dim:
+        raise InputError(f"k_user + k_system must be <= dim, got {k_user} + {k_system} > {dim}")
+    if n_dialogs < 0:
+        raise InputError(f"n_dialogs must be >= 0, got {n_dialogs}")
+    if min_len < 1:
+        raise InputError(f"min_len must be >= 1 (a dialog needs a turn), got {min_len}")
+    if min_len > max_len:
+        raise InputError(f"min_len must be <= max_len, got {min_len} > {max_len}")
+    if not 0.0 <= max_dispersion_deg < np.inf:
+        raise InputError(f"max_dispersion_deg must be a finite number >= 0, got {max_dispersion_deg}")
     rng = substream(seed, "planted-flow")
     centers = _orthonormal_rows(k_user + k_system, dim, rng)
-    user_centers, system_centers = centers[:k_user], centers[k_user:]
     user_actions = [ActionLabel.make("inform", [f"field_{u}"]) for u in range(k_user)]
     system_actions = [ActionLabel.make("request", [f"field_{s}"]) for s in range(k_system)]
 
@@ -74,41 +88,74 @@ def planted_flow(
     s_to_u = rng.random((k_system, k_user)) + 0.5
     s_to_u /= s_to_u.sum(axis=1, keepdims=True)
 
-    max_angle = np.deg2rad(max_dispersion_deg)
+    start_cdf = _cdf(start_p)
+    # per side (user turns at even positions, system turns at odd ones):
+    # each state's next-state CDF, its turn, and its centre row
+    next_cdf = ([_cdf(row) for row in u_to_s], [_cdf(row) for row in s_to_u])
+    turn_of = [
+        [
+            AnnotatedUtterance(
+                speaker=speaker,
+                text=f"{speaker} utterance about {action.render()}",
+                domains=("synthetic",),
+                acts=(action.act,),
+                main_acts=(action.act,),
+                original_acts=(action.act,),
+                slots=action.slots,
+            )
+            for action in actions
+        ]
+        for speaker, actions in (("user", user_actions), ("system", system_actions))
+    ]
+    first_center = (0, k_user)
+    # strided row views of `centers`: BLAS sums a strided dot product
+    # differently from a contiguous one, so the projections use these
+    center_rows = list(centers)
+
+    tangents = np.empty((n_dialogs * max_len, dim))
+    dots: list[float] = []  # tangent . centre
+    uniforms: list[float] = []  # the angle's draw in [0, 1)
+    which: list[int] = []  # centre row
+    index: dict[str, int] = {}
     dialogs: list[UnifiedDialog] = []
-    vectors: dict[str, np.ndarray] = {}
+    random, normal, dot = rng.random, rng.standard_normal, np.dot
+    row = 0
     for d in range(n_dialogs):
         dialog_id = f"dlg{d:04d}"
         length = int(rng.integers(min_len, max_len + 1))
         turns = []
-        state = int(rng.choice(k_user, p=start_p))
+        state = bisect_right(start_cdf, random())
         for i in range(length):
-            is_user = i % 2 == 0
-            if is_user:
-                action = user_actions[state]
-                center = user_centers[state]
-                speaker = "user"
-                nxt = int(rng.choice(k_system, p=u_to_s[state]))
-            else:
-                action = system_actions[state]
-                center = system_centers[state]
-                speaker = "system"
-                nxt = int(rng.choice(k_user, p=s_to_u[state]))
-            turns.append(
-                AnnotatedUtterance(
-                    speaker=speaker,
-                    text=f"{speaker} utterance about {action.render()}",
-                    domains=("synthetic",),
-                    acts=(action.act,),
-                    main_acts=(action.act,),
-                    original_acts=(action.act,),
-                    slots=action.slots,
-                )
-            )
-            vectors[utterance_id(dialog_id, i)] = _sample_around(center, max_angle, rng)
-            state = nxt
+            side = i % 2
+            c = first_center[side] + state
+            turns.append(turn_of[side][state])
+            state = bisect_right(next_cdf[side][state], random())
+            dots.append(dot(normal(out=tangents[row]), center_rows[c]))
+            uniforms.append(random())
+            which.append(c)
+            index[utterance_id(dialog_id, i)] = row
+            row += 1
         dialogs.append(UnifiedDialog(dialog_id=dialog_id, turns=tuple(turns)))
-    store = EmbeddingStore(dim=dim, vectors=vectors, normalized=True)
+
+    # v = cos(theta) c + sin(theta) t / |t|, t the tangent less its
+    # projection on the centre c, in two (turns, dim) buffers
+    tangents = tangents[:row]
+    which_rows = np.array(which, dtype=np.intp)
+    vectors = centers.take(which_rows, axis=0)
+    vectors *= np.array(dots)[:, None]
+    tangents -= vectors
+    # each row's dot with itself, summed as np.linalg.norm sums it (see embedding._normalize_rows)
+    norms = np.sqrt((tangents[:, None, :] @ tangents[:, :, None]).ravel())
+    theta = np.array(uniforms) * np.deg2rad(max_dispersion_deg)
+    cos, sin = np.cos(theta), np.sin(theta)
+    zero = norms == 0.0  # a tangent along the centre (probability 0): the centre itself
+    norms[zero], cos[zero], sin[zero] = 1.0, 1.0, 0.0
+    tangents /= norms[:, None]
+    tangents *= sin[:, None]
+    centers.take(which_rows, axis=0, out=vectors)
+    vectors *= cos[:, None]
+    vectors += tangents
+    store = EmbeddingStore(dim=dim, vectors=_Rows(index, vectors), normalized=True)
     return PlantedFlow(
         dialogs=dialogs,
         store=store,

@@ -134,6 +134,31 @@ def test_binary_roundtrip_bit_identical(tmp_path):
         assert p1.read_bytes() == p2.read_bytes()
 
 
+def _reference_save_binary(store: EmbeddingStore, path: str) -> None:
+    """One write per field, each vector cast to f32 on its own."""
+    ids = store.ids()
+    with open(path, "wb") as fh:
+        fh.write(b"D2FV")
+        fh.write(struct.pack("<B", 1))
+        fh.write(struct.pack("<I", store.dim))
+        fh.write(struct.pack("<Q", len(ids)))
+        for uid in ids:
+            raw = uid.encode("utf-8")
+            fh.write(struct.pack("<H", len(raw)))
+            fh.write(raw)
+            fh.write(np.asarray(store.vectors[uid], dtype="<f4").tobytes())
+
+
+def test_save_binary_matches_the_per_field_writer(tmp_path):
+    rng = np.random.default_rng(9)
+    for n in (0, 1, 7, 40):
+        ids = [f"d{i}:café{rng.integers(100)}-{i}" for i in rng.permutation(n)]  # rows out of id order
+        store = build_store([(uid, rng.standard_normal(5) * 1e3) for uid in ids])
+        save_embeddings(store, str(tmp_path / "got.bin"), format="binary")
+        _reference_save_binary(store, str(tmp_path / "want.bin"))
+        assert (tmp_path / "got.bin").read_bytes() == (tmp_path / "want.bin").read_bytes()
+
+
 def test_load_order_independent(tmp_path):
     lines = ['{"id": "a", "vector": [1, 0]}', '{"id": "b", "vector": [0, 1]}']
     p1 = tmp_path / "fwd.jsonl"
