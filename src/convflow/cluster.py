@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embedding import EmbeddingStore
-from .errors import InfeasibleError, InputError, InsufficientDataError, RangeError
+from .errors import InputError
 from .seeding import substream
 
 KMEANS_MAX_ITER = 300
@@ -86,7 +86,7 @@ def kmeans(
     if k < 1:
         raise InputError("k must be >= 1")
     if k > len(ids):
-        raise InfeasibleError(f"k={k} exceeds {len(ids)} items")
+        raise InputError(f"k={k} exceeds {len(ids)} items")
     x = store.matrix(list(ids))
     rng = substream(seed, "kmeans", k)
     centroids = _kmeans_pp_init(x, k, rng)
@@ -149,7 +149,7 @@ def agglomerative(store: EmbeddingStore, ids: list[str]) -> Dendrogram:
     lower. Memory is O(n^2); time is O(n^2) unless many rows share the
     merged pair as their nearest neighbour, up to O(n^3) when all do."""
     if len(ids) < 2:
-        raise InsufficientDataError("agglomerative clustering needs at least 2 items")
+        raise InputError("agglomerative clustering needs at least 2 items")
     x = store.matrix(list(ids))
     n = len(ids)
     active = x @ x.T
@@ -205,11 +205,11 @@ def cut(
     n = len(dendrogram.leaves)
     if n_clusters is not None:
         if not 1 <= n_clusters <= n:
-            raise RangeError(f"n_clusters must be in [1, {n}], got {n_clusters}")
+            raise InputError(f"n_clusters must be in [1, {n}], got {n_clusters}")
         applied_count = n - n_clusters
     else:
         if distance_threshold < 0:
-            raise RangeError("distance_threshold must be >= 0")
+            raise InputError("distance_threshold must be >= 0")
         applied_count = 0
         for merge in dendrogram.merges:  # merge distances are non-decreasing
             if merge[2] <= distance_threshold:

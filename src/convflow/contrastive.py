@@ -20,13 +20,7 @@ import numpy as np
 
 from .corpus import ActionLabel
 from .embedding import build_store, hashed_bow_vector, l2_normalize
-from .errors import (
-    DegenerateProjectionError,
-    DegenerateTaskError,
-    EmptyInputError,
-    InputError,
-    ShapeError,
-)
+from .errors import DegenerateProjectionError, InputError
 from .evaluation import LabeledEmbeddings, evaluate_labeled
 from .seeding import substream
 
@@ -70,9 +64,9 @@ class ContrastiveBatch:
     def __post_init__(self):
         a, p = np.asarray(self.anchors), np.asarray(self.positives)
         if a.ndim != 2 or a.shape != p.shape:
-            raise ShapeError(f"anchors {a.shape} and positives {p.shape} must be equal 2-d shapes")
+            raise InputError(f"anchors {a.shape} and positives {p.shape} must be equal 2-d shapes")
         if len(self.labels) != a.shape[0]:
-            raise ShapeError("one label per anchor required")
+            raise InputError("one label per anchor required")
         for name, m in (("anchors", a), ("positives", p)):
             norms = np.linalg.norm(m, axis=1)
             if m.shape[0] and np.max(np.abs(norms - 1.0)) > 1e-6:
@@ -144,7 +138,7 @@ def build_label_table(texts: list[str], dim: int = 256) -> LabelTable:
     """Embed label texts as hashed bag-of-words vectors and precompute the
     symmetric delta matrix of pairwise dots."""
     if not texts:
-        raise EmptyInputError("label table needs at least one label")
+        raise InputError("label table needs at least one label")
     # hashed_bow_vector is already unit-norm; normalizing again still moves
     # last bits, and the sweep's results depend on them
     embs = np.stack([l2_normalize(hashed_bow_vector(t, dim)) for t in texts])
@@ -189,7 +183,7 @@ def _cross_entropy(anchors, positives, labels, table: LabelTable | None, temps: 
     log-softmax of anchor-positive dots / tau, and the per-anchor
     cross-entropy between them."""
     if len(labels) == 0:
-        raise EmptyInputError("empty contrastive batch")
+        raise InputError("empty contrastive batch")
     targets = hard_targets(labels) if table is None else soft_targets(labels, table, temps.tau_label)
     log_q = _log_softmax_rows((np.asarray(anchors) @ np.asarray(positives).T) / temps.tau)
     return -(targets * log_q).sum(axis=1), targets, log_q
@@ -323,7 +317,7 @@ def _train_set(items: list[TrainItem], encoder: ToyEncoder, soft: bool):
     ids (indices into the sorted actions) and, when `soft`, the label table."""
     actions = sorted({it.action for it in items})
     if len(actions) < 2:
-        raise DegenerateTaskError("training needs at least 2 distinct action labels")
+        raise InputError("training needs at least 2 distinct action labels")
     index = {a: i for i, a in enumerate(actions)}
     labels = np.array([index[it.action] for it in items])
     rows, inverse = _distinct_features([it.text for it in items], encoder.m)

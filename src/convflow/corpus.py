@@ -14,13 +14,7 @@ import re
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring as _encode  # the C escaper behind ensure_ascii=False
 
-from .errors import (
-    InputError,
-    MissingAnnotationError,
-    ParseError,
-    SchemaError,
-    UnknownActError,
-)
+from .errors import InputError
 
 SPEAKERS = ("user", "system")
 
@@ -171,7 +165,7 @@ def standardize_act(raw: str, table: ActMappingTable | None = None, permissive: 
     if standard is None:
         if permissive:
             return key, key
-        raise UnknownActError(f"unknown dialog act '{raw}'")
+        raise InputError(f"unknown dialog act '{raw}'")
     parent = table.standard_to_parent.get(standard, standard)
     return standard, parent
 
@@ -210,8 +204,8 @@ def load_table(path: str) -> ActMappingTable:
 # Parsing and serialization
 # ---------------------------------------------------------------------------
 
-def _schema_error(dialog_id: str, index: int, what: str) -> SchemaError:
-    return SchemaError(f"dialog '{dialog_id}' turn {index}: {what}", dialog_id, index)
+def _schema_error(dialog_id: str, index: int, what: str) -> InputError:
+    return InputError(f"dialog '{dialog_id}' turn {index}: {what}")
 
 
 def _str_list(value, key: str, dialog_id: str, index: int) -> tuple[str, ...]:
@@ -268,34 +262,30 @@ _TURN_STRINGS = ("text", "domains", "acts", "main_acts", "original_acts", "slots
 
 
 def _reject_unpaired_surrogates(dialogs: list[UnifiedDialog]) -> None:
-    """Raise SchemaError on the first kept string that cannot be written
+    """Raise InputError on the first kept string that cannot be written
     back as UTF-8."""
     for dialog in dialogs:
         if _SURROGATE.search(dialog.dialog_id):
-            raise SchemaError(f"dialog {dialog.dialog_id!r}: id holds an unpaired surrogate", dialog.dialog_id)
+            raise InputError(f"dialog {dialog.dialog_id!r}: id holds an unpaired surrogate")
         for index, turn in enumerate(dialog.turns):
             for name in _TURN_STRINGS:
                 value = getattr(turn, name)
                 if any(_SURROGATE.search(s) for s in ([value] if name == "text" else value)):
-                    raise SchemaError(
-                        f"dialog '{dialog.dialog_id}' turn {index}: '{name}' holds an unpaired surrogate",
-                        dialog.dialog_id,
-                        index,
-                    )
+                    raise _schema_error(dialog.dialog_id, index, f"'{name}' holds an unpaired surrogate")
 
 
 def parse_unified(document: bytes | str) -> list[UnifiedDialog]:
     """Parse a unified-format document into dialogs, in file order.
 
     The "stats" header is ignored (always recomputed); unknown extra fields
-    are ignored. Malformed JSON raises ParseError with the byte offset;
+    are ignored. Malformed JSON raises InputError naming the byte offset;
     schema violations, among them a kept string holding an unpaired
-    surrogate, raise SchemaError naming the dialog and turn.
+    surrogate, raise InputError naming the dialog and turn.
     """
     try:
         text = document.decode("utf-8") if isinstance(document, bytes) else document
     except UnicodeDecodeError as exc:
-        raise ParseError(f"document is not UTF-8 at byte {exc.start}", exc.start) from exc
+        raise InputError(f"document is not UTF-8 at byte {exc.start}") from exc
     # ~30 acyclic containers a turn keep gen-0 collections rescanning the tree; refcounting frees them all
     was_enabled = gc.isenabled()
     gc.disable()
@@ -314,16 +304,16 @@ def _parse_dialogs(text: str) -> list[UnifiedDialog]:
         root = json.loads(text)
     except json.JSONDecodeError as exc:
         byte_offset = len(text[: exc.pos].encode("utf-8"))
-        raise ParseError(f"malformed document at byte {byte_offset}: {exc.msg}", byte_offset) from exc
+        raise InputError(f"malformed document at byte {byte_offset}: {exc.msg}") from exc
     if not isinstance(root, dict) or "dialogs" not in root:
-        raise SchemaError("document must be an object with a 'dialogs' key")
+        raise InputError("document must be an object with a 'dialogs' key")
     dialogs_obj = root["dialogs"]
     if not isinstance(dialogs_obj, dict):
-        raise SchemaError("'dialogs' must map dialog ids to turn lists")
+        raise InputError("'dialogs' must map dialog ids to turn lists")
     dialogs: list[UnifiedDialog] = []
     for dialog_id, turns_obj in dialogs_obj.items():
         if not isinstance(turns_obj, list) or not turns_obj:
-            raise SchemaError(f"dialog '{dialog_id}': turns must be a non-empty list", dialog_id)
+            raise InputError(f"dialog '{dialog_id}': turns must be a non-empty list")
         turns = tuple([_parse_turn(t, dialog_id, i) for i, t in enumerate(turns_obj)])
         dialogs.append(UnifiedDialog(dialog_id=dialog_id, turns=turns))
     return dialogs
@@ -461,7 +451,7 @@ def action_of(utt: AnnotatedUtterance) -> ActionLabel:
     """The utterance's action: sorted acts joined with '+', slots deduped
     and sorted. Slot order in the input never affects the result."""
     if not utt.acts:
-        raise MissingAnnotationError(f"utterance {utt.text!r} has no act annotation")
+        raise InputError(f"utterance {utt.text!r} has no act annotation")
     act = "+".join(sorted(set(utt.acts)))
     return ActionLabel.make(act, list(utt.slots))
 

@@ -18,13 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import remote
-from .errors import (
-    ConflictError,
-    DegenerateVectorError,
-    FormatError,
-    InputError,
-    ProtocolError,
-)
+from .errors import InputError, RemoteError
 
 BINARY_MAGIC = b"D2FV"
 BINARY_VERSION = 1
@@ -40,7 +34,7 @@ def l2_normalize(v: np.ndarray) -> np.ndarray:
     v = np.asarray(v, dtype=np.float64)
     norm = float(np.linalg.norm(v))
     if norm == 0.0:
-        raise DegenerateVectorError("cannot normalize the zero vector")
+        raise InputError("cannot normalize the zero vector")
     return v / norm
 
 
@@ -51,7 +45,7 @@ def _normalize_rows(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     differently). `out=x` works in place."""
     norms = np.sqrt((x[:, None, :] @ x[:, :, None]).ravel())
     if (norms == 0.0).any():
-        raise DegenerateVectorError("cannot normalize the zero vector")
+        raise InputError("cannot normalize the zero vector")
     with np.errstate(invalid="ignore"):  # a non-finite row turns into NaN, which the store rejects
         return np.divide(x, norms[:, None], out=out)
 
@@ -80,7 +74,7 @@ class EmbeddingStore:
 
     `vectors` may be any id -> vector mapping; the store copies it into its
     matrix and keeps `vectors` as a read-only id -> row mapping. A
-    non-finite value raises FormatError.
+    non-finite value raises InputError.
     """
 
     dim: int
@@ -95,7 +89,7 @@ class EmbeddingStore:
             object.__setattr__(self, "vectors", rows)
         finite = np.isfinite(rows.matrix).all(axis=1)
         if not finite.all():
-            raise FormatError(f"vector '{list(rows)[np.argmin(finite)]}' holds a non-finite value")
+            raise InputError(f"vector '{list(rows)[np.argmin(finite)]}' holds a non-finite value")
 
     def __len__(self) -> int:
         return len(self.vectors)
@@ -140,9 +134,9 @@ def build_store(pairs: list[tuple[str, np.ndarray]], normalize: bool = False) ->
     for row, (uid, vec) in enumerate(pairs):
         arr = np.asarray(vec, dtype=np.float64).ravel()
         if arr.shape[0] != dim:
-            raise FormatError(f"record '{uid}' has dim {arr.shape[0]}, expected {dim}")
+            raise InputError(f"record '{uid}' has dim {arr.shape[0]}, expected {dim}")
         if uid in index:
-            raise ConflictError(f"duplicate id '{uid}'")
+            raise InputError(f"duplicate id '{uid}'")
         index[uid] = row
         matrix[row] = arr
     if normalize:
@@ -169,19 +163,19 @@ def _load_jsonl(path: str) -> list[tuple[str, np.ndarray]]:
             try:
                 line = raw.decode("utf-8").strip()
             except UnicodeDecodeError as exc:
-                raise FormatError(f"{path}:{lineno}: not UTF-8 at byte {exc.start} of the line") from exc
+                raise InputError(f"{path}:{lineno}: not UTF-8 at byte {exc.start} of the line") from exc
             if not line:
                 continue
             try:
                 rec = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise FormatError(f"{path}:{lineno}: invalid json ({exc.msg})") from exc
+                raise InputError(f"{path}:{lineno}: invalid json ({exc.msg})") from exc
             if not isinstance(rec, dict) or "id" not in rec or "vector" not in rec:
-                raise FormatError(f"{path}:{lineno}: record needs 'id' and 'vector'")
+                raise InputError(f"{path}:{lineno}: record needs 'id' and 'vector'")
             try:  # array("d") takes JSON numbers only: no strings, nulls or lists
                 vec = np.frombuffer(array("d", rec["vector"]))
             except (TypeError, OverflowError) as exc:
-                raise FormatError(f"{path}:{lineno}: 'vector' must be a list of numbers") from exc
+                raise InputError(f"{path}:{lineno}: 'vector' must be a list of numbers") from exc
             pairs.append((str(rec["id"]), vec))
     return pairs
 
@@ -203,37 +197,37 @@ def _load_binary(path: str) -> EmbeddingStore:
     with open(path, "rb") as fh:
         data = fh.read()
     if data[:4] != BINARY_MAGIC:
-        raise FormatError(f"{path}: bad magic bytes {data[:4]!r}")
+        raise InputError(f"{path}: bad magic bytes {data[:4]!r}")
     if len(data) < 17:
-        raise FormatError(f"{path}: truncated header")
+        raise InputError(f"{path}: truncated header")
     version = data[4]
     if version != BINARY_VERSION:
-        raise FormatError(f"{path}: unsupported version {version}")
+        raise InputError(f"{path}: unsupported version {version}")
     dim, count = struct.unpack_from("<IQ", data, 5)
     if count * (2 + 4 * dim) > len(data) - 17:
-        raise FormatError(f"{path}: {count} records of dim {dim} do not fit in {len(data)} bytes")
+        raise InputError(f"{path}: {count} records of dim {dim} do not fit in {len(data)} bytes")
     matrix = np.empty((count, dim))
     index: dict[str, int] = {}
     off = 17
     for row in range(count):
         if off + 2 > len(data):
-            raise FormatError(f"{path}: truncated record header at byte {off}")
+            raise InputError(f"{path}: truncated record header at byte {off}")
         (id_len,) = struct.unpack_from("<H", data, off)
         off += 2
         try:
             uid = data[off : off + id_len].decode("utf-8")
         except UnicodeDecodeError as exc:
-            raise FormatError(f"{path}: the id at byte {off} is not valid UTF-8") from exc
+            raise InputError(f"{path}: the id at byte {off} is not valid UTF-8") from exc
         off += id_len
         if off + 4 * dim > len(data):
-            raise FormatError(f"{path}: truncated vector for id '{uid}'")
+            raise InputError(f"{path}: truncated vector for id '{uid}'")
         if uid in index:
-            raise ConflictError(f"duplicate id '{uid}'")
+            raise InputError(f"duplicate id '{uid}'")
         index[uid] = row
         matrix[row] = np.frombuffer(data, dtype="<f4", count=dim, offset=off)
         off += 4 * dim
     if off != len(data):
-        raise FormatError(f"{path}: {len(data) - off} bytes after the {count} declared records")
+        raise InputError(f"{path}: {len(data) - off} bytes after the {count} declared records")
     return EmbeddingStore(dim=dim, vectors=_Rows(index, matrix))
 
 
@@ -277,7 +271,7 @@ def hashed_bow_vector(text: str, dim: int, normalize: bool = True) -> np.ndarray
     if not normalize:
         return v
     if not v.any():
-        raise DegenerateVectorError(f"text {text!r} hashes to the zero vector")
+        raise InputError(f"text {text!r} hashes to the zero vector")
     return l2_normalize(v)
 
 
@@ -305,7 +299,7 @@ def fetch_remote(
     texts per request, sent by `remote.post_json` (bearer auth; HTTP 5xx and
     connection failures retried 3 times with 0.5 s doubling backoff). A vector
     that is not a list of finite numbers, or vectors of different lengths,
-    raise ProtocolError. With `cache_dir`, each vector is cached under
+    raise RemoteError. With `cache_dir`, each vector is cached under
     sha256(endpoint "\n" text), written atomically; an unreadable entry is a miss.
     """
     if ids is None:
@@ -320,10 +314,10 @@ def fetch_remote(
         got = remote.post_json(endpoint, {"texts": [texts[i] for i in chunk]}, token).get("vectors")
         got = [_numeric_vector(vec) for vec in got] if isinstance(got, list) else []
         if len(got) != len(chunk) or any(vec is None for vec in got):
-            raise ProtocolError(f"the reply does not hold {len(chunk)} vectors of finite numbers")
+            raise RemoteError(f"the reply does not hold {len(chunk)} vectors of finite numbers")
         for i, vec in zip(chunk, got):
             vectors[i] = vec
             remote.cache_put(cache_dir, [endpoint, texts[i]], {"vector": vec.tolist()})
     if len({len(vec) for vec in vectors}) > 1:
-        raise ProtocolError("the encoder returned vectors of different lengths")
+        raise RemoteError("the encoder returned vectors of different lengths")
     return build_store(list(zip(ids, vectors)))

@@ -14,7 +14,7 @@ import numpy as np
 
 from .corpus import ActionLabel
 from .embedding import EmbeddingStore
-from .errors import CoverageError, InputError, InsufficientDataError
+from .errors import InputError
 from .seeding import substream
 
 
@@ -41,10 +41,7 @@ class LabeledEmbeddings:
             raise InputError("evaluation requires a normalized store")
         missing = sorted(uid for uid in self.labels if uid not in self.store)
         if missing:
-            raise CoverageError(
-                f"{len(missing)} labeled ids missing from the store: {missing[:5]}...",
-                missing_ids=missing,
-            )
+            raise InputError(f"{len(missing)} labeled ids missing from the store: {missing[:5]}...")
 
     @cached_property
     def layout(self) -> Layout:
@@ -71,7 +68,7 @@ def anisotropy(vectors: np.ndarray) -> float:
     x = np.asarray(vectors, dtype=np.float64)
     n = x.shape[0]
     if n < 2:
-        raise InsufficientDataError("anisotropy needs at least 2 vectors")
+        raise InputError("anisotropy needs at least 2 vectors")
     gram = x @ x.T
     off = float(gram.sum() - np.trace(gram))
     return abs(off) / (n * n - n)
@@ -95,7 +92,7 @@ def intra_inter_anisotropy(data: LabeledEmbeddings) -> AnisotropyReport:
     """
     layout = data.layout
     if len(layout.actions) < 2:
-        raise InsufficientDataError("need at least 2 actions")
+        raise InputError("need at least 2 actions")
     sums = np.empty((len(layout.actions), data.store.dim))
     squares = np.empty(len(layout.actions))
     for a, members in enumerate(layout.members):
@@ -105,7 +102,7 @@ def intra_inter_anisotropy(data: LabeledEmbeddings) -> AnisotropyReport:
     n = np.array([len(m) for m in layout.members], dtype=np.float64)
     multi = n >= 2
     if not multi.any():
-        raise InsufficientDataError("no action has 2 or more embeddings")
+        raise InputError("no action has 2 or more embeddings")
     off = np.einsum("ij,ij->i", sums, sums) - squares
     intra = float(np.mean(np.abs(off[multi]) / (n[multi] * n[multi] - n[multi])))
     cross = np.abs(sums @ sums.T) / np.outer(n, n)
@@ -154,7 +151,7 @@ def prototype_classify(data: LabeledEmbeddings, k: int, seed: int = 0) -> Classi
         included.append(action)
         eval_rows.append(layout.rows[members[~picked]])
     if not included:
-        raise InsufficientDataError(f"no action has more than k={k} embeddings")
+        raise InputError(f"no action has more than k={k} embeddings")
     gold = np.repeat(np.arange(len(included)), [len(r) for r in eval_rows])
     sims = data.store.array.take(np.concatenate(eval_rows), axis=0) @ np.stack(prototypes).T
     predicted = np.argmax(sims, axis=1)  # first max wins: lowest action index
@@ -212,7 +209,7 @@ def ndcg_ranking(
     eligible = [a for a, members in enumerate(layout.members) if len(members) >= 2]
     excluded = len(layout.actions) - len(eligible)
     if not eligible:
-        raise InsufficientDataError("no action has 2 or more embeddings")
+        raise InputError("no action has 2 or more embeddings")
     # rank over the store's own rows, so no copy is made; unlabeled rows rank last
     matrix = data.store.array
     position = np.full(len(matrix), -1)  # store row -> position in layout.ids
@@ -283,6 +280,8 @@ def evaluate(
     """Run the full metric battery with per-stage seed substreams."""
     if ndcg_k < 1 or repetitions < 1:
         raise InputError(f"ndcg_k and repetitions must be >= 1, got {ndcg_k} and {repetitions}")
+    if not kshots or len(set(kshots)) != len(kshots):
+        raise InputError(f"kshot must be a non-empty list of distinct shot counts, got {list(kshots)}")
     aniso = intra_inter_anisotropy(data)
     f1_macro: dict[int, tuple[float, float]] = {}
     accuracy: dict[int, tuple[float, float]] = {}

@@ -21,8 +21,7 @@ from dataclasses import dataclass, field
 from . import remote
 from .cluster import Clustering
 from .corpus import UnifiedDialog, action_of, utterance_id
-from .errors import CoverageError, EmptyInputError, InputError, UndefinedMetricError
-from .errors import ProtocolError, RemoteError, UnavailableError
+from .errors import InputError, RemoteError, UnavailableError
 
 DEFAULT_EPSILON = 0.02
 
@@ -74,7 +73,7 @@ class FlowGraph:
 def trajectories_gold(dialogs: list[UnifiedDialog]) -> list[Trajectory]:
     """Trajectories from ground-truth annotations; the step action is the
     canonical action string prefixed with the speaker role. An unannotated
-    turn raises MissingAnnotationError."""
+    turn raises InputError."""
     shared: dict[tuple, TrajectoryStep] = {}  # (speaker, acts, slots) -> the step
     out = []
     for dialog in dialogs:
@@ -104,7 +103,7 @@ def trajectories_induced(
             uid = utterance_id(dialog.dialog_id, i)
             clustering = clustering_user if turn.speaker == "user" else clustering_system
             if uid not in clustering.assignment:
-                raise CoverageError(f"utterance '{uid}' has no cluster assignment", [uid])
+                raise InputError(f"utterance '{uid}' has no cluster assignment")
             prefix = "U" if turn.speaker == "user" else "S"
             steps.append(TrajectoryStep(speaker=turn.speaker, action=f"{prefix}{clustering.assignment[uid]}"))
         out.append(Trajectory(dialog_id=dialog.dialog_id, steps=tuple(steps)))
@@ -141,7 +140,7 @@ def build_graph(trajectories: list[Trajectory]) -> FlowGraph:
             edge_counts[key] = edge_counts.get(key, 0) + 1
             out_totals[a.action] = out_totals.get(a.action, 0) + 1
     if total_steps == 0:
-        raise EmptyInputError("no non-empty trajectories")
+        raise InputError("no non-empty trajectories")
     node_weights = {a: c / total_steps for a, c in node_counts.items()}
     edge_weights = {(a, b): c / out_totals[a] for (a, b), c in edge_counts.items()}
     return FlowGraph(
@@ -195,7 +194,7 @@ class GraphDiff:
     @staticmethod
     def from_sizes(reference_size: int, induced_size: int) -> "GraphDiff":
         if reference_size < 1:
-            raise UndefinedMetricError("reference graph has no nodes")
+            raise InputError("reference graph has no nodes")
         raw = induced_size - reference_size
         return GraphDiff(
             reference_size=reference_size,
@@ -360,7 +359,7 @@ def label_clusters_llm(
                 raise UnavailableError("not sent: the endpoint is down")
             content = remote.post_json(endpoint, payload, token)["choices"][0]["message"]["content"]
             if not isinstance(content, str):
-                raise ProtocolError(f"completion content is a {type(content).__name__}")
+                raise RemoteError(f"completion content is a {type(content).__name__}")
         except (RemoteError, LookupError, TypeError) as exc:
             if isinstance(exc, UnavailableError):
                 down.set()

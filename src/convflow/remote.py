@@ -12,7 +12,7 @@ import time
 import urllib.error
 import urllib.request
 
-from .errors import ProtocolError, RemoteError, UnavailableError
+from .errors import RemoteError, UnavailableError
 
 MAX_RETRIES = 3
 BACKOFF = 0.5  # seconds before the first retry; doubles with every retry
@@ -26,7 +26,7 @@ def post_json(url: str, payload: dict, token: str | None) -> dict:
     HTTP 429, 5xx and connection failures are retried MAX_RETRIES times with
     doubling backoff, then raise UnavailableError; a Retry-After header in
     whole seconds lengthens a wait, never shortens it. Other HTTP errors raise
-    RemoteError, and a reply that is not a JSON object raises ProtocolError."""
+    RemoteError, and so does a reply that is not a JSON object."""
     headers = {"Content-Type": "application/json"}
     if token:
         headers["Authorization"] = f"Bearer {token}"
@@ -52,9 +52,9 @@ def post_json(url: str, payload: dict, token: str | None) -> dict:
     try:
         reply = json.loads(raw)
     except ValueError as exc:
-        raise ProtocolError(f"{url} replied with invalid JSON ({exc})") from exc
+        raise RemoteError(f"{url} replied with invalid JSON ({exc})") from exc
     if not isinstance(reply, dict):
-        raise ProtocolError(f"{url} replied with a JSON {type(reply).__name__}, not an object")
+        raise RemoteError(f"{url} replied with a JSON {type(reply).__name__}, not an object")
     return reply
 
 

@@ -200,6 +200,27 @@ def test_eval_counts_below_one_exit_2(planted, tmp_path, capsys, flag, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value,listed", [("1,1", "[1, 1]"), (",", "[]"), ("5,1,5", "[5, 1, 5]")])
+def test_eval_kshot_empty_or_repeated_exits_2(planted, tmp_path, capsys, value, listed):
+    _, corpus_path, emb_path = planted
+    out = tmp_path / "r.json"
+    assert main(["eval", "--corpus", corpus_path, "--embeddings", emb_path, "--out", str(out), "--kshot", value]) == 2
+    assert f"kshot must be a non-empty list of distinct shot counts, got {listed}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kshot", [[], [5, 5]])
+def test_config_kshot_empty_or_repeated_exits_2(planted, tmp_path, capsys, kshot):
+    _, corpus_path, emb_path = planted
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"kshot": kshot}))
+    out = tmp_path / "r.json"
+    assert main(["eval", "--corpus", corpus_path, "--embeddings", emb_path, "--out", str(out),
+                 "--config", str(config)]) == 2
+    assert f"kshot must be a non-empty list of distinct shot counts, got {kshot}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_extract_gold_node_count(planted, tmp_path, capsys):
     pf, corpus_path, _ = planted
     out_dir = tmp_path / "gold"

@@ -12,7 +12,7 @@ from convflow.cluster import (
     representative,
 )
 from convflow.embedding import EmbeddingStore
-from convflow.errors import InfeasibleError, InsufficientDataError, RangeError
+from convflow.errors import InputError
 from convflow.synth import planted_flow
 
 
@@ -97,7 +97,7 @@ def test_kmeans_partition_properties():
 
 def test_kmeans_infeasible():
     store = _store({"a": [1, 0], "b": [0, 1]})
-    with pytest.raises(InfeasibleError):
+    with pytest.raises(InputError, match="k=3 exceeds 2 items"):
         kmeans(store, ["a", "b"], k=3, seed=0)
 
 
@@ -116,7 +116,7 @@ def test_agglomerative_coincident_pair_merges_first_at_zero():
 
 def test_agglomerative_needs_two():
     store = _store({"a": [1, 0]})
-    with pytest.raises(InsufficientDataError):
+    with pytest.raises(InputError, match="agglomerative clustering needs at least 2 items"):
         agglomerative(store, ["a"])
 
 
@@ -171,7 +171,7 @@ def _reference_agglomerative(store: EmbeddingStore, ids: list[str]) -> Dendrogra
     via Lance-Williams updates. Ties break on the smallest (left, right)
     node-id pair."""
     if len(ids) < 2:
-        raise InsufficientDataError("agglomerative clustering needs at least 2 items")
+        raise InputError("agglomerative clustering needs at least 2 items")
     x = store.matrix(list(ids))
     n = len(ids)
     dist = 1.0 - np.clip(x @ x.T, -1.0, 1.0)
@@ -347,9 +347,9 @@ def test_cut_threshold_in_gap_recovers_planting():
 def test_cut_out_of_range():
     store = _store({"a": [1, 0], "b": [0, 1]})
     dendro = agglomerative(store, ["a", "b"])
-    with pytest.raises(RangeError):
+    with pytest.raises(InputError, match=r"n_clusters must be in \[1, 2\], got 3"):
         cut(dendro, store, n_clusters=3)
-    with pytest.raises(RangeError):
+    with pytest.raises(InputError, match="distance_threshold must be >= 0"):
         cut(dendro, store, distance_threshold=-0.1)
 
 

@@ -26,12 +26,7 @@ from convflow.contrastive import (
     train_toy,
 )
 from convflow.embedding import build_store, hashed_bow_vector
-from convflow.errors import (
-    DegenerateProjectionError,
-    DegenerateTaskError,
-    EmptyInputError,
-    InputError,
-)
+from convflow.errors import DegenerateProjectionError, InputError
 from convflow.evaluation import LabeledEmbeddings, intra_inter_anisotropy
 from convflow.corpus import ActionLabel
 from convflow.seeding import substream
@@ -125,7 +120,7 @@ def test_sup_loss_brute_force_oracle():
 
 def test_sup_loss_empty_batch():
     batch = ContrastiveBatch(np.empty((0, 3)), np.empty((0, 3)), np.empty(0, dtype=int))
-    with pytest.raises(EmptyInputError):
+    with pytest.raises(InputError, match="empty contrastive batch"):
         sup_loss(batch, Temperatures())
 
 
@@ -251,9 +246,9 @@ def test_losses_nonnegative():
 
 
 def test_temperatures_must_be_positive():
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="temperature tau=0.0 must be a finite number > 0"):
         Temperatures(tau=0.0)
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="temperature tau_label=-1.0 must be a finite number > 0"):
         Temperatures(tau=0.05, tau_label=-1.0)
 
 
@@ -384,7 +379,7 @@ def test_train_toy_improves_intra_vs_inter():
 
 def test_train_toy_needs_two_labels():
     rows = [(f"u{i}", "user", "hello there", ActionLabel.make("greeting", [])) for i in range(8)]
-    with pytest.raises(DegenerateTaskError):
+    with pytest.raises(InputError, match="training needs at least 2 distinct action labels"):
         train_toy(single_items(rows), init_toy_encoder(m=128, n=8, seed=0), [init_head(8, 4, seed=0)],
                   Temperatures(), epochs=1, seed=0)
 

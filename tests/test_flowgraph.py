@@ -10,13 +10,7 @@ import pytest
 from convflow import remote
 from convflow.cluster import Clustering
 from convflow.corpus import AnnotatedUtterance, UnifiedDialog
-from convflow.errors import (
-    CoverageError,
-    EmptyInputError,
-    InputError,
-    MissingAnnotationError,
-    UndefinedMetricError,
-)
+from convflow.errors import InputError
 from convflow.flowgraph import (
     LLM_WORKERS,
     DotOptions,
@@ -81,7 +75,7 @@ def test_trajectories_gold_empty_and_single():
 
 def test_trajectories_gold_strict_missing_annotation():
     dialog = UnifiedDialog("d", (_utt("user", []),))
-    with pytest.raises(MissingAnnotationError):
+    with pytest.raises(InputError, match="utterance 't' has no act annotation"):
         trajectories_gold([dialog])
 
 
@@ -99,9 +93,8 @@ def test_trajectories_induced_alternating():
 def test_trajectories_induced_coverage_error():
     dialog = UnifiedDialog("d", (_utt("user", ["inform"]),))
     empty = Clustering(assignment={}, centroids=np.array([[1.0]]), k=1)
-    with pytest.raises(CoverageError) as exc:
+    with pytest.raises(InputError, match="^utterance 'd:0' has no cluster assignment$"):
         trajectories_induced([dialog], empty, empty)
-    assert exc.value.missing_ids == ["d:0"]
 
 
 def test_trajectories_induced_matches_direct_lookup():
@@ -157,9 +150,9 @@ def test_build_graph_no_cross_dialog_edges():
 
 
 def test_build_graph_empty_inputs():
-    with pytest.raises(EmptyInputError):
+    with pytest.raises(InputError, match="no non-empty trajectories"):
         build_graph([])
-    with pytest.raises(EmptyInputError):
+    with pytest.raises(InputError, match="no non-empty trajectories"):
         build_graph([Trajectory(dialog_id="d", steps=())])
 
 
@@ -249,7 +242,7 @@ def test_graph_size_diff_table_values():
 
 
 def test_graph_size_diff_empty_reference():
-    with pytest.raises(UndefinedMetricError):
+    with pytest.raises(InputError, match="reference graph has no nodes"):
         GraphDiff.from_sizes(0, 5)
 
 
@@ -372,7 +365,7 @@ def test_label_clusters_llm_mock(llm_server):
 
 
 def test_label_clusters_llm_empty_members():
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="cluster 0 has no member texts"):
         label_clusters_llm([(0, [])], None)
 
 
