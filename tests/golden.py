@@ -8,7 +8,8 @@ purpose rewrites the manifest, from the repository root, with
 
     PYTHONPATH=src python -m tests.golden --update
 
-and gives the reason in CHANGES.md.
+which prints the name of each pin it added, removed or moved, and gives the
+reason in CHANGES.md.
 
 Every output is pinned exactly, floats included. The outputs that pass
 through BLAS (eval reports, induced clusters and graphs, the sweep table)
@@ -34,10 +35,68 @@ from convflow.synth import planted_flow
 
 MANIFEST = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden.json")
 
+# A hand-written corpus in the raw shape real datasets arrive in, which
+# `ingest` rewrites: act names in mixed case, unsorted and repeated slots,
+# stale `acts` beside raw `original_acts`, turns whose `original_acts` is
+# empty, a two-item `domains`, non-ASCII text and a stale stats header. Two
+# turns have canonical acts and differ from their canonical form only in
+# `slots` or only in `original_acts`; one turn is canonical already.
+# Dialog "r3" holds an unannotated turn, so gold `extract` reads the corpus
+# without it (`raw-annotated.json`).
+RAW_DIALOGS = {
+    "r1": [
+        {"speaker": "user", "text": "Hi, I need a taxi to the Café Rouge, please.",
+         "domains": ["taxi", "restaurant"],
+         "labels": {"dialog_acts": {"acts": ["Greeting", "inform"], "main_acts": [], "original_acts": []},
+                    "slots": ["destination", "area", "destination"], "intents": ["book_taxi"]}},
+        {"speaker": "system", "text": "Sure. When would you like to leave?",
+         "domains": ["taxi"],
+         "labels": {"dialog_acts": {"acts": ["request"], "main_acts": ["request"], "original_acts": ["req_more"]},
+                    "slots": ["leaveAt"], "intents": []}},
+        {"speaker": "user", "text": "At 5 pm. Merci — à bientôt ☺",
+         "domains": ["taxi"],
+         "labels": {"dialog_acts": {"acts": ["inform"], "main_acts": ["inform"], "original_acts": ["INFORM", "Thankyou"]},
+                    "slots": ["leaveAt", "leaveAt"]}},
+        {"speaker": "system", "text": "It costs about £12, in the centre.",
+         "domains": ["taxi"],
+         "labels": {"dialog_acts": {"acts": ["inform"], "main_acts": ["inform"], "original_acts": ["inform"]},
+                    "slots": ["price", "area", "price"], "intents": []}},
+        {"speaker": "user", "text": "OK.",
+         "domains": ["taxi"],
+         "labels": {"dialog_acts": {"acts": ["agreement"], "main_acts": ["agreement"], "original_acts": []},
+                    "slots": [], "intents": []}},
+        {"speaker": "system", "text": "Booked. Goodbye!",
+         "domains": ["taxi"],
+         "labels": {"dialog_acts": {"acts": ["good_bye", "inform_success"], "main_acts": ["good_bye", "inform"],
+                                    "original_acts": ["good_bye", "inform_success"]},
+                    "slots": [], "intents": []}},
+    ],
+    "r2": [
+        {"speaker": "user", "text": "Is there a hospital near me?",
+         "domains": ["hospital"],
+         "labels": {"dialog_acts": {"acts": ["request"], "original_acts": ["Request", "request"]},
+                    "slots": ["phone", "address", "Phone"]}},
+        {"speaker": "system", "text": "Addenbrookes, phone 01223 245151. Anything else?",
+         "domains": ["hospital"],
+         "labels": {"dialog_acts": {"acts": ["req_more", "Inform"], "main_acts": [], "original_acts": []},
+                    "slots": ["phone", "address"]}},
+        {"speaker": "user", "text": "No thanks, that's all. Danke!",
+         "labels": {"dialog_acts": {"acts": ["thank_you"], "original_acts": ["thanks", "Thankyou", "goodbye"]}}},
+    ],
+    "r3": [
+        {"speaker": "user", "text": "…hello?"},
+        {"speaker": "system", "text": "Welcome! How can I help?", "domains": ["general"],
+         "labels": {"dialog_acts": {"acts": ["greeting"], "original_acts": ["welcome"]}}},
+    ],
+}
+
 # (output name, argv); "{tmp}" is the run's scratch directory. `eval` and induced
 # `extract` run on JSONL and on binary embeddings.
 RUNS = [
     ("ingest", ["ingest", "--corpus", "{tmp}/corpus.json", "--out", "{tmp}/ingest.json"]),
+    ("ingest-raw", ["ingest", "--corpus", "{tmp}/raw.json", "--out", "{tmp}/ingest-raw.json"]),
+    ("extract-gold-raw", ["extract", "--gold", "--corpus", "{tmp}/raw-annotated.json",
+                          "--out", "{tmp}/extract-gold-raw"]),
     ("losscheck", ["losscheck", "--cases", "20", "--seed", "3"]),
     ("losscheck-fault", ["losscheck", "--cases", "20", "--seed", "3", "--inject-fault",
                          "--out", "{tmp}/losscheck-fault.json"]),
@@ -69,6 +128,10 @@ def outputs() -> dict[str, str]:
     with tempfile.TemporaryDirectory() as tmp:
         with open(os.path.join(tmp, "corpus.json"), "wb") as fh:
             fh.write(serialize_unified(pf.dialogs))
+        annotated = {k: turns for k, turns in RAW_DIALOGS.items() if k != "r3"}
+        for name, dialogs in (("raw.json", RAW_DIALOGS), ("raw-annotated.json", annotated)):
+            with open(os.path.join(tmp, name), "w", encoding="utf-8") as fh:
+                json.dump({"stats": {"domains": {"taxi": 99}}, "dialogs": dialogs}, fh, ensure_ascii=False)
         for fmt in ("jsonl", "binary"):
             save_embeddings(pf.store, os.path.join(tmp, f"embeddings.{fmt}"), format=fmt)
         for name, argv in RUNS:
@@ -93,6 +156,15 @@ def load() -> dict[str, str]:
 if __name__ == "__main__":
     if sys.argv[1:] != ["--update"]:
         sys.exit("usage: python -m tests.golden --update")
+    old = load() if os.path.exists(MANIFEST) else {}
+    new = outputs()
     with open(MANIFEST, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(outputs(), indent=1, sort_keys=True) + "\n")
+        fh.write(json.dumps(new, indent=1, sort_keys=True) + "\n")
+    for name in sorted(old.keys() | new.keys()):
+        if name not in old:
+            print(f"added {name}")
+        elif name not in new:
+            print(f"removed {name}")
+        elif old[name] != new[name]:
+            print(f"moved {name}")
     print(f"wrote {MANIFEST}")
