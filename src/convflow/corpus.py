@@ -13,6 +13,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring as _encode  # the C escaper behind ensure_ascii=False
+from typing import NamedTuple
 
 from .errors import InputError
 
@@ -23,8 +24,10 @@ SPEAKERS = ("user", "system")
 # Domain types
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AnnotatedUtterance:
+class AnnotatedUtterance(NamedTuple):
+    """One turn. A tuple, so it is immutable, hashable, cheap to build, and
+    equal to a plain tuple of the same values."""
+
     speaker: str
     text: str
     domains: tuple[str, ...] = ()
@@ -371,6 +374,11 @@ def _json_block(open_: str, entries: list[str], close: str, pad: str) -> str:
 
 
 def _json_list(items: tuple[str, ...], pad: str) -> str:
+    # most annotation lists hold zero items or one; skip the map and join
+    if not items:
+        return "[]"
+    if len(items) == 1:
+        return f"[\n{pad} {_encode(items[0])}\n{pad}]"
     return _json_block("[", list(map(_encode, items)), "]", pad)
 
 
@@ -411,7 +419,8 @@ def standardize_corpus(
     """Re-derive standardized acts and parents from the rawest act names
     available (original_acts when present, else acts); canonicalize slots."""
     table = table or builtin_table()
-    canonical: dict[tuple, tuple] = {}  # (source acts, slots) -> (acts, main_acts, slots)
+    # (source acts, slots) -> canonical (acts, main_acts, original_acts, slots)
+    canonical: dict[tuple, tuple] = {}
     out: list[UnifiedDialog] = []
     for dialog in corpus:
         turns = []
@@ -424,21 +433,11 @@ def standardize_corpus(
                 fields = canonical[key] = (
                     tuple(sorted({std for std, _ in pairs})),
                     tuple(sorted({parent for _, parent in pairs})),
+                    source,
                     tuple(sorted(set(turn.slots))),
                 )
-            acts, main_acts, slots = fields
-            turns.append(
-                AnnotatedUtterance(
-                    speaker=turn.speaker,
-                    text=turn.text,
-                    domains=turn.domains,
-                    acts=acts,
-                    main_acts=main_acts,
-                    original_acts=source,
-                    slots=slots,
-                    intents=turn.intents,
-                )
-            )
+            # turn[3:7] is its (acts, main_acts, original_acts, slots); a canonical turn is kept
+            turns.append(turn if turn[3:7] == fields else AnnotatedUtterance(*turn[:3], *fields, turn.intents))
         out.append(UnifiedDialog(dialog_id=dialog.dialog_id, turns=tuple(turns)))
     return out
 

@@ -172,11 +172,20 @@ def _load_jsonl(path: str) -> list[tuple[str, np.ndarray]]:
                 raise InputError(f"{path}:{lineno}: invalid json ({exc.msg})") from exc
             if not isinstance(rec, dict) or "id" not in rec or "vector" not in rec:
                 raise InputError(f"{path}:{lineno}: record needs 'id' and 'vector'")
+            uid = rec["id"]
+            if type(uid) is not str:
+                raise InputError(f"{path}:{lineno}: 'id' must be a string, got {uid!r:.40}")
+            vector = rec["vector"]
             try:  # array("d") takes JSON numbers only: no strings, nulls or lists
-                vec = np.frombuffer(array("d", rec["vector"]))
-            except (TypeError, OverflowError) as exc:
-                raise InputError(f"{path}:{lineno}: 'vector' must be a list of numbers") from exc
-            pairs.append((str(rec["id"]), vec))
+                vec = np.frombuffer(array("d", vector))
+            except (TypeError, OverflowError):
+                vec = None
+            # array("d") takes true and false too. JSON numbers and the keys "id"
+            # and "vector" hold no "u" or "f", so only a line that does can hold
+            # one (a memchr per line, not a check per element).
+            if vec is None or ((b"u" in raw or b"f" in raw) and bool in map(type, vector)):
+                raise InputError(f"{path}:{lineno}: 'vector' must be a list of numbers")
+            pairs.append((uid, vec))
     return pairs
 
 

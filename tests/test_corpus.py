@@ -41,6 +41,9 @@ def test_parse_minimal_document():
     assert dialogs[0].turns[0].speaker == "user"
     assert dialogs[0].turns[0].text == "hi"
     assert dialogs[0].turns[0].acts == ("greeting",)
+    assert dialogs[0].turns[0] == ("user", "hi", (), ("greeting",), (), (), (), ())
+    with pytest.raises(AttributeError):
+        dialogs[0].turns[0].text = "bye"
 
 
 def test_parse_missing_speaker_is_schema_error():
@@ -141,8 +144,12 @@ def test_serialize_matches_json_dumps_on_escape_alphabet():
     # stats keys (domains, acts) and dialog ids that need escaping
     tricky = AnnotatedUtterance("user", "", ("d\"\n",), ("a\\\x00",), (), (), (), ())
     corpora.append([UnifiedDialog('id "\t\u2028', (tricky,)), UnifiedDialog("", (tricky,))])
+    lists = ("domains", "acts", "main_acts", "original_acts", "slots", "intents")
+    sizes = set()
     for corpus in corpora:
         assert serialize_unified(corpus) == _reference_serialize_unified(corpus)
+        sizes |= {(name, min(len(getattr(t, name)), 2)) for d in corpus for t in d.turns for name in lists}
+    assert sizes == {(name, n) for name in lists for n in (0, 1, 2)}  # every list field at 0, 1 and 2+ items
 
 
 def test_serialize_matches_json_dumps_on_generated_corpora():
@@ -439,8 +446,14 @@ def test_standardize_corpus_maps_original_acts():
 
 
 def test_standardize_corpus_idempotent():
-    corpus = standardize_corpus(random_corpus(seed=3))
-    assert standardize_corpus(corpus) == corpus
+    corpora = [
+        standardize_corpus(random_corpus(seed=3)),
+        planted_flow(k_user=3, k_system=3, n_dialogs=20, dim=8, seed=2).dialogs,
+    ]
+    for corpus in corpora:
+        again = standardize_corpus(corpus)
+        assert again == corpus
+        assert all(a is b for d, e in zip(again, corpus) for a, b in zip(d.turns, e.turns))  # canonical turns are kept
 
 
 # ---------------------------------------------------------------------------
@@ -538,9 +551,11 @@ def test_memoized_action_loops_match_per_turn_bodies():
         assert trajectories_gold(corpus) == _reference_trajectories_gold(corpus)
         assert labeled_utterances(corpus) == _reference_labeled_utterances(corpus)
         for permissive in (False, True):
-            assert standardize_corpus(corpus, permissive=permissive) == _reference_standardize_corpus(
-                corpus, permissive=permissive
-            )
+            out = standardize_corpus(corpus, permissive=permissive)
+            assert out == _reference_standardize_corpus(corpus, permissive=permissive)
+            # a turn is kept exactly when standardizing leaves it equal
+            for d, e in zip(out, corpus):
+                assert [a is b for a, b in zip(d.turns, e.turns)] == [a == b for a, b in zip(d.turns, e.turns)]
 
 
 def test_memoized_action_loops_raise_at_the_first_offending_turn():

@@ -55,9 +55,10 @@ def test_cosine_scale_invariance_through_normalize():
 
 def test_jsonl_load(tmp_path):
     path = tmp_path / "e.jsonl"
-    path.write_text('{"id": "a", "vector": [1, 0, 0, 0]}\n{"id": "b", "vector": [0, 1, 0, 0]}\n')
+    path.write_text('{"id": "a", "vector": [1, 0, 0, 0]}\n{"id": "true", "vector": [0, 1e0, 0, -0.5]}\n')
     store = load_embeddings(str(path), format="jsonl")
     assert len(store) == 2 and store.dim == 4
+    assert store.get("true").tolist() == [0.0, 1.0, 0.0, -0.5]  # an id that reads "true" is no bool
 
 
 def test_jsonl_dim_mismatch(tmp_path):
@@ -70,8 +71,10 @@ def test_jsonl_dim_mismatch(tmp_path):
 @pytest.mark.parametrize(
     "record,error",
     [('{"id": "b", "vector": ' + vector + "}", "'vector' must be a list of numbers")
-     for vector in ('["x", 0]', '["1.5", 0]', '[null, 0]', '[[1], [0]]', '"10"')]
-    + [("7", "record needs 'id' and 'vector'")],
+     for vector in ('["x", 0]', '["1.5", 0]', '[null, 0]', '[[1], [0]]', '"10"', "[true, 0]", "[0, false]")]
+    + [("7", "record needs 'id' and 'vector'")]
+    + [('{"id": ' + uid + ', "vector": [0, 1]}', "'id' must be a string, got " + got)
+       for uid, got in (("null", "None"), ("7", "7"), ('["b"]', r"\['b'\]"))],
 )
 def test_jsonl_malformed_record_is_a_format_error(tmp_path, record, error):
     path = tmp_path / "e.jsonl"
