@@ -136,9 +136,7 @@ def _resolve_store(
         for i, turn in enumerate(dialog.turns):
             ids.append(corpus.utterance_id(dialog.dialog_id, i))
             texts.append(turn.text)
-    return embedding.fetch_remote(
-        endpoint, texts, token=os.environ.get(embedding.ENV_EMBED_TOKEN), ids=ids
-    )
+    return embedding.fetch_remote(endpoint, texts, ids, token=os.environ.get(embedding.ENV_EMBED_TOKEN))
 
 
 def _require(value: str | None, what: str) -> str:

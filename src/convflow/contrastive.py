@@ -417,12 +417,15 @@ def train_toy(
 
     `heads` is a list that must hold exactly one head: the parameter keeps
     the list form its existing callers pass. `batch_size` must be at least
-    2, as a batch of one anchor has no negatives and is never trained on.
+    2, as a batch of one anchor has no negatives and is never trained on,
+    and `epochs` at least 1.
     """
     if len(heads) != 1:
         raise InputError(f"train_toy trains exactly one projection head, got {len(heads)}")
     if batch_size < 2:
         raise InputError(f"batch_size={batch_size!r} must be at least 2")
+    if epochs < 1:
+        raise InputError(f"epochs={epochs!r} must be at least 1")
     rows, inverse, labels, table = _train_set(items, encoder, soft)
     return _sgd(rows, inverse, labels, table, encoder, heads[0], temps, epochs, lr_head, lr_encoder, seed, batch_size)
 
@@ -444,10 +447,12 @@ def sweep_tau_label(
 
     All models share the same features, label table, parameter
     initialization and data order, computed once, so the temperature is
-    the only varying factor. Every temperature is checked before any
-    training. Rows come back sorted by temperature ascending.
+    the only varying factor. Every temperature, and `epochs` (at least 1),
+    is checked before any training. Rows come back sorted by temperature ascending.
     """
     temps = [Temperatures(tau=tau, tau_label=t) for t in sorted(grid)]
+    if epochs < 1:
+        raise InputError(f"epochs={epochs!r} must be at least 1")
     encoder = init_toy_encoder(n=encoder_dim, seed=seed)
     head = init_head(encoder_dim, head_dim, seed=seed)
     rows, inverse, labels, table = _train_set(train_rows, encoder, soft=True)

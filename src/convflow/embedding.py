@@ -295,38 +295,26 @@ def _numeric_vector(value) -> np.ndarray | None:
     return arr if np.isfinite(arr).all() else None
 
 
-def fetch_remote(
-    endpoint: str,
-    texts: list[str],
-    token: str | None = None,
-    ids: list[str] | None = None,
-    cache_dir: str | None = None,
-) -> EmbeddingStore:
-    """Fetch one unnormalized vector per text from a remote encoder, in order.
+def fetch_remote(endpoint: str, texts: list[str], ids: list[str], token: str | None = None) -> EmbeddingStore:
+    """Fetch one unnormalized vector per text from a remote encoder, in order,
+    stored under the text's id.
 
     Protocol: POST {"texts": [...]} -> {"vectors": [[...], ...]}, REMOTE_BATCH_SIZE
     texts per request, sent by `remote.post_json` (bearer auth; HTTP 5xx and
     connection failures retried 3 times with 0.5 s doubling backoff). A vector
     that is not a list of finite numbers, or vectors of different lengths,
-    raise RemoteError. With `cache_dir`, each vector is cached under
-    sha256(endpoint "\n" text), written atomically; an unreadable entry is a miss.
+    raise RemoteError.
     """
-    if ids is None:
-        ids = [str(i) for i in range(len(texts))]
     if len(ids) != len(texts):
         raise InputError("ids and texts must have equal length")
-    cached = [remote.cache_get(cache_dir, [endpoint, text]) or {} for text in texts]
-    vectors = [_numeric_vector(entry.get("vector")) for entry in cached]
-    pending = [i for i, vec in enumerate(vectors) if vec is None]
-    for start in range(0, len(pending), REMOTE_BATCH_SIZE):
-        chunk = pending[start : start + REMOTE_BATCH_SIZE]
-        got = remote.post_json(endpoint, {"texts": [texts[i] for i in chunk]}, token).get("vectors")
+    vectors = []
+    for start in range(0, len(texts), REMOTE_BATCH_SIZE):
+        chunk = texts[start : start + REMOTE_BATCH_SIZE]
+        got = remote.post_json(endpoint, {"texts": chunk}, token).get("vectors")
         got = [_numeric_vector(vec) for vec in got] if isinstance(got, list) else []
         if len(got) != len(chunk) or any(vec is None for vec in got):
             raise RemoteError(f"the reply does not hold {len(chunk)} vectors of finite numbers")
-        for i, vec in zip(chunk, got):
-            vectors[i] = vec
-            remote.cache_put(cache_dir, [endpoint, texts[i]], {"vector": vec.tolist()})
+        vectors += got
     if len({len(vec) for vec in vectors}) > 1:
         raise RemoteError("the encoder returned vectors of different lengths")
     return build_store(list(zip(ids, vectors)))

@@ -329,7 +329,6 @@ def label_clusters_llm(
     endpoint: str,
     model: str | None = None,
     token: str | None = None,
-    cache_dir: str | None = None,
 ) -> dict[Hashable, str]:
     """Name (key, member texts) clusters through a chat-completion endpoint,
     LLM_WORKERS at a time; the result maps each named cluster's key to its name.
@@ -338,9 +337,7 @@ def label_clusters_llm(
     retried 3 times with 0.5 s doubling backoff). A cluster whose request
     still fails, or whose reply is malformed, is left out of the result with
     a warning; once one request has failed past its retries, clusters not yet
-    sent are left out without a request. With `cache_dir`, labels are cached
-    under sha256 of the "\n"-joined endpoint, model and member texts, written
-    atomically; an unreadable entry is a miss.
+    sent are left out without a request.
     """
     for cid, texts in clusters:
         if not texts:
@@ -349,10 +346,6 @@ def label_clusters_llm(
 
     def one(cluster: tuple[Hashable, list[str]]) -> str | None:
         cid, texts = cluster
-        key = [endpoint, model or ""] + texts
-        label = (remote.cache_get(cache_dir, key) or {}).get("label")
-        if isinstance(label, str):
-            return label
         payload = {"messages": build_label_messages(texts)} | ({"model": model} if model else {})
         try:
             if down.is_set():
@@ -365,9 +358,7 @@ def label_clusters_llm(
                 down.set()
             warnings.warn(f"cluster {cid} labeling failed ({exc!r}); left unnamed")
             return None
-        label = extract_canonical_form(content)
-        remote.cache_put(cache_dir, key, {"label": label})
-        return label
+        return extract_canonical_form(content)
 
     with concurrent.futures.ThreadPoolExecutor(max_workers=LLM_WORKERS) as pool:
         named = zip((cid for cid, _ in clusters), pool.map(one, clusters))

@@ -1,13 +1,10 @@
 """The one client for the remote encoder and LLM: JSON over HTTP POST with
-one retry policy, and one content-addressed on-disk JSON cache."""
+one retry policy."""
 
 from __future__ import annotations
 
-import hashlib
 import http.client
 import json
-import os
-import tempfile
 import time
 import urllib.error
 import urllib.request
@@ -57,32 +54,3 @@ def post_json(url: str, payload: dict, token: str | None) -> dict:
         raise RemoteError(f"{url} replied with a JSON {type(reply).__name__}, not an object")
     return reply
 
-
-def _entry_path(cache_dir: str, key_parts: list[str]) -> str:
-    key = hashlib.sha256("\n".join(key_parts).encode("utf-8")).hexdigest()
-    return os.path.join(cache_dir, key + ".json")
-
-
-def cache_get(cache_dir: str | None, key_parts: list[str]) -> dict | None:
-    """The JSON object cached under `key_parts`, or None. No cache, no entry,
-    and an entry that cannot be read as a JSON object are all misses."""
-    if not cache_dir:
-        return None
-    try:
-        with open(_entry_path(cache_dir, key_parts), encoding="utf-8") as fh:
-            value = json.load(fh)
-    except (OSError, ValueError):
-        return None
-    return value if isinstance(value, dict) else None
-
-
-def cache_put(cache_dir: str | None, key_parts: list[str], value: dict) -> None:
-    """Cache `value` under `key_parts` (no-op without a cache). The entry is
-    written to a temporary file and renamed into place, so it is whole or absent."""
-    if not cache_dir:
-        return
-    os.makedirs(cache_dir, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
-    with os.fdopen(fd, "w", encoding="utf-8") as fh:
-        json.dump(value, fh)
-    os.replace(tmp, _entry_path(cache_dir, key_parts))

@@ -29,9 +29,9 @@ import sys
 import tempfile
 
 from convflow.cli import main
-from convflow.corpus import serialize_unified
+from convflow.corpus import AnnotatedUtterance, UnifiedDialog, serialize_unified
 from convflow.embedding import save_embeddings
-from convflow.synth import planted_flow
+from convflow.synth import graded_label_rows, planted_flow
 
 MANIFEST = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden.json")
 
@@ -90,6 +90,19 @@ RAW_DIALOGS = {
     ],
 }
 
+
+def graded_dialogs() -> list[UnifiedDialog]:
+    """One one-turn dialog per graded-label row (train and eval rows alike):
+    each action's surface variants carry different slots, so the soft loss's
+    label table is graded and the sweep's anisotropy moves with tau_label.
+    The default row counts leave the 5-shot eval too few held-out rows."""
+    train, eval_rows = graded_label_rows(per_variant_train=30, per_variant_eval=6)
+    return [
+        UnifiedDialog(uid, (AnnotatedUtterance(speaker, text, acts=(action.act,), slots=action.slots),))
+        for uid, speaker, text, action in train + eval_rows
+    ]
+
+
 # (output name, argv); "{tmp}" is the run's scratch directory. `eval` and induced
 # `extract` run on JSONL and on binary embeddings.
 RUNS = [
@@ -103,6 +116,8 @@ RUNS = [
     ("extract-gold", ["extract", "--gold", "--corpus", "{tmp}/corpus.json", "--out", "{tmp}/extract-gold"]),
     ("sweep", ["sweep", "--corpus", "{tmp}/corpus.json", "--grid", "0.1,0.5", "--epochs", "2",
                "--seed", "1", "--out", "{tmp}/sweep.tsv"]),
+    ("sweep-graded", ["sweep", "--corpus", "{tmp}/graded.json", "--grid", "0.1,0.35,1.0", "--epochs", "1",
+                      "--out", "{tmp}/sweep-graded.tsv"]),
 ] + [
     run
     for fmt in ("jsonl", "binary")
@@ -132,6 +147,8 @@ def outputs() -> dict[str, str]:
         for name, dialogs in (("raw.json", RAW_DIALOGS), ("raw-annotated.json", annotated)):
             with open(os.path.join(tmp, name), "w", encoding="utf-8") as fh:
                 json.dump({"stats": {"domains": {"taxi": 99}}, "dialogs": dialogs}, fh, ensure_ascii=False)
+        with open(os.path.join(tmp, "graded.json"), "wb") as fh:
+            fh.write(serialize_unified(graded_dialogs()))
         for fmt in ("jsonl", "binary"):
             save_embeddings(pf.store, os.path.join(tmp, f"embeddings.{fmt}"), format=fmt)
         for name, argv in RUNS:

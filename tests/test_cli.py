@@ -299,6 +299,19 @@ def test_losscheck_without_cases_exits_2(capsys, cases):
     assert "at least one case" in captured.err
 
 
+@pytest.mark.parametrize("seed", ["-1", "4294967296"])
+def test_seed_outside_32_bits_exits_2(capsys, seed):
+    assert main(["losscheck", "--cases", "1", "--seed", seed]) == 2
+    captured = capsys.readouterr()
+    assert "[PASS]" not in captured.out
+    assert f"seed={seed} must be in [0, 2**32)" in captured.err
+
+
+def test_largest_32_bit_seed_runs(capsys):
+    assert main(["losscheck", "--cases", "1", "--seed", "4294967295"]) == 0
+    assert "[FAIL]" not in capsys.readouterr().out
+
+
 @pytest.fixture()
 def sweep_corpus(tmp_path):
     from convflow.corpus import AnnotatedUtterance, UnifiedDialog
@@ -361,6 +374,8 @@ def test_grid_range_whose_step_cannot_advance_is_an_input_error():
         (["--tau", "inf"], "tau=inf"),
         (["--tau=-1"], "tau=-1.0"),
         (["--tau", "0"], "tau=0.0"),
+        (["--epochs", "0"], "epochs=0 must be at least 1"),
+        (["--epochs=-1"], "epochs=-1 must be at least 1"),
     ],
 )
 def test_sweep_bad_temperature_exits_2_before_training(sweep_corpus, tmp_path, capsys, monkeypatch, flags, named):

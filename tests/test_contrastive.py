@@ -391,6 +391,10 @@ def test_train_toy_rejects_a_batch_size_below_two():
     with pytest.raises(InputError, match="batch_size=1"):
         train_toy(items, init_toy_encoder(m=128, n=8, seed=0), [init_head(8, 4, seed=0)],
                   Temperatures(), epochs=2, seed=0, batch_size=1)
+    for epochs in (0, -1):  # no epoch would train: rejected, not an untrained result
+        with pytest.raises(InputError, match=f"epochs={epochs} must be at least 1"):
+            train_toy(items, init_toy_encoder(m=128, n=8, seed=0), [init_head(8, 4, seed=0)],
+                      Temperatures(), epochs=epochs, seed=0)
 
 
 def test_train_toy_smallest_batch_size_trains_every_epoch():

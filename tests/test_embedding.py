@@ -1,5 +1,4 @@
 import contextlib
-import hashlib
 import http.server
 import json
 import struct
@@ -241,6 +240,7 @@ def test_hashed_bow_splits_underscores():
 
 class _MockHandler(http.server.BaseHTTPRequestHandler):
     calls = 0
+    posted: list[list[str]] = []  # the texts of each answered request, in order
     fail_next = 0
     fail_status = 503
     retry_after = None
@@ -263,6 +263,7 @@ class _MockHandler(http.server.BaseHTTPRequestHandler):
         length = int(self.headers["Content-Length"])
         payload = json.loads(self.rfile.read(length))
         texts = payload["texts"]
+        cls.posted.append(texts)
         vectors = [[float(len(t)), 1.0, 0.0] for t in texts]
         body = json.dumps({"vectors": vectors}).encode()
         self.send_response(200)
@@ -279,6 +280,7 @@ class _MockHandler(http.server.BaseHTTPRequestHandler):
 def mock_server(monkeypatch):
     monkeypatch.setattr(remote, "sleep", lambda seconds: None)
     _MockHandler.calls = 0
+    _MockHandler.posted = []
     _MockHandler.fail_next = 0
     _MockHandler.fail_status = 503
     _MockHandler.retry_after = None
@@ -292,7 +294,7 @@ def mock_server(monkeypatch):
 
 
 def test_fetch_remote_empty_list(mock_server):
-    store = fetch_remote(mock_server, [])
+    store = fetch_remote(mock_server, [], ids=[])
     assert len(store) == 0
 
 
@@ -302,11 +304,21 @@ def test_fetch_remote_matches_mock_payload(mock_server):
     assert np.allclose(store.get("y"), [4.0, 1.0, 0.0])
 
 
+def test_fetch_remote_sends_full_batches_in_order(mock_server):
+    texts = ["x" * (i + 1) for i in range(300)]  # the mock's vector is [len(text), 1, 0]
+    ids = [f"id{i}" for i in range(300)]
+    store = fetch_remote(mock_server, texts, ids=ids)
+    assert _MockHandler.posted == [texts[:128], texts[128:256], texts[256:]]
+    assert [len(batch) for batch in _MockHandler.posted] == [128, 128, 44]
+    for i, uid in enumerate(ids):
+        assert np.array_equal(store.get(uid), [i + 1.0, 1.0, 0.0])
+
+
 def test_fetch_remote_retries_transient_then_succeeds(mock_server, monkeypatch):
     sleeps = []
     monkeypatch.setattr(remote, "sleep", sleeps.append)
     _MockHandler.fail_next = 2
-    store = fetch_remote(mock_server, ["abc"])
+    store = fetch_remote(mock_server, ["abc"], ids=["0"])
     assert np.allclose(store.get("0"), [3.0, 1.0, 0.0])
     assert _MockHandler.calls == 3
     assert sleeps == [0.5, 1.0]
@@ -323,7 +335,7 @@ def test_fetch_remote_retries_429_waiting_at_least_retry_after(mock_server, monk
     _MockHandler.fail_next = 2
     _MockHandler.fail_status = 429
     _MockHandler.retry_after = retry_after
-    store = fetch_remote(mock_server, ["abc"])
+    store = fetch_remote(mock_server, ["abc"], ids=["0"])
     assert np.allclose(store.get("0"), [3.0, 1.0, 0.0])
     assert _MockHandler.calls == 3
     assert sleeps == expected
@@ -334,7 +346,7 @@ def test_fetch_remote_429_past_the_retries_is_unavailable(mock_server, monkeypat
     monkeypatch.setattr(remote, "sleep", sleeps.append)
     _MockHandler.status_for_all = 429
     with pytest.raises(UnavailableError) as exc:
-        fetch_remote(mock_server, ["abc"])
+        fetch_remote(mock_server, ["abc"], ids=["0"])
     assert exc.value.status == 429
     assert _MockHandler.calls == remote.MAX_RETRIES + 1
     assert sleeps == [0.5, 1.0, 2.0]
@@ -343,38 +355,8 @@ def test_fetch_remote_429_past_the_retries_is_unavailable(mock_server, monkeypat
 def test_fetch_remote_non_transient_raises(mock_server):
     _MockHandler.status_for_all = 403
     with pytest.raises(RemoteError, match="failed: HTTP 403") as exc:
-        fetch_remote(mock_server, ["abc"])
+        fetch_remote(mock_server, ["abc"], ids=["0"])
     assert exc.value.status == 403
-
-
-def test_fetch_remote_cache_hit_avoids_network(mock_server, tmp_path):
-    cache = str(tmp_path / "cache")
-    fetch_remote(mock_server, ["hello", "bye"], cache_dir=cache)
-    first_calls = _MockHandler.calls
-    store = fetch_remote(mock_server, ["hello", "bye"], cache_dir=cache)
-    assert _MockHandler.calls == first_calls  # zero new requests
-    assert np.allclose(store.get("0"), [5.0, 1.0, 0.0])
-
-
-def test_fetch_remote_truncated_cache_entry_is_a_miss(mock_server, tmp_path):
-    cache = tmp_path / "cache"
-    fetch_remote(mock_server, ["hello"], cache_dir=str(cache))
-    (entry,) = cache.iterdir()
-    entry.write_text(entry.read_text()[:7])
-    before = _MockHandler.calls
-    store = fetch_remote(mock_server, ["hello"], cache_dir=str(cache))
-    assert _MockHandler.calls == before + 1
-    assert np.allclose(store.get("0"), [5.0, 1.0, 0.0])
-    assert list(cache.iterdir()) == [entry]
-    assert json.loads(entry.read_text()) == {"vector": [5.0, 1.0, 0.0]}
-
-
-def test_fetch_remote_cache_key_is_sha256_of_endpoint_and_text(mock_server, tmp_path):
-    key = hashlib.sha256(f"{mock_server}\nhello".encode("utf-8")).hexdigest()
-    (tmp_path / f"{key}.json").write_text(json.dumps({"vector": [7.0, 0.0, 1.0]}))
-    store = fetch_remote(mock_server, ["hello"], cache_dir=str(tmp_path))
-    assert _MockHandler.calls == 0
-    assert np.allclose(store.get("0"), [7.0, 0.0, 1.0])
 
 
 @contextlib.contextmanager
@@ -400,12 +382,12 @@ def _encoder_replying(vectors):
 
 def test_fetch_remote_count_mismatch():
     with _encoder_replying([[1.0]]) as url, pytest.raises(RemoteError, match="does not hold 2 vectors of finite numbers"):
-        fetch_remote(url, ["a", "b"])
+        fetch_remote(url, ["a", "b"], ids=["0", "1"])
 
 
 def test_fetch_remote_mixed_lengths_is_a_protocol_error():
     with _encoder_replying([[1.0], [1.0, 1.0]]) as url, pytest.raises(RemoteError, match="different lengths"):
-        fetch_remote(url, ["a", "b"])
+        fetch_remote(url, ["a", "b"], ids=["0", "1"])
 
 
 def test_store_normalize_flag():

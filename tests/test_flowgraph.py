@@ -1,4 +1,3 @@
-import hashlib
 import http.server
 import json
 import re
@@ -329,10 +328,7 @@ def test_extract_canonical_form_variants():
 
 
 class _LLMHandler(http.server.BaseHTTPRequestHandler):
-    calls = 0
-
     def do_POST(self):
-        type(self).calls += 1
         length = int(self.headers["Content-Length"])
         payload = json.loads(self.rfile.read(length))
         assert payload["messages"][2]["content"].endswith(': "')
@@ -351,7 +347,6 @@ class _LLMHandler(http.server.BaseHTTPRequestHandler):
 @pytest.fixture()
 def llm_server(monkeypatch):
     monkeypatch.setattr(remote, "sleep", lambda seconds: None)
-    _LLMHandler.calls = 0
     server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), _LLMHandler)
     threading.Thread(target=server.serve_forever, daemon=True).start()
     yield f"http://127.0.0.1:{server.server_address[1]}/chat"
@@ -386,22 +381,3 @@ def test_label_clusters_llm_stops_calling_an_unreachable_endpoint(monkeypatch):
         labels = label_clusters_llm(clusters, "http://127.0.0.1:1/unreachable")
     assert labels == {}
     assert 0 < len(sleeps) <= LLM_WORKERS * remote.MAX_RETRIES
-
-
-def test_label_clusters_llm_cache(llm_server, tmp_path):
-    cache = str(tmp_path / "llm-cache")
-    clusters = [(0, ["my number is 12345"])]
-    label_clusters_llm(clusters, llm_server, cache_dir=cache)
-    first = _LLMHandler.calls
-    labels = label_clusters_llm(clusters, llm_server, cache_dir=cache)
-    assert _LLMHandler.calls == first
-    assert labels == {0: "inform phone number"}
-
-
-def test_label_clusters_llm_cache_key_is_sha256_of_endpoint_model_and_texts(llm_server, tmp_path):
-    texts = ["my number is 12345", "the phone is 99"]
-    key = hashlib.sha256("\n".join([llm_server, "m1"] + texts).encode("utf-8")).hexdigest()
-    (tmp_path / f"{key}.json").write_text(json.dumps({"label": "cached name"}))
-    labels = label_clusters_llm([(0, texts)], llm_server, model="m1", cache_dir=str(tmp_path))
-    assert _LLMHandler.calls == 0
-    assert labels == {0: "cached name"}
