@@ -87,17 +87,10 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
             if key not in _CONFIG_TYPES:
                 raise InputError(f"unknown config key '{key}'")
             setattr(config, key, _config_value(key, value))
-    for name in (
-        "seed", "epsilon", "tau", "clusters_user", "clusters_system", "ndcg_k",
-        "corpus", "embeddings", "out",
-    ):
-        value = getattr(args, name, None)
+    for key in _CONFIG_TYPES:
+        value = getattr(args, key, None)
         if value is not None:
-            setattr(config, name, value)
-    if getattr(args, "reps", None) is not None:
-        config.repetitions = args.reps
-    if getattr(args, "kshot", None) is not None:
-        config.kshot = _parse_kshot(args.kshot)
+            setattr(config, key, _parse_kshot(value) if key == "kshot" else value)
     for key in ("corpus", "embeddings", "out"):
         value = getattr(config, key)
         try:
@@ -293,7 +286,7 @@ def _grid_value(text: str) -> float:
 
 
 def _parse_grid(text: str | None) -> list[float]:
-    if not text:
+    if text is None:
         # published sweep grid: 0.05 .. 1.0 in steps of 0.05
         return [round(0.05 * i, 2) for i in range(1, 21)]
     if ":" in text:
@@ -370,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.add_argument("--kshot", default=None, help="comma-separated shot counts (default 1,5)")
     p.add_argument("--ndcg-k", dest="ndcg_k", type=int, default=None)
-    p.add_argument("--reps", type=int, default=None)
+    p.add_argument("--reps", dest="repetitions", metavar="REPS", type=int, default=None)
     _add_common(p)
     p.set_defaults(func=cmd_eval)
 

@@ -75,8 +75,9 @@ def kmeans(
     return_history: bool = False,
 ):
     """Spherical k-means: assignment by max cosine, centroids re-normalized
-    means, at most KMEANS_MAX_ITER iterations. Empty clusters are repaired
-    by reseeding from the point farthest from its centroid, keeping k exact.
+    means, at most KMEANS_MAX_ITER iterations. Each empty cluster is
+    repaired by reseeding from the point farthest from its centroid among
+    clusters of two or more members, keeping k exact.
     Deterministic for a fixed seed.
 
     With `return_history`, also returns the per-iteration objective (sum of
@@ -95,14 +96,17 @@ def kmeans(
     for _ in range(KMEANS_MAX_ITER):
         sims = x @ centroids.T
         assign = np.argmax(sims, axis=1)
-        # repair empties from the globally farthest point
-        for c in range(k):
-            if not np.any(assign == c):
-                own = sims[np.arange(len(ids)), assign]
-                farthest = int(np.argmin(own))
-                assign[farthest] = c
-                centroids[c] = x[farthest]
-                sims = x @ centroids.T
+        own = sims[np.arange(len(ids)), assign]
+        counts = np.bincount(assign, minlength=k)
+        # repair each empty cluster from the farthest point whose cluster
+        # keeps a member, so no repair empties a cluster again
+        for c in np.flatnonzero(counts == 0):
+            donors = np.flatnonzero(counts[assign] > 1)
+            farthest = int(donors[np.argmin(own[donors])])
+            counts[assign[farthest]] -= 1
+            counts[c] = 1
+            assign[farthest] = c
+            centroids[c] = x[farthest]
         new_centroids = np.empty_like(centroids)
         for c in range(k):
             new_centroids[c] = _renormalized_mean(x[assign == c])

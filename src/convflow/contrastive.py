@@ -447,9 +447,12 @@ def sweep_tau_label(
 
     All models share the same features, label table, parameter
     initialization and data order, computed once, so the temperature is
-    the only varying factor. Every temperature, and `epochs` (at least 1),
-    is checked before any training. Rows come back sorted by temperature ascending.
+    the only varying factor. The grid (non-empty, no value twice), every
+    temperature, and `epochs` (at least 1) are checked before any
+    training. Rows come back sorted by temperature ascending.
     """
+    if not grid or len(set(grid)) != len(grid):
+        raise InputError(f"the grid must be a non-empty list of distinct tau_label values, got {list(grid)}")
     temps = [Temperatures(tau=tau, tau_label=t) for t in sorted(grid)]
     if epochs < 1:
         raise InputError(f"epochs={epochs!r} must be at least 1")

@@ -11,6 +11,7 @@ from __future__ import annotations
 import gc
 import json
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring as _encode  # the C escaper behind ensure_ascii=False
 from typing import NamedTuple
@@ -324,18 +325,10 @@ def _parse_dialogs(text: str) -> list[UnifiedDialog]:
 
 def compute_stats(corpus: list[UnifiedDialog]) -> dict:
     """Utterance counts per domain and per standardized act."""
-    domains: dict[str, int] = {}
-    labels: dict[str, int] = {}
-    for dialog in corpus:
-        for turn in dialog.turns:
-            for d in turn.domains:
-                domains[d] = domains.get(d, 0) + 1
-            for a in turn.acts:
-                labels[a] = labels.get(a, 0) + 1
-    return {
-        "domains": {k: domains[k] for k in sorted(domains)},
-        "labels": {k: labels[k] for k in sorted(labels)},
-    }
+    turns = [turn for dialog in corpus for turn in dialog.turns]
+    domains = Counter(d for turn in turns for d in turn.domains)
+    labels = Counter(a for turn in turns for a in turn.acts)
+    return {"domains": dict(sorted(domains.items())), "labels": dict(sorted(labels.items()))}
 
 
 # The layout json.dumps(tree, ensure_ascii=False, indent=1) gives the

@@ -152,7 +152,7 @@ def save_jsonl(store: EmbeddingStore, path: str) -> None:
     """One record per line: {"id": ..., "vector": [...]}; sorted by id."""
     with open(path, "w", encoding="utf-8") as fh:
         for uid in store.ids():
-            rec = {"id": uid, "vector": [float(x) for x in store.vectors[uid]]}
+            rec = {"id": uid, "vector": store.vectors[uid].tolist()}
             fh.write(json.dumps(rec, ensure_ascii=False) + "\n")
 
 
@@ -302,8 +302,8 @@ def fetch_remote(endpoint: str, texts: list[str], ids: list[str], token: str | N
     Protocol: POST {"texts": [...]} -> {"vectors": [[...], ...]}, REMOTE_BATCH_SIZE
     texts per request, sent by `remote.post_json` (bearer auth; HTTP 5xx and
     connection failures retried 3 times with 0.5 s doubling backoff). A vector
-    that is not a list of finite numbers, or vectors of different lengths,
-    raise RemoteError.
+    that is not a list of finite numbers or has no non-zero entry, or vectors
+    of different lengths, raise RemoteError.
     """
     if len(ids) != len(texts):
         raise InputError("ids and texts must have equal length")
@@ -314,6 +314,9 @@ def fetch_remote(endpoint: str, texts: list[str], ids: list[str], token: str | N
         got = [_numeric_vector(vec) for vec in got] if isinstance(got, list) else []
         if len(got) != len(chunk) or any(vec is None for vec in got):
             raise RemoteError(f"the reply does not hold {len(chunk)} vectors of finite numbers")
+        for uid, vec in zip(ids[start : start + REMOTE_BATCH_SIZE], got):
+            if not vec.any():
+                raise RemoteError(f"the encoder returned a vector with no non-zero entry for id '{uid}'")
         vectors += got
     if len({len(vec) for vec in vectors}) > 1:
         raise RemoteError("the encoder returned vectors of different lengths")

@@ -15,8 +15,10 @@ import concurrent.futures
 import json
 import threading
 import warnings
+from collections import Counter
 from collections.abc import Hashable
 from dataclasses import dataclass, field
+from itertools import chain
 
 from . import remote
 from .cluster import Clustering
@@ -54,9 +56,9 @@ class FlowGraph:
     edge_weights: dict[tuple[str, str], float]  # out-distribution per source
     edge_counts: dict[tuple[str, str], int]
     speakers: dict[str, str]  # node -> user|system
-    start_counts: dict[str, int] = field(default_factory=dict)
-    end_counts: dict[str, int] = field(default_factory=dict)
-    total_steps: int = 0
+    start_counts: dict[str, int]
+    end_counts: dict[str, int]
+    total_steps: int
 
     @property
     def size(self) -> int:
@@ -115,43 +117,25 @@ def trajectories_induced(
 # ---------------------------------------------------------------------------
 
 def build_graph(trajectories: list[Trajectory]) -> FlowGraph:
-    """Accumulate trajectories (in sorted dialog-id order) into the
-    weighted action-transition graph. Consecutive steps within a dialog
-    form edges; trajectories never chain across dialogs."""
-    ordered = sorted(trajectories, key=lambda t: t.dialog_id)
-    node_counts: dict[str, int] = {}
-    edge_counts: dict[tuple[str, str], int] = {}
-    out_totals: dict[str, int] = {}
-    speakers: dict[str, str] = {}
-    start_counts: dict[str, int] = {}
-    end_counts: dict[str, int] = {}
-    total_steps = 0
-    for traj in ordered:
-        if not traj.steps:
-            continue
-        for step in traj.steps:
-            node_counts[step.action] = node_counts.get(step.action, 0) + 1
-            speakers[step.action] = step.speaker
-            total_steps += 1
-        start_counts[traj.steps[0].action] = start_counts.get(traj.steps[0].action, 0) + 1
-        end_counts[traj.steps[-1].action] = end_counts.get(traj.steps[-1].action, 0) + 1
-        for a, b in zip(traj.steps, traj.steps[1:]):
-            key = (a.action, b.action)
-            edge_counts[key] = edge_counts.get(key, 0) + 1
-            out_totals[a.action] = out_totals.get(a.action, 0) + 1
-    if total_steps == 0:
+    """Count trajectories into the weighted action-transition graph.
+    Consecutive steps within a dialog form edges; trajectories never chain
+    across dialogs, and empty ones are skipped."""
+    paths = [[s.action for s in t.steps] for t in trajectories if t.steps]
+    node_counts = Counter(chain.from_iterable(paths))
+    if not node_counts:
         raise InputError("no non-empty trajectories")
-    node_weights = {a: c / total_steps for a, c in node_counts.items()}
-    edge_weights = {(a, b): c / out_totals[a] for (a, b), c in edge_counts.items()}
+    edge_counts = Counter(chain.from_iterable(zip(path, path[1:]) for path in paths))
+    out_totals = Counter(chain.from_iterable(path[:-1] for path in paths))
+    total_steps = sum(node_counts.values())
     return FlowGraph(
         nodes=tuple(sorted(node_counts)),
-        node_weights=node_weights,
-        node_counts=node_counts,
-        edge_weights=edge_weights,
-        edge_counts=edge_counts,
-        speakers=speakers,
-        start_counts=start_counts,
-        end_counts=end_counts,
+        node_weights={a: c / total_steps for a, c in node_counts.items()},
+        node_counts=dict(node_counts),
+        edge_weights={(a, b): c / out_totals[a] for (a, b), c in edge_counts.items()},
+        edge_counts=dict(edge_counts),
+        speakers={s.action: s.speaker for t in trajectories for s in t.steps},
+        start_counts=dict(Counter(path[0] for path in paths)),
+        end_counts=dict(Counter(path[-1] for path in paths)),
         total_steps=total_steps,
     )
 

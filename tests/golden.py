@@ -29,8 +29,8 @@ import sys
 import tempfile
 
 from convflow.cli import main
-from convflow.corpus import AnnotatedUtterance, UnifiedDialog, serialize_unified
-from convflow.embedding import save_embeddings
+from convflow.corpus import AnnotatedUtterance, UnifiedDialog, serialize_unified, utterance_id
+from convflow.embedding import EmbeddingStore, build_store, save_embeddings
 from convflow.synth import graded_label_rows, planted_flow
 
 MANIFEST = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden.json")
@@ -91,6 +91,19 @@ RAW_DIALOGS = {
 }
 
 
+# Two distinct vectors per role for induced `extract` with k = 3, so k-means
+# initialization duplicates a centroid and the empty-cluster repair runs.
+REPEATED_VECTORS = {"user": ([1.0, 0.0, 0.0], [0.0, 1.0, 0.0]), "system": ([0.0, 0.0, 1.0], [1.0, 1.0, 0.0])}
+
+
+def repeated_store(dialogs: list[UnifiedDialog]) -> EmbeddingStore:
+    """Each turn's vector: its role's first vector in even exchanges, its second in odd ones."""
+    return build_store([
+        (utterance_id(d.dialog_id, i), REPEATED_VECTORS[turn.speaker][i // 2 % 2])
+        for d in dialogs for i, turn in enumerate(d.turns)
+    ])
+
+
 def graded_dialogs() -> list[UnifiedDialog]:
     """One one-turn dialog per graded-label row (train and eval rows alike):
     each action's surface variants carry different slots, so the soft loss's
@@ -116,6 +129,11 @@ RUNS = [
     ("extract-gold", ["extract", "--gold", "--corpus", "{tmp}/corpus.json", "--out", "{tmp}/extract-gold"]),
     ("sweep", ["sweep", "--corpus", "{tmp}/corpus.json", "--grid", "0.1,0.5", "--epochs", "2",
                "--seed", "1", "--out", "{tmp}/sweep.tsv"]),
+    # its embeddings file is written into the run's directory, so every pin
+    # of this run is named extract-repeat/...
+    ("extract-repeat", ["extract", "--corpus", "{tmp}/corpus.json",
+                        "--embeddings", "{tmp}/extract-repeat/embeddings.jsonl",
+                        "--clusters-user", "3", "--clusters-system", "3", "--out", "{tmp}/extract-repeat"]),
     ("sweep-graded", ["sweep", "--corpus", "{tmp}/graded.json", "--grid", "0.1,0.35,1.0", "--epochs", "1",
                       "--out", "{tmp}/sweep-graded.tsv"]),
 ] + [
@@ -151,6 +169,8 @@ def outputs() -> dict[str, str]:
             fh.write(serialize_unified(graded_dialogs()))
         for fmt in ("jsonl", "binary"):
             save_embeddings(pf.store, os.path.join(tmp, f"embeddings.{fmt}"), format=fmt)
+        os.mkdir(os.path.join(tmp, "extract-repeat"))
+        save_embeddings(repeated_store(pf.dialogs), os.path.join(tmp, "extract-repeat", "embeddings.jsonl"), format="jsonl")
         for name, argv in RUNS:
             stdout = io.StringIO()
             with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):

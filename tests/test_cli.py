@@ -376,6 +376,11 @@ def test_grid_range_whose_step_cannot_advance_is_an_input_error():
         (["--tau", "0"], "tau=0.0"),
         (["--epochs", "0"], "epochs=0 must be at least 1"),
         (["--epochs=-1"], "epochs=-1 must be at least 1"),
+        (["--grid", ","], "distinct tau_label values, got []"),
+        (["--grid", "2:1:0.5"], "distinct tau_label values, got []"),
+        (["--grid", "0.5,0.5"], "distinct tau_label values, got [0.5, 0.5]"),
+        (["--grid", "0.5,0.50"], "distinct tau_label values, got [0.5, 0.5]"),
+        (["--grid", ""], "distinct tau_label values, got []"),
     ],
 )
 def test_sweep_bad_temperature_exits_2_before_training(sweep_corpus, tmp_path, capsys, monkeypatch, flags, named):
@@ -495,19 +500,22 @@ def test_eval_remote_embeddings_via_env(planted, tmp_path, monkeypatch):
     import http.server
     import threading
 
-    pf, corpus_path, _ = planted
-    vectors = {uid: pf.store.get(uid) for uid in pf.store.ids()}
+    from convflow.corpus import utterance_id
+
+    pf, corpus_path, emb_path = planted
+    # texts carry the action render, which is not unique, so the mock serves
+    # the planted vectors positionally: the client sends texts in corpus order
+    order = [utterance_id(d.dialog_id, i) for d in pf.dialogs for i in range(len(d.turns))]
 
     class Handler(http.server.BaseHTTPRequestHandler):
         def do_POST(self):
             assert self.headers["Authorization"] == "Bearer sekrit"
             length = int(self.headers["Content-Length"])
             payload = json.loads(self.rfile.read(length))
-            # the mock answers by text: texts carry the action render, which
-            # is not unique, so serve vectors positionally via a cursor
-            body = json.dumps({"vectors": [[0.0] * 8 for _ in payload["texts"]]})
-            type(self).texts_seen.extend(payload["texts"])
-            body = body.encode()
+            seen = type(self).texts_seen
+            ids = order[len(seen) : len(seen) + len(payload["texts"])]
+            seen.extend(payload["texts"])
+            body = json.dumps({"vectors": [pf.store.get(uid).tolist() for uid in ids]}).encode()
             self.send_response(200)
             self.send_header("Content-Length", str(len(body)))
             self.end_headers()
@@ -524,14 +532,14 @@ def test_eval_remote_embeddings_via_env(planted, tmp_path, monkeypatch):
     monkeypatch.setenv("D2F_EMBED_URL", url)
     monkeypatch.setenv("D2F_EMBED_TOKEN", "sekrit")
     try:
-        # zero vectors cannot be normalized: the pipeline must reach the
-        # normalize step (proving the remote path is wired), then exit 2
-        code = main(["eval", "--corpus", corpus_path, "--out", str(tmp_path / "r.json")])
-        assert code == 2
-        assert len(Handler.texts_seen) > 0
+        assert main(["eval", "--corpus", corpus_path, "--reps", "2", "--out", str(tmp_path / "remote.json")]) == 0
+        assert len(Handler.texts_seen) == len(order)
     finally:
         server.shutdown()
         server.server_close()
+    assert main(["eval", "--corpus", corpus_path, "--reps", "2", "--embeddings", emb_path,
+                 "--out", str(tmp_path / "file.json")]) == 0
+    assert (tmp_path / "remote.json").read_bytes() == (tmp_path / "file.json").read_bytes()
 
 
 def test_eval_remote_error_exits_3(planted, tmp_path, monkeypatch):
@@ -585,8 +593,10 @@ def reply_server():
         lambda n, payload: b"not json",
         lambda n, payload: json.dumps({"vectors": [["x"] * 8 for _ in payload["texts"]]}).encode(),
         lambda n, payload: json.dumps({"vectors": [[1.0] * (1 + i % 2) for i in range(len(payload["texts"]))]}).encode(),
+        lambda n, payload: json.dumps({"vectors": [[0.0] * 8 for _ in payload["texts"]]}).encode(),
+        lambda n, payload: json.dumps({"vectors": [[] for _ in payload["texts"]]}).encode(),
     ],
-    ids=["not-json", "string-in-vector", "mixed-lengths"],
+    ids=["not-json", "string-in-vector", "mixed-lengths", "zero-vector", "empty-vector"],
 )
 def test_eval_malformed_encoder_reply_exits_3(planted, tmp_path, monkeypatch, reply_server, body_for, capsys):
     _, corpus_path, _ = planted

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from convflow.cluster import (
+    KMEANS_MAX_ITER,
     Clustering,
     Dendrogram,
     agglomerative,
@@ -11,7 +12,7 @@ from convflow.cluster import (
     kmeans,
     representative,
 )
-from convflow.embedding import EmbeddingStore
+from convflow.embedding import EmbeddingStore, build_store
 from convflow.errors import InputError
 from convflow.synth import planted_flow
 
@@ -394,9 +395,9 @@ def test_representative_exhaustive_oracle():
     for c in range(3):
         got = representative(store, clustering, c)
         members = clustering.members(c)
-        best = max(members, key=lambda uid: (float(store.get(uid) @ clustering.centroids[c]), [-ord(ch) for ch in uid]))
         sims = {uid: float(store.get(uid) @ clustering.centroids[c]) for uid in members}
-        assert sims[got] == max(sims.values())
+        best = min(members, key=lambda uid: (-sims[uid], uid))  # highest cosine, then lowest id
+        assert got == best
 
 
 # ---------------------------------------------------------------------------
@@ -428,3 +429,29 @@ def test_kmeans_empty_cluster_repair_keeps_k_exact():
     for c in clustering.assignment.values():
         counts[c] = counts.get(c, 0) + 1
     assert len(counts) == 3 and all(v > 0 for v in counts.values())
+
+
+def test_kmeans_repair_never_empties_a_repaired_cluster():
+    # every point's own cosine is 1.0, so a repair that picked the globally
+    # farthest point would move the point an earlier repair had just moved
+    store = build_store([("a", [1, 0]), ("b", [1, 0]), ("c", [1, 0])], normalize=True)
+    clustering, history = kmeans(store, ["a", "b", "c"], 3, return_history=True)
+    assert sorted(clustering.assignment.values()) == [0, 1, 2]
+    assert np.isfinite(clustering.centroids).all()
+    assert len(history) < KMEANS_MAX_ITER
+
+
+def test_kmeans_repeated_vectors_fuzz():
+    # 3-8 points drawn from 1-3 distinct directions, k up to n: every cluster
+    # stays non-empty, the centroids finite, and k-means converges
+    rng = np.random.default_rng(20)
+    for case in range(300):
+        n = int(rng.integers(3, 9))
+        directions = rng.standard_normal((int(rng.integers(1, 4)), 3))
+        ids = [f"p{i}" for i in range(n)]
+        store = build_store([(uid, directions[rng.integers(len(directions))]) for uid in ids], normalize=True)
+        k = int(rng.integers(1, n + 1))
+        clustering, history = kmeans(store, ids, k, seed=case, return_history=True)
+        assert set(clustering.assignment.values()) == set(range(k)), case
+        assert np.isfinite(clustering.centroids).all(), case
+        assert len(history) < KMEANS_MAX_ITER, case

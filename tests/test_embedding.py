@@ -385,6 +385,13 @@ def test_fetch_remote_count_mismatch():
         fetch_remote(url, ["a", "b"], ids=["0", "1"])
 
 
+@pytest.mark.parametrize("reply", [[[1.0, 0.0], [0.0, 0.0]], [[1.0], [-0.0]], [[], []]])
+def test_fetch_remote_vector_with_no_non_zero_entry_is_a_remote_error(reply):
+    named = "'1'" if reply[0] else "'0'"
+    with _encoder_replying(reply) as url, pytest.raises(RemoteError, match=f"no non-zero entry for id {named}"):
+        fetch_remote(url, ["a", "b"], ids=["0", "1"])
+
+
 def test_fetch_remote_mixed_lengths_is_a_protocol_error():
     with _encoder_replying([[1.0], [1.0, 1.0]]) as url, pytest.raises(RemoteError, match="different lengths"):
         fetch_remote(url, ["a", "b"], ids=["0", "1"])
