@@ -39,7 +39,6 @@ from .contrastive import (
 from .evaluation import (
     EvalReport,
     LabeledEmbeddings,
-    anisotropy,
     evaluate,
     intra_inter_anisotropy,
     ndcg_ranking,

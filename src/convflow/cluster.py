@@ -2,6 +2,10 @@
 average-linkage agglomerative clustering under cosine distance, dendrogram
 cuts, and representative-member extraction.
 
+A clustering is a tuple of ids, an int label array aligned with it, and one
+unit centroid per cluster; the id -> cluster dict and the member lists are
+derived from those arrays.
+
 Everything here is deterministic: seeded initialization, id-ordered
 tie-breaking, and single-threaded merge loops.
 """
@@ -9,6 +13,7 @@ tie-breaking, and single-threaded merge loops.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -22,16 +27,36 @@ KMEANS_TOL = 1e-6  # stop once the centroids move less than this in total
 
 @dataclass(frozen=True)
 class Clustering:
-    """A partition of utterance ids with unit-norm centroids."""
+    """A partition of utterance ids: `ids[i]` is in cluster `labels[i]`."""
 
-    assignment: dict[str, int]
+    ids: tuple[str, ...]
+    labels: np.ndarray  # read-only int cluster id of each id
     centroids: np.ndarray  # (k, dim) unit rows
-    k: int
+
+    def __post_init__(self):
+        labels = np.array(self.labels, dtype=np.intp)
+        labels.flags.writeable = False
+        object.__setattr__(self, "labels", labels)
+
+    @property
+    def k(self) -> int:
+        return len(self.centroids)
+
+    @cached_property
+    def assignment(self) -> dict[str, int]:
+        return dict(zip(self.ids, self.labels.tolist()))
+
+    @cached_property
+    def _members(self) -> list[np.ndarray]:  # each cluster's ids, sorted
+        order = np.array(sorted(range(len(self.ids)), key=self.ids.__getitem__), dtype=np.intp)
+        order = order[np.argsort(self.labels[order], kind="stable")]
+        bounds = np.cumsum(np.bincount(self.labels, minlength=self.k))[:-1]
+        return np.split(np.array(self.ids, dtype=object)[order], bounds)
 
     def members(self, cluster_id: int) -> list[str]:
         if not 0 <= cluster_id < self.k:
             raise InputError(f"unknown cluster id {cluster_id}")
-        return sorted(uid for uid, c in self.assignment.items() if c == cluster_id)
+        return self._members[cluster_id].tolist()
 
 
 def _renormalized_mean(rows: np.ndarray) -> np.ndarray:
@@ -115,11 +140,7 @@ def kmeans(
         history.append(float(np.sum(x * centroids[assign])))
         if movement < KMEANS_TOL:
             break
-    clustering = Clustering(
-        assignment={uid: int(c) for uid, c in zip(ids, assign)},
-        centroids=centroids,
-        k=k,
-    )
+    clustering = Clustering(ids=tuple(ids), labels=assign, centroids=centroids)
     if return_history:
         return clustering, history
     return clustering
@@ -214,40 +235,17 @@ def cut(
     else:
         if distance_threshold < 0:
             raise InputError("distance_threshold must be >= 0")
-        applied_count = 0
-        for merge in dendrogram.merges:  # merge distances are non-decreasing
-            if merge[2] <= distance_threshold:
-                applied_count += 1
-            else:
-                break
-
-    parent = list(range(n + len(dendrogram.merges)))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for t, (left, right, _, _) in enumerate(dendrogram.merges[:applied_count]):
-        node = n + t
-        parent[find(left)] = node
-        parent[find(right)] = node
-
-    roots: dict[int, int] = {}
-    assignment: dict[str, int] = {}
-    members: dict[int, list[int]] = {}
-    for i, uid in enumerate(dendrogram.leaves):
-        root = find(i)
-        if root not in roots:
-            roots[root] = len(roots)
-        cid = roots[root]
-        assignment[uid] = cid
-        members.setdefault(cid, []).append(i)
-
+        applied_count = next((t for t, m in enumerate(dendrogram.merges) if m[2] > distance_threshold),
+                             len(dendrogram.merges))
+    top = list(range(n + applied_count))  # each node's topmost ancestor among the applied merges
+    for t in reversed(range(applied_count)):
+        left, right = dendrogram.merges[t][:2]
+        top[left] = top[right] = top[n + t]
+    roots: dict[int, int] = {}  # root node -> cluster id, in first-leaf order
+    labels = np.array([roots.setdefault(top[i], len(roots)) for i in range(n)])
     x = store.matrix(list(dendrogram.leaves))
-    centroids = np.stack([_renormalized_mean(x[members[c]]) for c in range(len(roots))])
-    return Clustering(assignment=assignment, centroids=centroids, k=len(roots))
+    centroids = np.stack([_renormalized_mean(x[labels == c]) for c in range(len(roots))])
+    return Clustering(ids=dendrogram.leaves, labels=labels, centroids=centroids)
 
 
 def representative(store: EmbeddingStore, clustering: Clustering, cluster_id: int) -> str:
@@ -256,12 +254,9 @@ def representative(store: EmbeddingStore, clustering: Clustering, cluster_id: in
     if not members:
         raise InputError(f"cluster {cluster_id} is empty")
     centroid = clustering.centroids[cluster_id]
-    best_id, best_sim = None, -np.inf
-    for uid in members:  # sorted; strict > keeps the lowest id on ties
-        sim = float(store.get(uid) @ centroid)
-        if sim > best_sim:
-            best_id, best_sim = uid, sim
-    return best_id
+    # 1 x dim products round like `row @ centroid`; a gemv may not, and flip a tie
+    sims = store.matrix(members)[:, None, :] @ centroid[:, None]
+    return members[int(np.argmax(sims))]  # members are sorted: the lowest id wins ties
 
 
 # ---------------------------------------------------------------------------
@@ -278,5 +273,4 @@ def dendrogram_to_text(dendrogram: Dendrogram) -> str:
 
 
 def clustering_to_text(clustering: Clustering) -> str:
-    lines = [f"{uid}\t{clustering.assignment[uid]}" for uid in sorted(clustering.assignment)]
-    return "\n".join(lines) + "\n"
+    return "\n".join(f"{uid}\t{c}" for uid, c in sorted(clustering.assignment.items())) + "\n"

@@ -62,18 +62,6 @@ class LabeledEmbeddings:
         )
 
 
-def anisotropy(vectors: np.ndarray) -> float:
-    """Average absolute pairwise cosine: |sum of off-diagonal cosines|
-    divided by n^2 - n."""
-    x = np.asarray(vectors, dtype=np.float64)
-    n = x.shape[0]
-    if n < 2:
-        raise InputError("anisotropy needs at least 2 vectors")
-    gram = x @ x.T
-    off = float(gram.sum() - np.trace(gram))
-    return abs(off) / (n * n - n)
-
-
 @dataclass(frozen=True)
 class AnisotropyReport:
     intra: float

@@ -97,17 +97,20 @@ def trajectories_induced(
     clustering_system: Clustering,
 ) -> list[Trajectory]:
     """Trajectories from per-speaker cluster assignments; step actions are
-    U<cluster> / S<cluster> ids."""
+    U<cluster> / S<cluster> ids, one shared step per (speaker, cluster)."""
+    step_of = {}  # speaker -> uid -> the step of its cluster
+    for speaker, prefix, clustering in (("user", "U", clustering_user), ("system", "S", clustering_system)):
+        steps = [TrajectoryStep(speaker=speaker, action=f"{prefix}{c}") for c in range(clustering.k)]
+        step_of[speaker] = dict(zip(clustering.ids, map(steps.__getitem__, clustering.labels.tolist())))
     out = []
     for dialog in dialogs:
         steps = []
         for i, turn in enumerate(dialog.turns):
             uid = utterance_id(dialog.dialog_id, i)
-            clustering = clustering_user if turn.speaker == "user" else clustering_system
-            if uid not in clustering.assignment:
+            step = step_of["user" if turn.speaker == "user" else "system"].get(uid)
+            if step is None:
                 raise InputError(f"utterance '{uid}' has no cluster assignment")
-            prefix = "U" if turn.speaker == "user" else "S"
-            steps.append(TrajectoryStep(speaker=turn.speaker, action=f"{prefix}{clustering.assignment[uid]}"))
+            steps.append(step)
         out.append(Trajectory(dialog_id=dialog.dialog_id, steps=tuple(steps)))
     return out
 

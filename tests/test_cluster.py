@@ -374,15 +374,13 @@ def test_agglomerative_cut_recovers_well_separated_bundles():
 
 def test_representative_singleton():
     store = _store({"a": [1, 0]})
-    clustering = Clustering(assignment={"a": 0}, centroids=np.array([[1.0, 0.0]]), k=1)
+    clustering = Clustering(ids=("a",), labels=[0], centroids=np.array([[1.0, 0.0]]))
     assert representative(store, clustering, 0) == "a"
 
 
 def test_representative_tie_lowest_id():
     store = _store({"a": [1, 0], "b": [1, 0], "z": [0.6, 0.8]})
-    clustering = Clustering(
-        assignment={"a": 0, "b": 0, "z": 0}, centroids=np.array([[1.0, 0.0]]), k=1
-    )
+    clustering = Clustering(ids=("a", "b", "z"), labels=[0, 0, 0], centroids=np.array([[1.0, 0.0]]))
     assert representative(store, clustering, 0) == "a"
 
 
@@ -400,6 +398,102 @@ def test_representative_exhaustive_oracle():
         assert got == best
 
 
+def _reference_members(clustering: Clustering, cluster_id: int) -> list[str]:
+    """The scan over every (id, cluster) pair that the argsort replaced."""
+    if not 0 <= cluster_id < clustering.k:
+        raise InputError(f"unknown cluster id {cluster_id}")
+    return sorted(uid for uid, c in zip(clustering.ids, clustering.labels.tolist()) if c == cluster_id)
+
+
+def _reference_representative(store: EmbeddingStore, clustering: Clustering, cluster_id: int) -> str:
+    """One `row @ centroid` per member, in sorted order; strict > keeps the
+    lowest id on ties."""
+    members = _reference_members(clustering, cluster_id)
+    if not members:
+        raise InputError(f"cluster {cluster_id} is empty")
+    centroid = clustering.centroids[cluster_id]
+    best_id, best_sim = None, -np.inf
+    for uid in members:
+        sim = float(store.get(uid) @ centroid)
+        if sim > best_sim:
+            best_id, best_sim = uid, sim
+    return best_id
+
+
+def _assert_matches_the_references(store: EmbeddingStore, clustering: Clustering) -> None:
+    for c in range(clustering.k):
+        assert clustering.members(c) == _reference_members(clustering, c), c
+        assert representative(store, clustering, c) == _reference_representative(store, clustering, c), c
+
+
+def test_members_and_representative_equal_the_references_on_a_planted_corpus():
+    pf = planted_flow(k_user=6, k_system=5, n_dialogs=120, dim=16, seed=4)
+    for role in ("user", "system"):
+        ids = [f"{d.dialog_id}:{i}" for d in pf.dialogs for i, t in enumerate(d.turns) if t.speaker == role]
+        clustering = kmeans(pf.store, ids, k=6 if role == "user" else 5, seed=7)
+        _assert_matches_the_references(pf.store, clustering)
+        assert sorted(uid for c in range(clustering.k) for uid in clustering.members(c)) == sorted(ids)
+
+
+def test_members_follow_sorted_ids_not_insertion_order():
+    # "d:10" sorts before "d:2"; the ids arrive in neither sorted nor label order
+    ids = ("d:2", "d:10", "d:1", "d:11", "d:3", "d:20")
+    store = _store({uid: [1.0, 0.1 * i] for i, uid in enumerate(ids)})
+    clustering = Clustering(ids=ids, labels=[1, 0, 1, 0, 2, 1], centroids=np.array([[1.0, 0.0]] * 3))
+    assert clustering.members(0) == ["d:10", "d:11"]
+    assert clustering.members(1) == ["d:1", "d:2", "d:20"]
+    assert clustering.members(2) == ["d:3"]
+    assert clustering.assignment == {"d:2": 1, "d:10": 0, "d:1": 1, "d:11": 0, "d:3": 2, "d:20": 1}
+    _assert_matches_the_references(store, clustering)
+
+
+def test_members_returns_a_fresh_list():
+    clustering = Clustering(ids=("b", "a"), labels=[0, 0], centroids=np.array([[1.0]]))
+    clustering.members(0).append("z")
+    assert clustering.members(0) == ["a", "b"]
+    with pytest.raises(ValueError, match="read-only"):
+        clustering.labels[0] = 1
+
+
+def test_representative_equals_the_reference_on_tie_heavy_vectors():
+    # coordinates from {-1, 0, 1}: many members share a vector, so the
+    # representative is decided by the lowest-id tie-break
+    rng = np.random.default_rng(21)
+    for case in range(40):
+        n = int(rng.integers(4, 30))
+        x = rng.integers(-1, 2, size=(n, 3)).astype(float)
+        x[np.all(x == 0, axis=1), 0] = 1.0
+        ids = [f"u{int(i)}" for i in rng.permutation(n)]
+        store = build_store(list(zip(ids, x)), normalize=True)
+        k = int(rng.integers(1, min(n, 5) + 1))
+        _assert_matches_the_references(store, kmeans(store, ids, k, seed=case))
+        labels = rng.integers(0, k, size=n)
+        labels[:k] = np.arange(k)  # every cluster keeps a member
+        centroids = np.stack([store.matrix(ids)[labels == c].mean(axis=0) for c in range(k)])
+        hand = Clustering(ids=tuple(ids), labels=labels, centroids=centroids)
+        _assert_matches_the_references(store, hand)
+
+
+def test_representative_of_an_empty_cluster_raises():
+    store = _store({"a": [1, 0], "b": [0, 1]})
+    clustering = Clustering(ids=("a", "b"), labels=[0, 2], centroids=np.eye(3)[:, :2])
+    assert clustering.members(1) == []
+    with pytest.raises(InputError, match="^cluster 1 is empty$"):
+        representative(store, clustering, 1)
+    with pytest.raises(InputError, match="^cluster 1 is empty$"):
+        _reference_representative(store, clustering, 1)
+
+
+@pytest.mark.parametrize("cluster_id", [-1, 2, 3])
+def test_members_and_representative_reject_an_unknown_cluster_id(cluster_id):
+    store = _store({"a": [1, 0], "b": [0, 1]})
+    clustering = Clustering(ids=("a", "b"), labels=[0, 1], centroids=np.eye(2))
+    with pytest.raises(InputError, match=f"^unknown cluster id {cluster_id}$"):
+        clustering.members(cluster_id)
+    with pytest.raises(InputError, match=f"^unknown cluster id {cluster_id}$"):
+        representative(store, clustering, cluster_id)
+
+
 # ---------------------------------------------------------------------------
 # Exports
 # ---------------------------------------------------------------------------
@@ -414,7 +508,7 @@ def test_dendrogram_export_format():
 
 
 def test_clustering_export_format():
-    clustering = Clustering(assignment={"b": 1, "a": 0}, centroids=np.eye(2), k=2)
+    clustering = Clustering(ids=("b", "a"), labels=[1, 0], centroids=np.eye(2))
     assert clustering_to_text(clustering) == "a\t0\nb\t1\n"
 
 

@@ -13,7 +13,6 @@ from convflow.evaluation import (
     ClassificationResult,
     LabeledEmbeddings,
     RankingResult,
-    anisotropy,
     evaluate,
     intra_inter_anisotropy,
     ndcg_ranking,
@@ -32,6 +31,19 @@ def _unit_rows(rng, n, d):
 def _random_orthogonal(rng, d):
     q, _ = np.linalg.qr(rng.standard_normal((d, d)))
     return q
+
+
+def anisotropy(vectors: np.ndarray) -> float:
+    """Average absolute pairwise cosine of one set: |sum of off-diagonal
+    cosines| divided by n^2 - n. The oracle for each intra term of
+    `intra_inter_anisotropy`."""
+    x = np.asarray(vectors, dtype=np.float64)
+    n = x.shape[0]
+    if n < 2:
+        raise InputError("anisotropy needs at least 2 vectors")
+    gram = x @ x.T
+    off = float(gram.sum() - np.trace(gram))
+    return abs(off) / (n * n - n)
 
 
 def _labeled(vectors: dict[str, np.ndarray], labels: dict[str, str]) -> LabeledEmbeddings:

@@ -83,17 +83,25 @@ def test_trajectories_induced_alternating():
         "d",
         (_utt("user", ["inform"]), _utt("system", ["inform"]), _utt("user", ["inform"])),
     )
-    cu = Clustering(assignment={"d:0": 0, "d:2": 0}, centroids=np.array([[1.0]]), k=1)
-    cs = Clustering(assignment={"d:1": 1}, centroids=np.array([[1.0], [1.0]]), k=2)
+    cu = Clustering(ids=("d:0", "d:2"), labels=[0, 0], centroids=np.array([[1.0]]))
+    cs = Clustering(ids=("d:1",), labels=[1], centroids=np.array([[1.0], [1.0]]))
     trajs = trajectories_induced([dialog], cu, cs)
     assert [s.action for s in trajs[0].steps] == ["U0", "S1", "U0"]
 
 
 def test_trajectories_induced_coverage_error():
     dialog = UnifiedDialog("d", (_utt("user", ["inform"]),))
-    empty = Clustering(assignment={}, centroids=np.array([[1.0]]), k=1)
+    empty = Clustering(ids=(), labels=[], centroids=np.array([[1.0]]))
     with pytest.raises(InputError, match="^utterance 'd:0' has no cluster assignment$"):
         trajectories_induced([dialog], empty, empty)
+
+
+def test_trajectories_induced_looks_up_a_user_turn_only_in_the_user_clustering():
+    dialog = UnifiedDialog("d", (_utt("user", ["inform"]), _utt("system", ["inform"])))
+    cu = Clustering(ids=("d:1",), labels=[0], centroids=np.array([[1.0]]))
+    cs = Clustering(ids=("d:0", "d:1"), labels=[0, 0], centroids=np.array([[1.0]]))
+    with pytest.raises(InputError, match="^utterance 'd:0' has no cluster assignment$"):
+        trajectories_induced([dialog], cu, cs)
 
 
 def test_trajectories_induced_matches_direct_lookup():
@@ -109,8 +117,8 @@ def test_trajectories_induced_matches_direct_lookup():
             uid = f"dlg{d}:{i}"
             (assign_u if speaker == "user" else assign_s)[uid] = int(rng.integers(0, 3))
         dialogs.append(UnifiedDialog(f"dlg{d}", tuple(turns)))
-    cu = Clustering(assignment=assign_u, centroids=np.ones((3, 1)), k=3)
-    cs = Clustering(assignment=assign_s, centroids=np.ones((3, 1)), k=3)
+    cu = Clustering(ids=tuple(assign_u), labels=list(assign_u.values()), centroids=np.ones((3, 1)))
+    cs = Clustering(ids=tuple(assign_s), labels=list(assign_s.values()), centroids=np.ones((3, 1)))
     trajs = trajectories_induced(dialogs, cu, cs)
     for traj, dialog in zip(trajs, dialogs):
         for i, step in enumerate(traj.steps):
