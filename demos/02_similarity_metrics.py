@@ -8,7 +8,7 @@ Run: python demos/02_similarity_metrics.py
 import numpy as np
 
 from convflow.corpus import ActionLabel
-from convflow.embedding import EmbeddingStore
+from convflow.embedding import build_store
 from convflow.evaluation import LabeledEmbeddings, evaluate, report_to_json
 
 rng = np.random.default_rng(7)
@@ -21,15 +21,13 @@ centers = np.linalg.qr(rng.standard_normal((dim, n_actions)))[0].T
 
 
 def make_space(noise_scale):
-    vectors, labels = {}, {}
+    pairs, labels = [], {}
     for a in range(n_actions):
         for i in range(per_action):
-            v = centers[a] + noise_scale * rng.standard_normal(dim)
-            v /= np.linalg.norm(v)
             uid = f"a{a}u{i}"
-            vectors[uid] = v
+            pairs.append((uid, centers[a] + noise_scale * rng.standard_normal(dim)))
             labels[uid] = ActionLabel.make("inform", [f"field_{a}"])
-    store = EmbeddingStore(dim=dim, vectors=vectors, normalized=True)
+    store = build_store(pairs, normalize=True)
     return LabeledEmbeddings(store=store, labels=labels)
 
 

@@ -61,8 +61,9 @@ def random_unit_rows(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
     return x / np.linalg.norm(x, axis=1, keepdims=True)
 
 
-def random_label_table(rng: np.random.Generator, n_labels: int, dim: int = 12) -> LabelTable:
-    embs = random_unit_rows(rng, n_labels, dim)
+def random_label_table(rng: np.random.Generator, n_labels: int) -> LabelTable:
+    """delta of `n_labels` random unit label embeddings of dim 12."""
+    embs = random_unit_rows(rng, n_labels, 12)
     delta = embs @ embs.T
     delta = (delta + delta.T) / 2.0
     return LabelTable(delta=delta)

@@ -216,27 +216,14 @@ def agglomerative(store: EmbeddingStore, ids: list[str]) -> Dendrogram:
     return Dendrogram(leaves=tuple(ids), merges=tuple(merges))
 
 
-def cut(
-    dendrogram: Dendrogram,
-    store: EmbeddingStore,
-    n_clusters: int | None = None,
-    distance_threshold: float | None = None,
-) -> Clustering:
-    """Flatten a dendrogram: undo the last k-1 merges (n_clusters=k) or
-    every merge above the threshold. Cluster ids follow the input order of
-    each cluster's first leaf; centroids are re-normalized means."""
-    if (n_clusters is None) == (distance_threshold is None):
-        raise InputError("specify exactly one of n_clusters or distance_threshold")
+def cut(dendrogram: Dendrogram, store: EmbeddingStore, n_clusters: int) -> Clustering:
+    """Flatten a dendrogram into `n_clusters` clusters by undoing its last
+    n_clusters - 1 merges. Cluster ids follow the input order of each
+    cluster's first leaf; centroids are re-normalized means."""
     n = len(dendrogram.leaves)
-    if n_clusters is not None:
-        if not 1 <= n_clusters <= n:
-            raise InputError(f"n_clusters must be in [1, {n}], got {n_clusters}")
-        applied_count = n - n_clusters
-    else:
-        if distance_threshold < 0:
-            raise InputError("distance_threshold must be >= 0")
-        applied_count = next((t for t, m in enumerate(dendrogram.merges) if m[2] > distance_threshold),
-                             len(dendrogram.merges))
+    if not 1 <= n_clusters <= n:
+        raise InputError(f"n_clusters must be in [1, {n}], got {n_clusters}")
+    applied_count = n - n_clusters
     top = list(range(n + applied_count))  # each node's topmost ancestor among the applied merges
     for t in reversed(range(applied_count)):
         left, right = dendrogram.merges[t][:2]
@@ -273,4 +260,5 @@ def dendrogram_to_text(dendrogram: Dendrogram) -> str:
 
 
 def clustering_to_text(clustering: Clustering) -> str:
-    return "\n".join(f"{uid}\t{c}" for uid, c in sorted(clustering.assignment.items())) + "\n"
+    """One `id<TAB>cluster` line per id, sorted by id."""
+    return "\n".join(f"{uid}\t{c}" for uid, c in sorted(zip(clustering.ids, clustering.labels.tolist()))) + "\n"

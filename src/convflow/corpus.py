@@ -141,10 +141,6 @@ _STANDARD_TO_PARENT = {
     "good_bye": "good_bye",
 }
 
-STANDARD_ACTS = tuple(sorted(set(_RAW_TO_STANDARD.values())))
-PARENT_ACTS = tuple(sorted(set(_STANDARD_TO_PARENT.values())))
-
-
 @dataclass(frozen=True)
 class ActMappingTable:
     raw_to_standard: dict[str, str] = field(default_factory=lambda: dict(_RAW_TO_STANDARD))

@@ -13,7 +13,7 @@ import json
 import struct
 from array import array
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -72,35 +72,24 @@ class EmbeddingStore:
     """Immutable id -> vector table: one read-only float64 (N, dim) matrix
     behind an id -> row index, so a store is safe to share across threads.
 
-    `vectors` may be any id -> vector mapping; the store copies it into its
-    matrix and keeps `vectors` as a read-only id -> row mapping. A
-    non-finite value raises InputError.
+    `vectors` maps each id to its read-only row. `build_store` and
+    `load_embeddings` make stores; a non-finite value raises InputError.
     """
 
     dim: int
-    vectors: Mapping[str, np.ndarray] = field(default_factory=dict)
+    vectors: _Rows
     normalized: bool = False
 
     def __post_init__(self):
-        rows = self.vectors
-        if not isinstance(rows, _Rows):
-            matrix = np.array(list(rows.values()), dtype=np.float64).reshape(len(rows), self.dim)
-            rows = _Rows({uid: i for i, uid in enumerate(rows)}, matrix)
-            object.__setattr__(self, "vectors", rows)
-        finite = np.isfinite(rows.matrix).all(axis=1)
+        finite = np.isfinite(self.vectors.matrix).all(axis=1)
         if not finite.all():
-            raise InputError(f"vector '{list(rows)[np.argmin(finite)]}' holds a non-finite value")
+            raise InputError(f"vector '{list(self.vectors)[np.argmin(finite)]}' holds a non-finite value")
 
     def __len__(self) -> int:
         return len(self.vectors)
 
     def __contains__(self, uid: str) -> bool:
         return uid in self.vectors.index
-
-    def get(self, uid: str) -> np.ndarray:
-        """The row of `uid`, a read-only view."""
-        rows = self.vectors
-        return rows.matrix[rows.index[uid]]
 
     def ids(self) -> list[str]:
         return sorted(self.vectors)

@@ -108,7 +108,6 @@ def intra_inter_anisotropy(data: LabeledEmbeddings) -> AnisotropyReport:
 class ClassificationResult:
     macro_f1: float
     accuracy: float
-    per_class: dict[str, dict[str, float]]
     excluded: tuple[str, ...]  # actions without k+1 embeddings
 
 
@@ -146,24 +145,14 @@ def prototype_classify(data: LabeledEmbeddings, k: int, seed: int = 0) -> Classi
     tps = np.bincount(gold[predicted == gold], minlength=len(included))
     n_predicted = np.bincount(predicted, minlength=len(included))
     n_gold = np.bincount(gold, minlength=len(included))
-
-    per_class: dict[str, dict[str, float]] = {}
     f1s = []
-    for action, tp, n_pred, n_true in zip(included, tps.tolist(), n_predicted.tolist(), n_gold.tolist()):
+    for tp, n_pred, n_true in zip(tps.tolist(), n_predicted.tolist(), n_gold.tolist()):
         precision = tp / n_pred if n_pred else 0.0
         recall = tp / n_true if n_true else 0.0
-        f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
-        per_class[action] = {
-            "precision": precision,
-            "recall": recall,
-            "f1": f1,
-            "support": float(n_true),
-        }
-        f1s.append(f1)
+        f1s.append(2 * precision * recall / (precision + recall) if precision + recall else 0.0)
     return ClassificationResult(
         macro_f1=float(np.mean(f1s)),
         accuracy=float(np.mean(predicted == gold)),
-        per_class=per_class,
         excluded=tuple(excluded),
     )
 

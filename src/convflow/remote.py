@@ -7,9 +7,10 @@ import http.client
 import json
 import time
 import urllib.error
+import urllib.parse
 import urllib.request
 
-from .errors import RemoteError, UnavailableError
+from .errors import InputError, RemoteError, UnavailableError
 
 MAX_RETRIES = 3
 BACKOFF = 0.5  # seconds before the first retry; doubles with every retry
@@ -18,12 +19,33 @@ TIMEOUT = 30.0  # seconds per request
 sleep = time.sleep  # every backoff wait goes through this; tests replace it
 
 
+def _check_request(url: str, token: str | None) -> None:
+    """Raise InputError for a URL or token no request can carry: a URL that
+    is not http(s)://host[:port]/... in visible ASCII or that holds a user
+    name or password, or a token that is not printable ASCII. The message
+    never shows a token or password."""
+    try:
+        parts = urllib.parse.urlsplit(url)
+        if "@" in parts.netloc:  # urllib would send user:password@ as part of the host name
+            raise InputError(f"the endpoint for {parts.hostname} holds a user name or password; pass a token instead")
+        parts.port  # raises ValueError unless the port is a number in [0, 65535]
+    except ValueError as exc:
+        raise InputError(f"endpoint {url!r} is not a valid URL ({exc})") from exc
+    visible = url.isascii() and url.isprintable() and " " not in url
+    if parts.scheme not in ("http", "https") or not parts.hostname or not visible:
+        raise InputError(f"endpoint {url!r} is not an http(s)://host[:port]/path URL in visible ASCII")
+    if token and not (token.isascii() and token.isprintable()):
+        raise InputError(f"the bearer token for {url} holds a character that is not printable ASCII")
+
+
 def post_json(url: str, payload: dict, token: str | None) -> dict:
     """POST `payload` as JSON with bearer auth and return the reply's JSON object.
+    A malformed URL or token raises InputError before anything is sent.
     HTTP 429, 5xx and connection failures are retried MAX_RETRIES times with
     doubling backoff, then raise UnavailableError; a Retry-After header in
     whole seconds lengthens a wait, never shortens it. Other HTTP errors raise
     RemoteError, and so does a reply that is not a JSON object."""
+    _check_request(url, token)
     headers = {"Content-Type": "application/json"}
     if token:
         headers["Authorization"] = f"Bearer {token}"

@@ -23,7 +23,7 @@ from convflow.contrastive import (
 )
 from convflow.corpus import ActionLabel, parse_unified, serialize_unified, utterance_id
 from convflow.cluster import kmeans
-from convflow.embedding import EmbeddingStore, build_store, load_embeddings, save_embeddings
+from convflow.embedding import build_store, load_embeddings, save_embeddings
 from convflow.evaluation import (
     LabeledEmbeddings,
     evaluate,
@@ -273,9 +273,7 @@ def test_criterion_5_graph_size_table_arithmetic():
 def _random_labeled(rng, n_items=200, n_actions=10, dim=8):
     x = _unit_rows(rng, n_items, dim)
     labels = rng.integers(0, n_actions, size=n_items)
-    store = EmbeddingStore(
-        dim=dim, vectors={f"u{i:03d}": x[i] for i in range(n_items)}, normalized=True
-    )
+    store = build_store([(f"u{i:03d}", x[i]) for i in range(n_items)], normalize=True)
     return LabeledEmbeddings(
         store=store, labels={f"u{i:03d}": ActionLabel.make(f"act{labels[i]:02d}", []) for i in range(n_items)}
     )
@@ -291,7 +289,7 @@ def _oracle_intra_inter(data):
         if len(ids) < 2:
             continue
         s = sum(
-            float(data.store.get(a) @ data.store.get(b)) for a in ids for b in ids if a != b
+            float(data.store.vectors[a] @ data.store.vectors[b]) for a in ids for b in ids if a != b
         )
         intra.append(abs(s) / (len(ids) ** 2 - len(ids)))
     keys = sorted(groups)
@@ -299,7 +297,7 @@ def _oracle_intra_inter(data):
     for i in range(len(keys)):
         for j in range(i + 1, len(keys)):
             ids_a, ids_b = groups[keys[i]], groups[keys[j]]
-            s = sum(float(data.store.get(a) @ data.store.get(b)) for a in ids_a for b in ids_b)
+            s = sum(float(data.store.vectors[a] @ data.store.vectors[b]) for a in ids_a for b in ids_b)
             inter.append(abs(s) / (len(ids_a) * len(ids_b)))
     return float(np.mean(intra)), float(np.mean(inter))
 
@@ -315,7 +313,7 @@ def _oracle_kshot(data, k, seed):
         if len(ids) <= k:
             continue
         picks = sorted(set(int(p) for p in rng.choice(len(ids), size=k, replace=False)))
-        vecs = [data.store.get(ids[p]) for p in picks]
+        vecs = [data.store.vectors[ids[p]] for p in picks]
         proto = np.zeros(data.store.dim)
         for v in vecs:
             proto = proto + v
@@ -328,7 +326,7 @@ def _oracle_kshot(data, k, seed):
                 items.append((uid, action))
     gold, predicted = [], []
     for uid, action in items:
-        sims = [float(data.store.get(uid) @ p) for p in protos]
+        sims = [float(data.store.vectors[uid] @ p) for p in protos]
         best = 0
         for idx in range(1, len(sims)):
             if sims[idx] > sims[best]:
@@ -361,7 +359,7 @@ def _oracle_ndcg(data, k, seed, repetitions):
             if len(ids) < 2:
                 continue
             query = ids[int(rng.integers(len(ids)))]
-            cands = [(float(data.store.get(c) @ data.store.get(query)), c) for c in all_ids if c != query]
+            cands = [(float(data.store.vectors[c] @ data.store.vectors[query]), c) for c in all_ids if c != query]
             cands.sort(key=lambda t: (-t[0], t[1]))
             dcg = 0.0
             for rank, (_, cand) in enumerate(cands[:k]):

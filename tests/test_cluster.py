@@ -18,12 +18,7 @@ from convflow.synth import planted_flow
 
 
 def _store(vectors: dict[str, np.ndarray]) -> EmbeddingStore:
-    dim = len(next(iter(vectors.values())))
-    return EmbeddingStore(
-        dim=dim,
-        vectors={k: np.asarray(v, float) / np.linalg.norm(v) for k, v in vectors.items()},
-        normalized=True,
-    )
+    return build_store(list(vectors.items()), normalize=True)
 
 
 def _bundle(rng, center, n, spread=0.05):
@@ -328,30 +323,13 @@ def test_cut_exactly_k_nonempty():
         assert len(counts) == k and all(v > 0 for v in counts.values())
 
 
-def test_cut_threshold_in_gap_recovers_planting():
-    rng = np.random.default_rng(10)
-    centers = np.eye(3)
-    vectors = {}
-    for a in range(3):
-        for i, v in enumerate(_bundle(rng, centers[a], 5, spread=0.03)):
-            vectors[f"a{a}u{i}"] = v
-    store = _store(vectors)
-    ids = sorted(vectors)
-    dendro = agglomerative(store, ids)
-    # intra distances ~0.002, inter ~1.0: threshold 0.4 sits in the gap
-    clustering = cut(dendro, store, distance_threshold=0.4)
-    assert clustering.k == 3
-    for a in range(3):
-        assert len({clustering.assignment[f"a{a}u{i}"] for i in range(5)}) == 1
-
-
 def test_cut_out_of_range():
     store = _store({"a": [1, 0], "b": [0, 1]})
     dendro = agglomerative(store, ["a", "b"])
     with pytest.raises(InputError, match=r"n_clusters must be in \[1, 2\], got 3"):
         cut(dendro, store, n_clusters=3)
-    with pytest.raises(InputError, match="distance_threshold must be >= 0"):
-        cut(dendro, store, distance_threshold=-0.1)
+    with pytest.raises(InputError, match=r"n_clusters must be in \[1, 2\], got 0"):
+        cut(dendro, store, n_clusters=0)
 
 
 def test_agglomerative_cut_recovers_well_separated_bundles():
@@ -393,7 +371,7 @@ def test_representative_exhaustive_oracle():
     for c in range(3):
         got = representative(store, clustering, c)
         members = clustering.members(c)
-        sims = {uid: float(store.get(uid) @ clustering.centroids[c]) for uid in members}
+        sims = {uid: float(store.vectors[uid] @ clustering.centroids[c]) for uid in members}
         best = min(members, key=lambda uid: (-sims[uid], uid))  # highest cosine, then lowest id
         assert got == best
 
@@ -414,7 +392,7 @@ def _reference_representative(store: EmbeddingStore, clustering: Clustering, clu
     centroid = clustering.centroids[cluster_id]
     best_id, best_sim = None, -np.inf
     for uid in members:
-        sim = float(store.get(uid) @ centroid)
+        sim = float(store.vectors[uid] @ centroid)
         if sim > best_sim:
             best_id, best_sim = uid, sim
     return best_id
@@ -510,6 +488,18 @@ def test_dendrogram_export_format():
 def test_clustering_export_format():
     clustering = Clustering(ids=("b", "a"), labels=[1, 0], centroids=np.eye(2))
     assert clustering_to_text(clustering) == "a\t0\nb\t1\n"
+
+
+def test_clustering_export_equals_the_assignment_dict_rendering():
+    """The export writes from the aligned ids and labels; the oracle is the
+    rendering it had through the id -> cluster dict. Ids sort as strings:
+    'd:10' before 'd:2'."""
+    rng = np.random.default_rng(12)
+    ids = [f"d:{i}" for i in rng.permutation(25)] + ["e:1", "d:100", "c:0"]
+    clustering = Clustering(ids=tuple(ids), labels=rng.integers(0, 4, len(ids)), centroids=np.eye(4))
+    oracle = "\n".join(f"{uid}\t{c}" for uid, c in sorted(clustering.assignment.items())) + "\n"
+    assert clustering_to_text(clustering) == oracle
+    assert oracle.index("d:10\t") < oracle.index("d:2\t")
 
 
 def test_kmeans_empty_cluster_repair_keeps_k_exact():

@@ -10,8 +10,6 @@ from convflow.corpus import (
     ActionLabel,
     AnnotatedUtterance,
     UnifiedDialog,
-    PARENT_ACTS,
-    STANDARD_ACTS,
     action_of,
     builtin_table,
     compute_stats,
@@ -367,7 +365,7 @@ def test_standardize_act_unknown():
 
 
 def test_standardized_names_are_fixpoints():
-    for name in STANDARD_ACTS:
+    for name in set(builtin_table().raw_to_standard.values()):
         std, _ = standardize_act(name)
         assert std == name
 
@@ -376,10 +374,10 @@ def test_table_is_total_onto_18_and_10():
     table = builtin_table()
     standards = {standardize_act(raw, table)[0] for raw in table.raw_to_standard}
     parents = {standardize_act(raw, table)[1] for raw in table.raw_to_standard}
-    assert standards == set(STANDARD_ACTS)
-    assert len(STANDARD_ACTS) == 18
-    assert parents == set(PARENT_ACTS)
-    assert len(PARENT_ACTS) == 10
+    assert standards == set(table.raw_to_standard.values()) == set(table.standard_to_parent)
+    assert len(standards) == 18
+    assert parents == set(table.standard_to_parent.values())
+    assert len(parents) == 10
 
 
 def test_table_file_roundtrip(tmp_path):

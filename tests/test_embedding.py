@@ -57,7 +57,7 @@ def test_jsonl_load(tmp_path):
     path.write_text('{"id": "a", "vector": [1, 0, 0, 0]}\n{"id": "true", "vector": [0, 1e0, 0, -0.5]}\n')
     store = load_embeddings(str(path), format="jsonl")
     assert len(store) == 2 and store.dim == 4
-    assert store.get("true").tolist() == [0.0, 1.0, 0.0, -0.5]  # an id that reads "true" is no bool
+    assert store.vectors["true"].tolist() == [0.0, 1.0, 0.0, -0.5]  # an id that reads "true" is no bool
 
 
 def test_jsonl_dim_mismatch(tmp_path):
@@ -163,7 +163,7 @@ def test_load_order_independent(tmp_path):
     s2 = load_embeddings(str(p2), format="jsonl")
     assert s1.ids() == s2.ids()
     for uid in s1.ids():
-        assert np.array_equal(s1.get(uid), s2.get(uid))
+        assert np.array_equal(s1.vectors[uid], s2.vectors[uid])
 
 
 def test_normalized_store_pairwise_matches_definitional_cosine():
@@ -186,7 +186,7 @@ def test_store_normalize_matches_l2_normalize_bit_for_bit():
         pairs = [(f"u{i}", rng.uniform(0.1, 10.0) * rng.standard_normal(dim)) for i in range(100)]
         for store in (build_store(pairs, normalize=True), build_store(pairs).normalize()):
             for uid, vec in pairs:
-                assert np.array_equal(store.get(uid), l2_normalize(vec))
+                assert np.array_equal(store.vectors[uid], l2_normalize(vec))
 
 
 def test_store_normalize_rejects_a_zero_vector():
@@ -199,20 +199,23 @@ def test_store_normalize_rejects_a_zero_vector():
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("normalize", [False, True])
-def test_store_rejects_non_finite_values(bad, normalize):
+def test_store_rejects_non_finite_values(tmp_path, bad, normalize):
     pairs = [("a", np.array([1.0, 0.0])), ("b", np.array([0.5, bad]))]
     with pytest.raises(InputError, match="vector 'b' holds a non-finite value"):
         build_store(pairs, normalize=normalize)
+    path, data = _binary_file(tmp_path)
+    struct.pack_into("<f", data, len(data) - 4, bad)  # the last value of the last record, 'b'
+    path.write_bytes(data)
     with pytest.raises(InputError, match="vector 'b' holds a non-finite value"):
-        EmbeddingStore(dim=2, vectors=dict(pairs))
+        load_embeddings(str(path), format="binary")
 
 
 def test_store_rows_are_read_only_and_matrix_is_a_copy():
     source = {"a": np.array([1.0, 2.0]), "b": np.array([3.0, 4.0])}
-    store = EmbeddingStore(dim=2, vectors=source)
+    store = build_store(list(source.items()))
     source["a"][0] = 9.0  # the store holds its own copy
-    assert np.array_equal(store.get("a"), [1.0, 2.0])
-    for row in (store.get("a"), store.vectors["b"], store.normalize().get("b")):
+    assert np.array_equal(store.vectors["a"], [1.0, 2.0])
+    for row in (store.vectors["a"], store.normalize().vectors["b"]):
         with pytest.raises(ValueError):
             row[0] = 9.0
     mat = store.matrix(["b", "a"])
@@ -300,8 +303,8 @@ def test_fetch_remote_empty_list(mock_server):
 
 def test_fetch_remote_matches_mock_payload(mock_server):
     store = fetch_remote(mock_server, ["ab", "defg"], ids=["x", "y"])
-    assert np.allclose(store.get("x"), [2.0, 1.0, 0.0])
-    assert np.allclose(store.get("y"), [4.0, 1.0, 0.0])
+    assert np.allclose(store.vectors["x"], [2.0, 1.0, 0.0])
+    assert np.allclose(store.vectors["y"], [4.0, 1.0, 0.0])
 
 
 def test_fetch_remote_sends_full_batches_in_order(mock_server):
@@ -311,7 +314,7 @@ def test_fetch_remote_sends_full_batches_in_order(mock_server):
     assert _MockHandler.posted == [texts[:128], texts[128:256], texts[256:]]
     assert [len(batch) for batch in _MockHandler.posted] == [128, 128, 44]
     for i, uid in enumerate(ids):
-        assert np.array_equal(store.get(uid), [i + 1.0, 1.0, 0.0])
+        assert np.array_equal(store.vectors[uid], [i + 1.0, 1.0, 0.0])
 
 
 def test_fetch_remote_retries_transient_then_succeeds(mock_server, monkeypatch):
@@ -319,7 +322,7 @@ def test_fetch_remote_retries_transient_then_succeeds(mock_server, monkeypatch):
     monkeypatch.setattr(remote, "sleep", sleeps.append)
     _MockHandler.fail_next = 2
     store = fetch_remote(mock_server, ["abc"], ids=["0"])
-    assert np.allclose(store.get("0"), [3.0, 1.0, 0.0])
+    assert np.allclose(store.vectors["0"], [3.0, 1.0, 0.0])
     assert _MockHandler.calls == 3
     assert sleeps == [0.5, 1.0]
 
@@ -336,7 +339,7 @@ def test_fetch_remote_retries_429_waiting_at_least_retry_after(mock_server, monk
     _MockHandler.fail_status = 429
     _MockHandler.retry_after = retry_after
     store = fetch_remote(mock_server, ["abc"], ids=["0"])
-    assert np.allclose(store.get("0"), [3.0, 1.0, 0.0])
+    assert np.allclose(store.vectors["0"], [3.0, 1.0, 0.0])
     assert _MockHandler.calls == 3
     assert sleeps == expected
 
@@ -400,4 +403,4 @@ def test_fetch_remote_mixed_lengths_is_a_protocol_error():
 def test_store_normalize_flag():
     store = build_store([("a", np.array([3.0, 4.0]))], normalize=True)
     assert store.normalized
-    assert np.allclose(store.get("a"), [0.6, 0.8])
+    assert np.allclose(store.vectors["a"], [0.6, 0.8])

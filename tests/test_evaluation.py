@@ -6,7 +6,7 @@ import pytest
 
 from convflow import evaluation
 from convflow.corpus import ActionLabel, labeled_utterances
-from convflow.embedding import EmbeddingStore
+from convflow.embedding import build_store
 from convflow.errors import InputError
 from convflow.evaluation import (
     AnisotropyReport,
@@ -47,8 +47,7 @@ def anisotropy(vectors: np.ndarray) -> float:
 
 
 def _labeled(vectors: dict[str, np.ndarray], labels: dict[str, str]) -> LabeledEmbeddings:
-    dim = len(next(iter(vectors.values())))
-    store = EmbeddingStore(dim=dim, vectors={k: np.asarray(v, float) for k, v in vectors.items()}, normalized=True)
+    store = build_store(list(vectors.items()), normalize=True)
     return LabeledEmbeddings(store=store, labels={k: ActionLabel.make(v, []) for k, v in labels.items()})
 
 
@@ -124,21 +123,17 @@ def _reference_prototype_classify(data: LabeledEmbeddings, k: int, seed: int = 0
     sims = items @ proto_mat.T
     predicted = np.argmax(sims, axis=1)
     gold_arr = np.asarray(gold)
-    per_class: dict[str, dict[str, float]] = {}
     f1s = []
-    for idx, action in enumerate(included):
+    for idx in range(len(included)):
         tp = int(np.sum((predicted == idx) & (gold_arr == idx)))
         fp = int(np.sum((predicted == idx) & (gold_arr != idx)))
         fn = int(np.sum((predicted != idx) & (gold_arr == idx)))
         precision = tp / (tp + fp) if tp + fp else 0.0
         recall = tp / (tp + fn) if tp + fn else 0.0
-        f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
-        per_class[action] = {"precision": precision, "recall": recall, "f1": f1, "support": float(tp + fn)}
-        f1s.append(f1)
+        f1s.append(2 * precision * recall / (precision + recall) if precision + recall else 0.0)
     return ClassificationResult(
         macro_f1=float(np.mean(f1s)),
         accuracy=float(np.mean(predicted == gold_arr)),
-        per_class=per_class,
         excluded=tuple(excluded),
     )
 
@@ -163,7 +158,7 @@ def _reference_ndcg_ranking(
         scores = []
         for action, ids in eligible.items():
             query = ids[int(rng.integers(len(ids)))]
-            qvec = data.store.get(query)
+            qvec = data.store.vectors[query]
             sims = matrix @ qvec
             order = sorted(
                 (i for i in range(len(all_ids)) if all_ids[i] != query),
@@ -332,8 +327,8 @@ def test_prototype_excludes_small_actions():
         {"a1": "A", "a2": "A", "a3": "A", "b1": "B", "b2": "B", "c1": "C"},
     )
     res = prototype_classify(data, k=2, seed=0)
-    assert "B" in res.excluded and "C" in res.excluded
-    assert list(res.per_class) == ["A"]
+    assert res.excluded == ("B", "C")
+    assert res.accuracy == 1.0  # the one held-out A item has one prototype to go to
 
 
 def test_prototype_brute_force_assignments():
@@ -358,7 +353,7 @@ def test_prototype_brute_force_assignments():
                     eval_items.append((uid, action))
         correct = 0
         for uid, action in eval_items:
-            sims = [float(data.store.get(uid) @ p) for p in protos]
+            sims = [float(data.store.vectors[uid] @ p) for p in protos]
             best = included[int(np.argmax(sims))]
             correct += best == action
         assert abs(res.accuracy - correct / len(eval_items)) < 1e-12
@@ -369,7 +364,7 @@ def test_prototype_rotation_invariant():
     data = _separable_data(rng)
     res_base = prototype_classify(data, k=2, seed=7)
     rot = _random_orthogonal(np.random.default_rng(8), 3)
-    rotated = {uid: data.store.get(uid) @ rot for uid in data.store.ids()}
+    rotated = {uid: data.store.vectors[uid] @ rot for uid in data.store.ids()}
     data_rot = _labeled(rotated, {uid: lab.act for uid, lab in data.labels.items()})
     res_rot = prototype_classify(data_rot, k=2, seed=7)
     assert res_base.accuracy == res_rot.accuracy
@@ -379,13 +374,14 @@ def test_prototype_rotation_invariant():
 def test_prototype_tie_breaks_to_lowest_action_index():
     # item equidistant from both prototypes: every vector identical
     data = _labeled(
-        {"a1": [1, 0], "a2": [1, 0], "b1": [1, 0], "b2": [1, 0]},
-        {"a1": "A", "a2": "A", "b1": "B", "b2": "B"},
+        {"a1": [1, 0], "a2": [1, 0], "a3": [1, 0], "b1": [1, 0], "b2": [1, 0]},
+        {"a1": "A", "a2": "A", "a3": "A", "b1": "B", "b2": "B"},
     )
     res = prototype_classify(data, k=1, seed=0)
-    # everything is predicted as A (index 0); B items are all wrong
-    assert res.per_class["A"]["recall"] == 1.0
-    assert res.per_class["B"]["recall"] == 0.0
+    # everything is predicted as A (index 0): the 2 held-out A items are
+    # right, the B item is wrong; ties to B would score 1/3 and 0.25
+    assert res.accuracy == pytest.approx(2 / 3)
+    assert res.macro_f1 == pytest.approx((0.8 + 0.0) / 2)
 
 
 def test_macro_f1_zero_convention():
@@ -396,8 +392,8 @@ def test_macro_f1_zero_convention():
         {"a1": "A", "a2": "A", "c1": "C", "c2": "C"},
     )
     res = prototype_classify(data, k=1, seed=0)
-    assert res.per_class["C"]["f1"] == 0.0
     assert not math.isnan(res.macro_f1)
+    assert res.macro_f1 == pytest.approx((2 / 3 + 0.0) / 2)  # A: precision 1/2, recall 1; C: 0
 
 
 def test_prototype_needs_a_viable_action():
@@ -515,13 +511,13 @@ def test_evaluate_reproducible():
 
 
 def test_labeled_embeddings_coverage_error():
-    store = EmbeddingStore(dim=2, vectors={"a": np.array([1.0, 0.0])}, normalized=True)
+    store = build_store([("a", [1.0, 0.0])], normalize=True)
     with pytest.raises(InputError, match=r"^1 labeled ids missing from the store: \['missing'\]"):
         LabeledEmbeddings(store=store, labels={"a": ActionLabel.make("A", []), "missing": ActionLabel.make("B", [])})
 
 
 def test_labeled_embeddings_requires_normalized():
-    store = EmbeddingStore(dim=2, vectors={"a": np.array([2.0, 0.0])}, normalized=False)
+    store = build_store([("a", [2.0, 0.0])])
     with pytest.raises(InputError, match="evaluation requires a normalized store"):
         LabeledEmbeddings(store=store, labels={"a": ActionLabel.make("A", [])})
 

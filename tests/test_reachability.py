@@ -1,0 +1,156 @@
+"""Every public function, class and method in `src/convflow` is reached,
+and so is every defaulted parameter of one.
+
+A name is reached when `src/convflow` (not counting the `__init__.py`
+re-exports) or `demos/` refers to it outside its own definition. A
+defaulted parameter is reached when a call there passes it: by keyword,
+by position, or through `*args`/`**kwargs`. Names are matched by spelling
+only, so a method sharing its name with another (`dict.get`) reads as
+reached: the check finds dead surface, it cannot prove a name live.
+
+Two lists hold the exceptions, each entry with a one-line reason. An entry
+is a name, or `name(a=, b=)` for defaulted parameters of `name`.
+- BENCH_ONLY: what only `bench/` reaches today. `bench/` must still use
+  each entry, so an entry fails as stale once the benchmark stops.
+- ALLOWED: what stays although nothing reaches it; at most 4 entries.
+An entry that is now reached, or no longer exists, fails the test.
+"""
+
+import ast
+import pathlib
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "convflow"
+
+BENCH_ONLY = {
+    "agglomerative": "ROADMAP item 4: deleted with the bench's agglomerative path, or wired into extract",
+    "cut": "ROADMAP item 4: goes with agglomerative",
+    "dendrogram_to_text": "ROADMAP item 4: goes with agglomerative",
+    "assignment": "ROADMAP item 4: bench/verify.py checks the agglomerative cut through Clustering.assignment",
+    "train_toy": "ROADMAP item 1 slice C: only the bench replay's sweep trains through it",
+    "kmeans(return_history=)": "ROADMAP item 1 slice C: the iteration count becomes a trace counter",
+    "init_toy_encoder(m=)": "ROADMAP item 1 slice C: only the bench replay's train_toy path passes it",
+    "planted_flow(min_len=, max_len=)": "the workloads' fixed-length dialogs, which ROADMAP item 3's seed check uses",
+}
+ALLOWED = {
+    "save_embeddings": "writes the JSONL and binary embedding files that eval and extract read",
+    "planted_flow(max_dispersion_deg=)": "the spread of the planted action clusters, a knob of the fixture",
+    "graded_label_rows(per_variant_train=, per_variant_eval=)": "the golden sweep corpus uses 30 of each",
+    "main(argv=)": "cli.main, the console-script entry point, which is called with no argument",
+}
+
+
+def _parse(paths) -> list[tuple[pathlib.Path, ast.Module]]:
+    return [(path, ast.parse(path.read_text(encoding="utf-8"))) for path in paths]
+
+
+def _paths(folder: pathlib.Path) -> list[pathlib.Path]:
+    return sorted(p for p in folder.glob("*.py") if p.name != "__init__.py")
+
+
+def _entries(listed) -> set[str]:
+    """`name(a=, b=)` entries as one `name(a=)` entry per parameter."""
+    out = set()
+    for entry in listed:
+        name, _, params = entry.partition("(")
+        out |= {f"{name}({p.strip()})" for p in params.rstrip(")").split(",")} if params else {name}
+    return out
+
+
+def definitions(trees):
+    """(path, node, is_method) for each public top-level function or class
+    and each public method of a public class."""
+    for path, tree in trees:
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                yield path, node, False
+                for item in node.body if isinstance(node, ast.ClassDef) else []:
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                        static = any(getattr(d, "id", None) == "staticmethod" for d in item.decorator_list)
+                        yield path, item, not static
+
+
+def _callee(call: ast.Call) -> str | None:
+    return getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+
+
+def references(trees):
+    """(path, line, name) for every name, attribute and import, and the
+    calls of each callee name."""
+    refs, calls = [], {}
+    for path, tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                refs.append((path, node.lineno, node.id))
+            elif isinstance(node, ast.Attribute):
+                refs.append((path, node.lineno, node.attr))
+            elif isinstance(node, ast.alias):
+                refs.append((path, node.lineno, node.name.rsplit(".", 1)[-1]))
+            elif isinstance(node, ast.Call):
+                calls.setdefault(_callee(node), []).append(node)
+    return refs, calls
+
+
+def _passed(call: ast.Call, positional: list[str]) -> set[str]:
+    """The parameters a call passes, given the positional ones in order."""
+    if any(isinstance(a, ast.Starred) for a in call.args) or any(kw.arg is None for kw in call.keywords):
+        return set(positional)  # *args or **kwargs may pass any of them
+    return set(positional[: len(call.args)]) | {kw.arg for kw in call.keywords}
+
+
+def _defaulted(fn: ast.FunctionDef, is_method: bool) -> tuple[list[str], list[str]]:
+    """A call's positional parameters in order, and the defaulted parameters."""
+    args = fn.args
+    positional = [a.arg for a in args.posonlyargs + args.args][1 if is_method else 0 :]
+    with_default = positional[len(positional) - len(args.defaults) :] if args.defaults else []
+    return positional, with_default + [a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+
+
+def unreached(src_paths, demo_paths) -> set[str]:
+    """Each name, and each `name(param=)`, that no reference or call in
+    `src_paths` or `demo_paths` reaches."""
+    defined = _parse(src_paths)
+    refs, calls = references(defined + _parse(demo_paths))
+    found = set()
+    for path, node, is_method in definitions(defined):
+        inside = range(node.lineno, node.end_lineno + 1)
+        if not any(name == node.name and not (p == path and line in inside) for p, line, name in refs):
+            found.add(node.name)
+        elif isinstance(node, ast.FunctionDef):
+            positional, with_default = _defaulted(node, is_method)
+            passed = set().union(*(_passed(call, positional) for call in calls.get(node.name, [])))
+            found |= {f"{node.name}({p}=)" for p in with_default if p not in passed}
+    return found
+
+
+def test_every_public_name_and_defaulted_parameter_is_reached():
+    found = unreached(_paths(SRC), _paths(ROOT / "demos"))
+    listed = _entries(BENCH_ONLY) | _entries(ALLOWED)
+    assert found - listed == set(), "unreached: delete it, or list it with a reason"
+    assert listed - found == set(), "listed, but reached now or gone: take it off its list"
+
+
+def test_lists_are_short_and_give_reasons():
+    assert len(ALLOWED) <= 4
+    assert not _entries(BENCH_ONLY) & _entries(ALLOWED)
+    assert all(reason.strip() for reason in [*BENCH_ONLY.values(), *ALLOWED.values()])
+
+
+def test_bench_still_uses_every_bench_only_entry():
+    refs, calls = references(_parse(_paths(ROOT / "bench")))
+    used = {name for _, _, name in refs}
+    used |= {f"{name}({kw.arg}=)" for name, found in calls.items() for call in found for kw in call.keywords}
+    assert _entries(BENCH_ONLY) - used == set(), "bench/ no longer uses these: delete them"
+
+
+def test_unreached_reports_dead_names_parameters_and_spares_live_ones(tmp_path):
+    module = tmp_path / "mod.py"
+    module.write_text(
+        "def live(a, b=1, c=2, *, d=3):\n    return dead_recursive(a)\n\n"
+        "def dead_recursive(x, y=0):\n    return dead_recursive(x - 1) if x else 0\n\n"
+        "class Box:\n    def used(self, n=1):\n        return n\n    def unused(self):\n        return 0\n\n"
+        "def _private(q=0):\n    return q\n"
+    )
+    demo = tmp_path / "demo.py"
+    demo.write_text("from mod import live, Box\nlive(0, 5)\nBox().used(n=2)\n")
+    assert unreached([module], [demo]) == {"live(c=)", "live(d=)", "unused", "dead_recursive(y=)"}

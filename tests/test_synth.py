@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from convflow.corpus import AnnotatedUtterance, UnifiedDialog, parse_unified, serialize_unified, utterance_id
-from convflow.embedding import EmbeddingStore
+from convflow.embedding import build_store
 from convflow.errors import InputError
 from convflow.seeding import substream
 from convflow.synth import ActionLabel, PlantedFlow, _orthonormal_rows, planted_flow
@@ -84,7 +84,7 @@ def _reference_planted_flow(
             vectors[utterance_id(dialog_id, i)] = _sample_around(center, max_angle, rng)
             state = nxt
         dialogs.append(UnifiedDialog(dialog_id=dialog_id, turns=tuple(turns)))
-    store = EmbeddingStore(dim=dim, vectors=vectors, normalized=True)
+    store = build_store(list(vectors.items()))
     return PlantedFlow(dialogs=dialogs, store=store, user_actions=user_actions, system_actions=system_actions)
 
 
