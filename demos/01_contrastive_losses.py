@@ -40,7 +40,7 @@ print("per-anchor terms:", np.round(per_anchor, 3))
 # price") get graded target mass instead of being treated as full negatives.
 table = build_label_table(labels_text, dim=128)
 print("\nlabel similarity matrix (hashed bag-of-words):")
-print(np.round(table.delta, 3))
+print(np.round(table, 3))
 
 targets = soft_targets(label_ids, table, temps.tau_label)
 print("\nsoft target distribution for anchor 0 (label 'inform name'):")

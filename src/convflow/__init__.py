@@ -27,7 +27,6 @@ from .embedding import (
 from .contrastive import (
     ContrastiveBatch,
     ContrastiveHead,
-    LabelTable,
     Temperatures,
     ToyEncoder,
     grad_loss,

@@ -55,7 +55,9 @@ def _parse_kshot(text: str) -> tuple[int, ...]:
 
 
 def _is_a(value, kind) -> bool:
-    """JSON value of a Python type; an int is a float, a bool is not an int."""
+    """JSON value of a Python type; an int a float can hold is a float, a bool is not an int."""
+    if kind is float and isinstance(value, int) and abs(value) > sys.float_info.max:
+        return False
     return isinstance(value, (int, float) if kind is float else kind) and not isinstance(value, bool)
 
 
@@ -94,9 +96,9 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     for key in ("corpus", "embeddings", "out"):
         value = getattr(config, key)
         try:
-            if value is not None:
-                os.fsencode(value)
-        except UnicodeEncodeError as exc:  # an unpaired surrogate, e.g. "\ud800" in a JSON config
+            if value is not None and b"\0" in os.fsencode(value):
+                raise ValueError("embedded null byte")
+        except ValueError as exc:  # also an unpaired surrogate, e.g. "\ud800" in a JSON config
             raise InputError(f"'{key}' is not a valid file name: {value!r}") from exc
     return config
 

@@ -126,25 +126,16 @@ def _head_backward(head: ContrastiveHead, cache, dz: np.ndarray):
 # Label table and target distributions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LabelTable:
-    """The pairwise label-similarity matrix delta(y_i, y_j), the dot of
-    the labels' unit embeddings, indexed by label id."""
-
-    delta: np.ndarray
-
-
-def build_label_table(texts: list[str], dim: int = 256) -> LabelTable:
-    """Embed label texts as hashed bag-of-words vectors and precompute the
-    symmetric delta matrix of pairwise dots."""
+def build_label_table(texts: list[str], dim: int = 256) -> np.ndarray:
+    """The label-similarity matrix delta(y_i, y_j), indexed by label id: the
+    symmetric pairwise dots of the texts' hashed bag-of-words embeddings."""
     if not texts:
         raise InputError("label table needs at least one label")
     # hashed_bow_vector is already unit-norm; normalizing again still moves
     # last bits, and the sweep's results depend on them
     embs = np.stack([l2_normalize(hashed_bow_vector(t, dim)) for t in texts])
     delta = embs @ embs.T
-    delta = (delta + delta.T) / 2.0  # exact symmetry against fp noise
-    return LabelTable(delta=delta)
+    return (delta + delta.T) / 2.0  # exact symmetry against fp noise
 
 
 def _log_softmax_rows(logits: np.ndarray) -> np.ndarray:
@@ -158,12 +149,12 @@ def _softmax_rows(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def soft_targets(labels: np.ndarray, table: LabelTable, tau_label: float) -> np.ndarray:
+def soft_targets(labels: np.ndarray, table: np.ndarray, tau_label: float) -> np.ndarray:
     """Row-stochastic target matrix: row i = softmax_j delta(y_i, y_j)/tau'."""
     if tau_label <= 0:
         raise InputError("tau_label must be strictly positive")
     labels = np.asarray(labels, dtype=int)
-    logits = table.delta[np.ix_(labels, labels)] / tau_label
+    logits = table[np.ix_(labels, labels)] / tau_label
     return _softmax_rows(logits)
 
 
@@ -178,7 +169,7 @@ def hard_targets(labels: np.ndarray) -> np.ndarray:
 # Losses
 # ---------------------------------------------------------------------------
 
-def _cross_entropy(anchors, positives, labels, table: LabelTable | None, temps: Temperatures):
+def _cross_entropy(anchors, positives, labels, table: np.ndarray | None, temps: Temperatures):
     """The targets (soft against `table`, hard when it is None), the batch
     log-softmax of anchor-positive dots / tau, and the per-anchor
     cross-entropy between them."""
@@ -196,7 +187,7 @@ def sup_loss(batch: ContrastiveBatch, temps: Temperatures) -> tuple[float, np.nd
     return float(per_anchor.mean()), per_anchor
 
 
-def soft_loss(batch: ContrastiveBatch, table: LabelTable, temps: Temperatures) -> tuple[float, np.ndarray]:
+def soft_loss(batch: ContrastiveBatch, table: np.ndarray, temps: Temperatures) -> tuple[float, np.ndarray]:
     """Soft contrastive loss: cross-entropy against the label-similarity
     softmax targets instead of the uniform-on-positives distribution."""
     per_anchor, _, _ = _cross_entropy(batch.anchors, batch.positives, batch.labels, table, temps)
@@ -217,7 +208,7 @@ class Gradients:
 
 def grad_loss(
     batch: ContrastiveBatch,
-    table: LabelTable | None,
+    table: np.ndarray | None,
     temps: Temperatures,
     head: ContrastiveHead,
 ) -> tuple[float, Gradients]:
@@ -347,7 +338,7 @@ def _sgd(
     rows: np.ndarray,
     inverse: np.ndarray,
     labels: np.ndarray,
-    table: LabelTable | None,
+    table: np.ndarray | None,
     encoder: ToyEncoder,
     head: ContrastiveHead,
     temps: Temperatures,

@@ -151,13 +151,12 @@ def builtin_table() -> ActMappingTable:
     return ActMappingTable()
 
 
-def standardize_act(raw: str, table: ActMappingTable | None = None, permissive: bool = False) -> tuple[str, str]:
+def standardize_act(raw: str, table: ActMappingTable, permissive: bool = False) -> tuple[str, str]:
     """Map a raw act name to (standardized, parent); case-insensitive.
 
     Standardized names map to themselves. Unknown names raise, unless
     `permissive`, in which case they pass through verbatim.
     """
-    table = table or builtin_table()
     key = raw.strip().lower()
     standard = table.raw_to_standard.get(key)
     if standard is None and key in table.standard_to_parent:
@@ -254,8 +253,8 @@ def _parse_turn(obj, dialog_id: str, index: int) -> AnnotatedUtterance:
 
 
 _SURROGATE = re.compile("[\ud800-\udfff]")
-# UTF-8 bytes cannot hold a surrogate, so in a bytes document an unpaired
-# one can only come from a \uD800-\uDFFF escape; paired escapes decode to
+# UTF-8 bytes cannot hold a surrogate, so in a document an unpaired one
+# can only come from a \uD800-\uDFFF escape; paired escapes decode to
 # one character and never match _SURROGATE.
 _SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
 _TURN_STRINGS = ("text", "domains", "acts", "main_acts", "original_acts", "slots", "intents")
@@ -274,8 +273,8 @@ def _reject_unpaired_surrogates(dialogs: list[UnifiedDialog]) -> None:
                     raise _schema_error(dialog.dialog_id, index, f"'{name}' holds an unpaired surrogate")
 
 
-def parse_unified(document: bytes | str) -> list[UnifiedDialog]:
-    """Parse a unified-format document into dialogs, in file order.
+def parse_unified(document: bytes) -> list[UnifiedDialog]:
+    """Parse a UTF-8 unified-format document into dialogs, in file order.
 
     The "stats" header is ignored (always recomputed); unknown extra fields
     are ignored. Malformed JSON raises InputError naming the byte offset;
@@ -283,7 +282,7 @@ def parse_unified(document: bytes | str) -> list[UnifiedDialog]:
     surrogate, raise InputError naming the dialog and turn.
     """
     try:
-        text = document.decode("utf-8") if isinstance(document, bytes) else document
+        text = document.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise InputError(f"document is not UTF-8 at byte {exc.start}") from exc
     # ~30 acyclic containers a turn keep gen-0 collections rescanning the tree; refcounting frees them all
@@ -294,7 +293,7 @@ def parse_unified(document: bytes | str) -> list[UnifiedDialog]:
     finally:
         if was_enabled:
             gc.enable()
-    if _SURROGATE_ESCAPE.search(text) or (isinstance(document, str) and _SURROGATE.search(text)):
+    if _SURROGATE_ESCAPE.search(text):
         _reject_unpaired_surrogates(dialogs)
     return dialogs
 
@@ -402,12 +401,11 @@ def serialize_unified(corpus: list[UnifiedDialog]) -> bytes:
 
 def standardize_corpus(
     corpus: list[UnifiedDialog],
-    table: ActMappingTable | None = None,
+    table: ActMappingTable,
     permissive: bool = False,
 ) -> list[UnifiedDialog]:
     """Re-derive standardized acts and parents from the rawest act names
     available (original_acts when present, else acts); canonicalize slots."""
-    table = table or builtin_table()
     # (source acts, slots) -> canonical (acts, main_acts, original_acts, slots)
     canonical: dict[tuple, tuple] = {}
     out: list[UnifiedDialog] = []

@@ -21,14 +21,15 @@ sleep = time.sleep  # every backoff wait goes through this; tests replace it
 
 def _check_request(url: str, token: str | None) -> None:
     """Raise InputError for a URL or token no request can carry: a URL that
-    is not http(s)://host[:port]/... in visible ASCII or that holds a user
-    name or password, or a token that is not printable ASCII. The message
-    never shows a token or password."""
+    is not http(s)://host[:port]/... in visible ASCII, that holds a user
+    name or password or that names port 0, or a token that is not printable
+    ASCII. The message never shows a token or password."""
     try:
         parts = urllib.parse.urlsplit(url)
         if "@" in parts.netloc:  # urllib would send user:password@ as part of the host name
             raise InputError(f"the endpoint for {parts.hostname} holds a user name or password; pass a token instead")
-        parts.port  # raises ValueError unless the port is a number in [0, 65535]
+        if parts.port == 0:  # .port raises ValueError unless the port is a number in [0, 65535]
+            raise InputError(f"endpoint {url!r} names port 0, where no server listens")
     except ValueError as exc:
         raise InputError(f"endpoint {url!r} is not a valid URL ({exc})") from exc
     visible = url.isascii() and url.isprintable() and " " not in url

@@ -1,8 +1,9 @@
 """Acceptance suite: one test per criterion, each printing a PASS line.
 
-Every expected value here is computed by an oracle written in this file
-(double loops, finite differences, hand arithmetic) or frozen from the
-published tables; none is produced by the code path under test.
+Every expected value here is computed by an oracle (the double loops and
+central differences of `convflow.checks`, the metric loops written in this
+file, hand arithmetic) or frozen from the published tables; none is
+produced by the code path under test.
 """
 
 import math
@@ -12,7 +13,6 @@ import numpy as np
 
 from convflow.contrastive import (
     ContrastiveBatch,
-    LabelTable,
     Temperatures,
     grad_loss,
     init_head,
@@ -21,9 +21,18 @@ from convflow.contrastive import (
     sup_loss,
     sweep_tau_label,
 )
+from convflow.checks import (
+    brute_soft_loss,
+    brute_sup_loss,
+    finite_difference,
+    random_label_table,
+    random_unit_rows,
+    relative_error,
+)
 from convflow.corpus import ActionLabel, parse_unified, serialize_unified, utterance_id
 from convflow.cluster import kmeans
 from convflow.embedding import build_store, load_embeddings, save_embeddings
+from convflow.errors import DegenerateProjectionError
 from convflow.evaluation import (
     LabeledEmbeddings,
     evaluate,
@@ -45,51 +54,9 @@ from convflow.synth import SWEEP_TOY, graded_label_rows, planted_flow
 from corpora import random_corpus
 
 
-def _unit_rows(rng, n, d):
-    x = rng.standard_normal((n, d))
-    return x / np.linalg.norm(x, axis=1, keepdims=True)
-
-
-def _random_table(rng, n_labels, dim=10) -> LabelTable:
-    embs = _unit_rows(rng, n_labels, dim)
-    delta = embs @ embs.T
-    delta = (delta + delta.T) / 2.0
-    return LabelTable(delta=delta)
-
-
-def _orthogonal_table(n_labels) -> LabelTable:
-    return LabelTable(delta=np.eye(n_labels))
-
-
 # ---------------------------------------------------------------------------
 # 1. Loss equivalence against brute-force double loops
 # ---------------------------------------------------------------------------
-
-def _oracle_sup(anchors, positives, labels, tau):
-    n = len(labels)
-    total = 0.0
-    for i in range(n):
-        pos = [j for j in range(n) if labels[j] == labels[i]]
-        denom = sum(math.exp(float(anchors[i] @ positives[k]) / tau) for k in range(n))
-        li = 0.0
-        for j in pos:
-            li -= math.log(math.exp(float(anchors[i] @ positives[j]) / tau) / denom)
-        total += li / len(pos)
-    return total / n
-
-
-def _oracle_soft(anchors, positives, labels, delta, tau, tau_label):
-    n = len(labels)
-    total = 0.0
-    for i in range(n):
-        z = sum(math.exp(float(delta[labels[i], labels[k]]) / tau_label) for k in range(n))
-        denom = sum(math.exp(float(anchors[i] @ positives[k]) / tau) for k in range(n))
-        for j in range(n):
-            p = math.exp(float(delta[labels[i], labels[j]]) / tau_label) / z
-            q = math.exp(float(anchors[i] @ positives[j]) / tau) / denom
-            total -= p * math.log(q)
-    return total / n
-
 
 def test_criterion_1_loss_equivalence():
     rng = np.random.default_rng(1001)
@@ -99,16 +66,14 @@ def test_criterion_1_loss_equivalence():
     for _ in range(200):
         n = int(rng.integers(2, 9))
         d = int(rng.integers(2, 9))
-        anchors, positives = _unit_rows(rng, n, d), _unit_rows(rng, n, d)
+        anchors, positives = random_unit_rows(rng, n, d), random_unit_rows(rng, n, d)
         labels = rng.integers(0, max(2, n // 2), size=n)
-        table = _random_table(rng, int(labels.max()) + 1)
+        table = random_label_table(rng, int(labels.max()) + 1)
         batch = ContrastiveBatch(anchors, positives, labels)
         got_sup, _ = sup_loss(batch, temps)
         got_soft, _ = soft_loss(batch, table, temps)
-        err_sup = abs(got_sup - _oracle_sup(anchors, positives, labels, temps.tau))
-        err_soft = abs(
-            got_soft - _oracle_soft(anchors, positives, labels, table.delta, temps.tau, temps.tau_label)
-        )
+        err_sup = abs(got_sup - brute_sup_loss(anchors, positives, labels, temps.tau))
+        err_soft = abs(got_soft - brute_soft_loss(anchors, positives, labels, table, temps.tau, temps.tau_label))
         worst = max(worst, err_sup, err_soft)
         assert err_sup < 1e-10
         assert err_soft < 1e-10
@@ -128,9 +93,9 @@ def test_criterion_2_soft_hard_limit():
     for _ in range(100):
         n = int(rng.integers(2, 9))
         d = int(rng.integers(2, 9))
-        anchors, positives = _unit_rows(rng, n, d), _unit_rows(rng, n, d)
+        anchors, positives = random_unit_rows(rng, n, d), random_unit_rows(rng, n, d)
         labels = rng.integers(0, max(2, n // 2), size=n)
-        table = _orthogonal_table(int(labels.max()) + 1)  # delta: 1 same, 0 < 0.9 elsewhere
+        table = np.eye(int(labels.max()) + 1)  # delta: 1 same, 0 < 0.9 elsewhere
         batch = ContrastiveBatch(anchors, positives, labels)
         hard, _ = sup_loss(batch, Temperatures())
         soft, _ = soft_loss(batch, table, Temperatures(tau=0.05, tau_label=1e-4))
@@ -145,24 +110,6 @@ def test_criterion_2_soft_hard_limit():
 # 3. Gradient correctness via central finite differences
 # ---------------------------------------------------------------------------
 
-def _fd_grad(f, arr, step=1e-5):
-    grad = np.zeros_like(arr)
-    flat, gflat = arr.ravel(), grad.ravel()
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + step
-        fp = f()
-        flat[i] = orig - step
-        fm = f()
-        flat[i] = orig
-        gflat[i] = (fp - fm) / (2 * step)
-    return grad
-
-
-def _rel_err(a, b):
-    return np.max(np.abs(a - b)) / max(np.max(np.abs(a)), np.max(np.abs(b)), 1e-8)
-
-
 def test_criterion_3_gradient_correctness():
     rng = np.random.default_rng(1003)
     temps = Temperatures()
@@ -174,17 +121,15 @@ def test_criterion_3_gradient_correctness():
         n = int(rng.integers(2, 9))
         enc = int(rng.integers(4, 17))
         d = int(rng.integers(2, 9))
-        xa, xp = _unit_rows(rng, n, enc), _unit_rows(rng, n, enc)
+        xa, xp = random_unit_rows(rng, n, enc), random_unit_rows(rng, n, enc)
         labels = rng.integers(0, max(2, n // 2), size=n)
         head = init_head(enc, d, seed=int(rng.integers(2**31)))
-        table = _random_table(rng, int(labels.max()) + 1) if soft_mode else None
-        batch = ContrastiveBatch(xa, xp, labels)  # _fd_grad moves xa and xp in place
+        table = random_label_table(rng, int(labels.max()) + 1) if soft_mode else None
+        batch = ContrastiveBatch(xa, xp, labels)  # finite_difference moves xa and xp in place
 
         def loss_now():
             value, _ = grad_loss(batch, table, temps, head)
             return value
-
-        from convflow.errors import DegenerateProjectionError
 
         try:
             _, grads = grad_loss(batch, table, temps, head)
@@ -197,7 +142,7 @@ def test_criterion_3_gradient_correctness():
             (grads.d_anchors, xa),
             (grads.d_positives, xp),
         ):
-            err = _rel_err(analytic, _fd_grad(loss_now, arr))
+            err = relative_error(analytic, finite_difference(loss_now, arr))
             worst = max(worst, err)
             assert err < 1e-5
     elapsed = time.perf_counter() - start
@@ -271,7 +216,7 @@ def test_criterion_5_graph_size_table_arithmetic():
 # ---------------------------------------------------------------------------
 
 def _random_labeled(rng, n_items=200, n_actions=10, dim=8):
-    x = _unit_rows(rng, n_items, dim)
+    x = random_unit_rows(rng, n_items, dim)
     labels = rng.integers(0, n_actions, size=n_items)
     store = build_store([(f"u{i:03d}", x[i]) for i in range(n_items)], normalize=True)
     return LabeledEmbeddings(

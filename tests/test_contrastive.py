@@ -25,16 +25,12 @@ from convflow.contrastive import (
     sup_loss,
     train_toy,
 )
+from convflow.checks import finite_difference, random_unit_rows, relative_error
 from convflow.embedding import build_store, hashed_bow_vector
 from convflow.errors import DegenerateProjectionError, InputError
 from convflow.evaluation import LabeledEmbeddings, intra_inter_anisotropy
 from convflow.corpus import ActionLabel
 from convflow.seeding import substream
-
-
-def _unit_rows(rng, n, d):
-    x = rng.standard_normal((n, d))
-    return x / np.linalg.norm(x, axis=1, keepdims=True)
 
 
 # ---------------------------------------------------------------------------
@@ -92,8 +88,8 @@ def test_sup_loss_two_anchor_example():
 def test_sup_loss_uniform_symmetry_gives_log_n():
     rng = np.random.default_rng(1)
     n, d = 5, 4
-    anchors = _unit_rows(rng, n, d)
-    positives = np.tile(_unit_rows(rng, 1, d), (n, 1))
+    anchors = random_unit_rows(rng, n, d)
+    positives = np.tile(random_unit_rows(rng, 1, d), (n, 1))
     batch = ContrastiveBatch(anchors=anchors, positives=positives, labels=np.zeros(n, dtype=int))
     loss, per_anchor = sup_loss(batch, Temperatures())
     assert np.allclose(per_anchor, math.log(n), atol=1e-12)
@@ -105,7 +101,7 @@ def test_sup_loss_brute_force_oracle():
     temps = Temperatures()
     for _ in range(30):
         n, d = int(rng.integers(2, 9)), int(rng.integers(2, 9))
-        anchors, positives = _unit_rows(rng, n, d), _unit_rows(rng, n, d)
+        anchors, positives = random_unit_rows(rng, n, d), random_unit_rows(rng, n, d)
         labels = rng.integers(0, max(2, n // 2), size=n)
         got, _ = sup_loss(ContrastiveBatch(anchors, positives, labels), temps)
         total = 0.0
@@ -137,9 +133,7 @@ def test_soft_targets_identical_labels_uniform():
 def test_soft_targets_row_example():
     # delta row (1.0, 0.5, 0.0) at tau' = 0.35
     delta = np.array([[1.0, 0.5, 0.0], [0.5, 1.0, 0.5], [0.0, 0.5, 1.0]])
-    table = build_label_table(["a", "b", "c"], dim=64)
-    object.__setattr__(table, "delta", delta)
-    p = soft_targets(np.array([0, 1, 2]), table, 0.35)
+    p = soft_targets(np.array([0, 1, 2]), delta, 0.35)
     exps = [math.exp(1.0 / 0.35), math.exp(0.5 / 0.35), math.exp(0.0)]
     expected = np.array(exps) / sum(exps)
     assert np.max(np.abs(p[0] - expected)) < 1e-12
@@ -160,9 +154,7 @@ def test_soft_targets_rows_sum_to_one():
 
 def test_soft_targets_limit_one_hot():
     delta = np.array([[1.0, 0.4], [0.4, 1.0]])
-    table = build_label_table(["a", "b"], dim=64)
-    object.__setattr__(table, "delta", delta)
-    p = soft_targets(np.array([0, 1]), table, 1e-4)
+    p = soft_targets(np.array([0, 1]), delta, 1e-4)
     assert np.allclose(p, np.eye(2), atol=1e-12)
 
 
@@ -171,10 +163,9 @@ def test_soft_loss_equals_sup_loss_on_hard_distribution():
     temps = Temperatures(tau=0.05, tau_label=1e-4)
     for _ in range(10):
         n, d = int(rng.integers(2, 8)), int(rng.integers(2, 6))
-        anchors, positives = _unit_rows(rng, n, d), _unit_rows(rng, n, d)
+        anchors, positives = random_unit_rows(rng, n, d), random_unit_rows(rng, n, d)
         labels = rng.integers(0, 3, size=n)
-        table = build_label_table(["a", "b", "c"], dim=64)
-        object.__setattr__(table, "delta", np.eye(3))
+        table = np.eye(3)
         batch = ContrastiveBatch(anchors, positives, labels)
         soft, _ = soft_loss(batch, table, temps)
         hard, _ = sup_loss(batch, Temperatures())
@@ -184,7 +175,7 @@ def test_soft_loss_equals_sup_loss_on_hard_distribution():
 def test_soft_loss_uniform_targets_for_large_tau_label():
     rng = np.random.default_rng(5)
     n, d = 6, 4
-    anchors, positives = _unit_rows(rng, n, d), _unit_rows(rng, n, d)
+    anchors, positives = random_unit_rows(rng, n, d), random_unit_rows(rng, n, d)
     labels = rng.integers(0, 3, size=n)
     table = build_label_table(["a", "b", "c"], dim=64)
     batch = ContrastiveBatch(anchors, positives, labels)
@@ -200,17 +191,17 @@ def test_soft_loss_brute_force_oracle():
     temps = Temperatures()
     for _ in range(30):
         n, d = int(rng.integers(2, 9)), int(rng.integers(2, 9))
-        anchors, positives = _unit_rows(rng, n, d), _unit_rows(rng, n, d)
+        anchors, positives = random_unit_rows(rng, n, d), random_unit_rows(rng, n, d)
         n_labels = max(2, n // 2)
         labels = rng.integers(0, n_labels, size=n)
         table = build_label_table([f"tok{i} word{i}" for i in range(n_labels)], dim=64)
         got, _ = soft_loss(ContrastiveBatch(anchors, positives, labels), table, temps)
         total = 0.0
         for i in range(n):
-            z = sum(math.exp(table.delta[labels[i], labels[k]] / temps.tau_label) for k in range(n))
+            z = sum(math.exp(table[labels[i], labels[k]] / temps.tau_label) for k in range(n))
             denom = sum(math.exp(anchors[i] @ positives[k] / temps.tau) for k in range(n))
             for j in range(n):
-                p = math.exp(table.delta[labels[i], labels[j]] / temps.tau_label) / z
+                p = math.exp(table[labels[i], labels[j]] / temps.tau_label) / z
                 q = math.exp(anchors[i] @ positives[j] / temps.tau) / denom
                 total -= p * math.log(q)
         assert abs(got - total / n) < 1e-10
@@ -220,7 +211,7 @@ def test_losses_invariant_under_common_permutation():
     rng = np.random.default_rng(7)
     temps = Temperatures()
     n, d = 7, 5
-    anchors, positives = _unit_rows(rng, n, d), _unit_rows(rng, n, d)
+    anchors, positives = random_unit_rows(rng, n, d), random_unit_rows(rng, n, d)
     labels = rng.integers(0, 3, size=n)
     table = build_label_table(["a b", "c d", "e f"], dim=64)
     base_sup, _ = sup_loss(ContrastiveBatch(anchors, positives, labels), temps)
@@ -240,7 +231,8 @@ def test_losses_nonnegative():
     table = build_label_table(["a b", "c d"], dim=64)
     for _ in range(20):
         n, d = int(rng.integers(1, 8)), int(rng.integers(2, 6))
-        batch = ContrastiveBatch(_unit_rows(rng, n, d), _unit_rows(rng, n, d), rng.integers(0, 2, size=n))
+        anchors, positives = random_unit_rows(rng, n, d), random_unit_rows(rng, n, d)
+        batch = ContrastiveBatch(anchors, positives, rng.integers(0, 2, size=n))
         assert sup_loss(batch, temps)[0] >= 0.0
         assert soft_loss(batch, table, temps)[0] >= 0.0
 
@@ -256,32 +248,13 @@ def test_temperatures_must_be_positive():
 # Gradients
 # ---------------------------------------------------------------------------
 
-def _numeric_gradient(f, arr, step=1e-5):
-    grad = np.zeros_like(arr)
-    flat, gflat = arr.ravel(), grad.ravel()
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + step
-        fp = f()
-        flat[i] = orig - step
-        fm = f()
-        flat[i] = orig
-        gflat[i] = (fp - fm) / (2 * step)
-    return grad
-
-
-def _rel_err(a, b):
-    scale = max(np.max(np.abs(a)), np.max(np.abs(b)), 1e-8)
-    return np.max(np.abs(a - b)) / scale
-
-
 @pytest.mark.parametrize("soft", [False, True])
 def test_gradients_match_finite_differences(soft):
     rng = np.random.default_rng(20 + int(soft))
     temps = Temperatures()
     for _ in range(5):
         n, enc, d = int(rng.integers(2, 7)), int(rng.integers(4, 12)), int(rng.integers(2, 6))
-        xa, xp = _unit_rows(rng, n, enc), _unit_rows(rng, n, enc)
+        xa, xp = random_unit_rows(rng, n, enc), random_unit_rows(rng, n, enc)
         labels = rng.integers(0, 2, size=n)
         head = init_head(enc, d, seed=int(rng.integers(1000)))
         table = build_label_table(["tok a", "tok b"], dim=32) if soft else None
@@ -292,17 +265,17 @@ def test_gradients_match_finite_differences(soft):
             return value
 
         _, grads = grad_loss(batch, table, temps, head)
-        assert _rel_err(grads.d_w1, _numeric_gradient(loss_now, head.w1)) < 1e-5
-        assert _rel_err(grads.d_w2, _numeric_gradient(loss_now, head.w2)) < 1e-5
-        assert _rel_err(grads.d_anchors, _numeric_gradient(loss_now, xa)) < 1e-5
-        assert _rel_err(grads.d_positives, _numeric_gradient(loss_now, xp)) < 1e-5
+        assert relative_error(grads.d_w1, finite_difference(loss_now, head.w1)) < 1e-5
+        assert relative_error(grads.d_w2, finite_difference(loss_now, head.w2)) < 1e-5
+        assert relative_error(grads.d_anchors, finite_difference(loss_now, xa)) < 1e-5
+        assert relative_error(grads.d_positives, finite_difference(loss_now, xp)) < 1e-5
 
 
 def test_zero_gradient_at_matched_optimum():
     rng = np.random.default_rng(30)
     n, enc = 4, 8
-    xa = _unit_rows(rng, n, enc)
-    xp = np.tile(_unit_rows(rng, 1, enc), (n, 1))
+    xa = random_unit_rows(rng, n, enc)
+    xp = np.tile(random_unit_rows(rng, 1, enc), (n, 1))
     head = init_head(enc, 4, seed=0)
     _, grads = grad_loss(
         ContrastiveBatch(xa, xp, np.zeros(n, dtype=int)), None, Temperatures(), head
@@ -315,11 +288,10 @@ def test_zero_gradient_at_matched_optimum():
 def test_sup_gradient_equals_soft_gradient_on_hard_distribution():
     rng = np.random.default_rng(31)
     n, enc = 5, 8
-    xa, xp = _unit_rows(rng, n, enc), _unit_rows(rng, n, enc)
+    xa, xp = random_unit_rows(rng, n, enc), random_unit_rows(rng, n, enc)
     labels = rng.integers(0, 2, size=n)
     head = init_head(enc, 4, seed=1)
-    table = build_label_table(["a", "b"], dim=16)
-    object.__setattr__(table, "delta", np.eye(2))
+    table = np.eye(2)
     temps_hard_limit = Temperatures(tau=0.05, tau_label=1e-4)
     _, g_soft = grad_loss(ContrastiveBatch(xa, xp, labels), table, temps_hard_limit, head)
     _, g_hard = grad_loss(ContrastiveBatch(xa, xp, labels), None, Temperatures(), head)
@@ -522,9 +494,9 @@ def test_train_toy_on_texts_that_hash_to_zero_raises():
 def test_label_table_diagonal_is_row_max():
     table = build_label_table(["inform name", "inform price", "request phone", "thank you"], dim=128)
     for i in range(4):
-        assert table.delta[i, i] >= table.delta[i].max() - 1e-12
-        assert abs(table.delta[i, i] - 1.0) < 1e-12
-    assert np.array_equal(table.delta, table.delta.T)
+        assert table[i, i] >= table[i].max() - 1e-12
+        assert abs(table[i, i] - 1.0) < 1e-12
+    assert np.array_equal(table, table.T)
 
 
 def test_default_head_dimensions():

@@ -1,8 +1,5 @@
-import contextlib
-import http.server
 import json
 import struct
-import threading
 
 import numpy as np
 import pytest
@@ -18,6 +15,7 @@ from convflow.embedding import (
     save_embeddings,
 )
 from convflow.errors import InputError, RemoteError, UnavailableError
+from mockserver import Handler, serving
 
 
 def test_l2_normalize_345():
@@ -241,7 +239,7 @@ def test_hashed_bow_splits_underscores():
 # Remote fetch against a local mock server
 # ---------------------------------------------------------------------------
 
-class _MockHandler(http.server.BaseHTTPRequestHandler):
+class _MockHandler(Handler):
     calls = 0
     posted: list[list[str]] = []  # the texts of each answered request, in order
     fail_next = 0
@@ -253,8 +251,7 @@ class _MockHandler(http.server.BaseHTTPRequestHandler):
         cls = type(self)
         cls.calls += 1
         if cls.status_for_all is not None:
-            self.send_response(cls.status_for_all)
-            self.end_headers()
+            self.reply(b"", cls.status_for_all)
             return
         if cls.fail_next > 0:
             cls.fail_next -= 1
@@ -268,15 +265,7 @@ class _MockHandler(http.server.BaseHTTPRequestHandler):
         texts = payload["texts"]
         cls.posted.append(texts)
         vectors = [[float(len(t)), 1.0, 0.0] for t in texts]
-        body = json.dumps({"vectors": vectors}).encode()
-        self.send_response(200)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def log_message(self, *args):
-        pass
+        self.reply(json.dumps({"vectors": vectors}).encode())
 
 
 @pytest.fixture()
@@ -288,12 +277,8 @@ def mock_server(monkeypatch):
     _MockHandler.fail_status = 503
     _MockHandler.retry_after = None
     _MockHandler.status_for_all = None
-    server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), _MockHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    yield f"http://127.0.0.1:{server.server_address[1]}/embed"
-    server.shutdown()
-    server.server_close()
+    with serving(_MockHandler, "/embed") as url:
+        yield url
 
 
 def test_fetch_remote_empty_list(mock_server):
@@ -362,25 +347,22 @@ def test_fetch_remote_non_transient_raises(mock_server):
     assert exc.value.status == 403
 
 
-@contextlib.contextmanager
+def test_post_json_refuses_port_0_before_sending(monkeypatch):
+    sleeps = []
+    monkeypatch.setattr(remote, "sleep", sleeps.append)
+    with pytest.raises(InputError, match="names port 0, where no server listens"):
+        remote.post_json("http://127.0.0.1:0/embed", {"texts": ["a"]}, None)
+    assert sleeps == []
+
+
 def _encoder_replying(vectors):
     """A local encoder that answers every request with `vectors`."""
 
-    class Handler(_MockHandler):
+    class Replying(Handler):
         def do_POST(self):
-            body = json.dumps({"vectors": vectors}).encode()
-            self.send_response(200)
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
+            self.reply(json.dumps({"vectors": vectors}).encode())
 
-    server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-    threading.Thread(target=server.serve_forever, daemon=True).start()
-    try:
-        yield f"http://127.0.0.1:{server.server_address[1]}/embed"
-    finally:
-        server.shutdown()
-        server.server_close()
+    return serving(Replying, "/embed")
 
 
 def test_fetch_remote_count_mismatch():

@@ -1,7 +1,5 @@
-import http.server
 import json
 import re
-import threading
 
 import numpy as np
 import pytest
@@ -26,6 +24,7 @@ from convflow.flowgraph import (
     trajectories_gold,
     trajectories_induced,
 )
+from mockserver import Handler, serving
 
 
 def _utt(speaker, acts, slots=()):
@@ -335,31 +334,19 @@ def test_extract_canonical_form_variants():
     assert extract_canonical_form("bare reply") == "bare reply"
 
 
-class _LLMHandler(http.server.BaseHTTPRequestHandler):
+class _LLMHandler(Handler):
     def do_POST(self):
         length = int(self.headers["Content-Length"])
         payload = json.loads(self.rfile.read(length))
         assert payload["messages"][2]["content"].endswith(': "')
-        body = json.dumps(
-            {"choices": [{"message": {"content": 'inform phone number" is the canonical name'}}]}
-        ).encode()
-        self.send_response(200)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def log_message(self, *args):
-        pass
+        self.reply(json.dumps({"choices": [{"message": {"content": 'inform phone number" is the canonical name'}}]}).encode())
 
 
 @pytest.fixture()
 def llm_server(monkeypatch):
     monkeypatch.setattr(remote, "sleep", lambda seconds: None)
-    server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), _LLMHandler)
-    threading.Thread(target=server.serve_forever, daemon=True).start()
-    yield f"http://127.0.0.1:{server.server_address[1]}/chat"
-    server.shutdown()
-    server.server_close()
+    with serving(_LLMHandler, "/chat") as url:
+        yield url
 
 
 def test_label_clusters_llm_mock(llm_server):
