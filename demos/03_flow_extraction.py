@@ -13,10 +13,10 @@ from convflow.cluster import kmeans, representative
 from convflow.corpus import utterance_id
 from convflow.flowgraph import (
     DotOptions,
-    GraphDiff,
     build_graph,
     export_dot,
     prune,
+    size_difference,
     trajectories_gold,
     trajectories_induced,
 )
@@ -50,8 +50,8 @@ induced = prune(
 )
 print(f"\ninduced graph: {induced.size} nodes, {len(induced.edge_weights)} edges")
 
-diff = GraphDiff.from_sizes(gold.size, induced.size)
-print(f"size difference: {diff.normalized_pct:.2f}% (raw {diff.raw:+d})")
+raw, pct = size_difference(gold.size, induced.size)
+print(f"size difference: {pct:.2f}% (raw {raw:+d})")
 
 # Node labels carry the utterance closest to each cluster centroid
 labels = {}

@@ -46,12 +46,11 @@ from .evaluation import (
 from .cluster import Clustering, Dendrogram, agglomerative, cut, kmeans, representative
 from .flowgraph import (
     FlowGraph,
-    GraphDiff,
-    Trajectory,
     build_graph,
     export_dot,
     label_clusters_llm,
     prune,
+    size_difference,
     trajectories_gold,
     trajectories_induced,
 )

@@ -246,9 +246,14 @@ def run_losscheck(
     xp_row = l2_normalize(rng.standard_normal(enc))
     xa = random_unit_rows(rng, n, enc)
     xp = np.tile(xp_row, (n, 1))
-    labels = np.zeros(n, dtype=int)
-    head = init_head(enc, d, seed=seed)
-    _, grads = grad_loss(ContrastiveBatch(anchors=xa, positives=xp, labels=labels), None, temps, head)
+    batch = ContrastiveBatch(anchors=xa, positives=xp, labels=np.zeros(n, dtype=int))
+    head_seed = seed
+    while True:  # a head that collapses a projection to zero is drawn again, as in check 3
+        try:
+            _, grads = grad_loss(batch, None, temps, init_head(enc, d, seed=head_seed))
+            break
+        except DegenerateProjectionError:
+            head_seed = int(rng.integers(2**31))
     gnorm = max(
         float(np.linalg.norm(grads.d_w1)),
         float(np.linalg.norm(grads.d_w2)),

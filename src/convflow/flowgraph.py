@@ -34,18 +34,7 @@ ENV_LLM_TOKEN = "D2F_LLM_TOKEN"
 LLM_WORKERS = 4  # concurrent naming requests
 
 
-@dataclass(frozen=True)
-class TrajectoryStep:
-    speaker: str
-    action: str
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """A dialog rewritten as its ordered sequence of speaker-tagged actions."""
-
-    dialog_id: str
-    steps: tuple[TrajectoryStep, ...]
+Trajectory = tuple[tuple[str, str], ...]  # a dialog's (action, speaker) steps, in turn order
 
 
 @dataclass(frozen=True)
@@ -76,7 +65,7 @@ def trajectories_gold(dialogs: list[UnifiedDialog]) -> list[Trajectory]:
     """Trajectories from ground-truth annotations; the step action is the
     canonical action string prefixed with the speaker role. An unannotated
     turn raises InputError."""
-    shared: dict[tuple, TrajectoryStep] = {}  # (speaker, acts, slots) -> the step
+    shared: dict[tuple, tuple[str, str]] = {}  # (speaker, acts, slots) -> the step
     out = []
     for dialog in dialogs:
         steps = []
@@ -84,10 +73,9 @@ def trajectories_gold(dialogs: list[UnifiedDialog]) -> list[Trajectory]:
             key = (turn.speaker, turn.acts, turn.slots)
             step = shared.get(key)
             if step is None:
-                label = action_of(turn)
-                step = shared[key] = TrajectoryStep(speaker=turn.speaker, action=f"{turn.speaker}:{label.render()}")
+                step = shared[key] = (f"{turn.speaker}:{action_of(turn).render()}", turn.speaker)
             steps.append(step)
-        out.append(Trajectory(dialog_id=dialog.dialog_id, steps=tuple(steps)))
+        out.append(tuple(steps))
     return out
 
 
@@ -100,7 +88,7 @@ def trajectories_induced(
     U<cluster> / S<cluster> ids, one shared step per (speaker, cluster)."""
     step_of = {}  # speaker -> uid -> the step of its cluster
     for speaker, prefix, clustering in (("user", "U", clustering_user), ("system", "S", clustering_system)):
-        steps = [TrajectoryStep(speaker=speaker, action=f"{prefix}{c}") for c in range(clustering.k)]
+        steps = [(f"{prefix}{c}", speaker) for c in range(clustering.k)]
         step_of[speaker] = dict(zip(clustering.ids, map(steps.__getitem__, clustering.labels.tolist())))
     out = []
     for dialog in dialogs:
@@ -111,7 +99,7 @@ def trajectories_induced(
             if step is None:
                 raise InputError(f"utterance '{uid}' has no cluster assignment")
             steps.append(step)
-        out.append(Trajectory(dialog_id=dialog.dialog_id, steps=tuple(steps)))
+        out.append(tuple(steps))
     return out
 
 
@@ -123,7 +111,7 @@ def build_graph(trajectories: list[Trajectory]) -> FlowGraph:
     """Count trajectories into the weighted action-transition graph.
     Consecutive steps within a dialog form edges; trajectories never chain
     across dialogs, and empty ones are skipped."""
-    paths = [[s.action for s in t.steps] for t in trajectories if t.steps]
+    paths = [[action for action, _ in t] for t in trajectories if t]
     node_counts = Counter(chain.from_iterable(paths))
     if not node_counts:
         raise InputError("no non-empty trajectories")
@@ -136,7 +124,7 @@ def build_graph(trajectories: list[Trajectory]) -> FlowGraph:
         node_counts=dict(node_counts),
         edge_weights={(a, b): c / out_totals[a] for (a, b), c in edge_counts.items()},
         edge_counts=dict(edge_counts),
-        speakers={s.action: s.speaker for t in trajectories for s in t.steps},
+        speakers=dict(chain.from_iterable(trajectories)),
         start_counts=dict(Counter(path[0] for path in paths)),
         end_counts=dict(Counter(path[-1] for path in paths)),
         total_steps=total_steps,
@@ -168,27 +156,13 @@ def prune(graph: FlowGraph, epsilon: float = DEFAULT_EPSILON) -> FlowGraph:
 # Size comparison
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GraphDiff:
-    """Induced-vs-reference size comparison: signed raw difference and
-    normalized absolute difference in percent."""
-
-    reference_size: int
-    induced_size: int
-    raw: int
-    normalized_pct: float
-
-    @staticmethod
-    def from_sizes(reference_size: int, induced_size: int) -> "GraphDiff":
-        if reference_size < 1:
-            raise InputError("reference graph has no nodes")
-        raw = induced_size - reference_size
-        return GraphDiff(
-            reference_size=reference_size,
-            induced_size=induced_size,
-            raw=raw,
-            normalized_pct=abs(raw) / reference_size * 100.0,
-        )
+def size_difference(reference_size: int, induced_size: int) -> tuple[int, float]:
+    """Induced-vs-reference graph size: the signed raw difference and the
+    absolute difference in percent of the reference size."""
+    if reference_size < 1:
+        raise InputError("reference graph has no nodes")
+    raw = induced_size - reference_size
+    return raw, abs(raw) / reference_size * 100.0
 
 
 # ---------------------------------------------------------------------------

@@ -41,11 +41,9 @@ from convflow.evaluation import (
     prototype_classify,
 )
 from convflow.flowgraph import (
-    GraphDiff,
-    Trajectory,
-    TrajectoryStep,
     build_graph,
     prune,
+    size_difference,
     trajectories_gold,
     trajectories_induced,
 )
@@ -201,10 +199,10 @@ def test_criterion_5_graph_size_table_arithmetic():
     for model, cells in _TABLE5_CELLS.items():
         percents = []
         for (domain, reference), (printed_pct, raw) in zip(_TABLE5_HEADERS, cells):
-            diff = GraphDiff.from_sizes(reference, reference + raw)
-            assert diff.raw == raw
-            assert round(diff.normalized_pct, 2) == printed_pct, (model, domain)
-            percents.append(diff.normalized_pct)
+            diff_raw, pct = size_difference(reference, reference + raw)
+            assert diff_raw == raw
+            assert round(pct, 2) == printed_pct, (model, domain)
+            percents.append(pct)
             checked += 1
         assert round(float(np.mean(percents)), 2) == _TABLE5_AVG[model]
     print(f"\nACCEPTANCE 5 PASS: all {checked} published size-difference cells and "
@@ -386,15 +384,9 @@ def test_criterion_8_pruning_rule():
         n_dialogs = int(rng.integers(1, 10))
         alphabet = int(rng.integers(1, 12))
         trajs = []
-        for d in range(n_dialogs):
+        for _ in range(n_dialogs):
             length = int(rng.integers(1, 10))
-            actions = [f"a{int(rng.integers(alphabet))}" for _ in range(length)]
-            trajs.append(
-                Trajectory(
-                    dialog_id=f"d{d}",
-                    steps=tuple(TrajectoryStep(speaker="user", action=a) for a in actions),
-                )
-            )
+            trajs.append(tuple((f"a{int(rng.integers(alphabet))}", "user") for _ in range(length)))
         graph = build_graph(trajs)
         pruned = prune(graph, 0.02)
         expected = {a for a in graph.nodes if graph.node_weights[a] >= 0.02}

@@ -7,10 +7,9 @@ from convflow.contrastive import (
     _distinct_features,
     _head_forward_batch,
     _positive_draws,
-    _sgd,
-    _train_set,
     ContrastiveBatch,
     ContrastiveHead,
+    DEFAULT_BATCH_SIZE,
     Temperatures,
     ToyEncoder,
     TrainItem,
@@ -321,16 +320,16 @@ def test_train_toy_loss_decreases_on_separable_corpus():
     encoder = init_toy_encoder(m=512, n=16, seed=0)
     heads = [init_head(16, 8, seed=0)]
     result = train_toy(items, encoder, heads, Temperatures(), epochs=12, lr_head=0.1,
-                       lr_encoder=0.05, seed=0, batch_size=16, soft=False)
+                       lr_encoder=0.05, seed=0, soft=False)
     assert result.loss_curve[-1] < result.loss_curve[0]
 
 
 def test_train_toy_deterministic():
     items = single_items(_two_label_rows(1))
     a = train_toy(items, init_toy_encoder(m=512, n=16, seed=1), [init_head(16, 8, seed=1)],
-                  Temperatures(), epochs=4, lr_head=0.1, lr_encoder=0.05, seed=9, batch_size=16)
+                  Temperatures(), epochs=4, lr_head=0.1, lr_encoder=0.05, seed=9)
     b = train_toy(items, init_toy_encoder(m=512, n=16, seed=1), [init_head(16, 8, seed=1)],
-                  Temperatures(), epochs=4, lr_head=0.1, lr_encoder=0.05, seed=9, batch_size=16)
+                  Temperatures(), epochs=4, lr_head=0.1, lr_encoder=0.05, seed=9)
     assert a.loss_curve == b.loss_curve
     assert np.array_equal(a.encoder.weights, b.encoder.weights)
 
@@ -340,7 +339,7 @@ def test_train_toy_improves_intra_vs_inter():
     held_out = _two_label_rows(3)
     items = single_items(rows)
     result = train_toy(items, init_toy_encoder(m=512, n=16, seed=2), [init_head(16, 8, seed=2)],
-                       Temperatures(), epochs=15, lr_head=0.1, lr_encoder=0.05, seed=2, batch_size=16, soft=False)
+                       Temperatures(), epochs=15, lr_head=0.1, lr_encoder=0.05, seed=2, soft=False)
     vecs = result.encoder.encode([t for _, _, t, _ in held_out])
     ids = [uid for uid, _, _, _ in held_out]
     store = build_store(list(zip(ids, vecs)), normalize=True)
@@ -356,26 +355,23 @@ def test_train_toy_needs_two_labels():
                   Temperatures(), epochs=1, seed=0)
 
 
-@pytest.mark.filterwarnings("error")
-def test_train_toy_rejects_a_batch_size_below_two():
-    items = [TrainItem(text="hello there", action="greeting"), TrainItem(text="hi", action="greeting"),
-             TrainItem(text="bye now", action="good_bye")]
-    with pytest.raises(InputError, match="batch_size=1"):
-        train_toy(items, init_toy_encoder(m=128, n=8, seed=0), [init_head(8, 4, seed=0)],
-                  Temperatures(), epochs=2, seed=0, batch_size=1)
-    for epochs in (0, -1):  # no epoch would train: rejected, not an untrained result
-        with pytest.raises(InputError, match=f"epochs={epochs} must be at least 1"):
-            train_toy(items, init_toy_encoder(m=128, n=8, seed=0), [init_head(8, 4, seed=0)],
-                      Temperatures(), epochs=epochs, seed=0)
-
-
 def test_train_toy_smallest_batch_size_trains_every_epoch():
+    # two items make one batch of two anchors, the smallest that has negatives
     items = [TrainItem(text="hello there", action="greeting"), TrainItem(text="bye now", action="good_bye")]
     encoder = init_toy_encoder(m=128, n=8, seed=0)
     result = train_toy(items, encoder, [init_head(8, 4, seed=0)], Temperatures(tau=0.3), epochs=2,
-                       lr_encoder=0.05, seed=0, batch_size=2)
+                       lr_encoder=0.05, seed=0)
     assert len(result.loss_curve) == 2 and np.isfinite(result.loss_curve).all()
     assert not np.array_equal(result.encoder.weights, encoder.weights)
+
+
+@pytest.mark.parametrize("epochs", [0, -1])
+def test_train_toy_rejects_fewer_than_one_epoch(epochs):
+    # no epoch would train: rejected, not an untrained result
+    items = [TrainItem(text="hello there", action="greeting"), TrainItem(text="bye now", action="good_bye")]
+    with pytest.raises(InputError, match=f"epochs={epochs} must be at least 1"):
+        train_toy(items, init_toy_encoder(m=128, n=8, seed=0), [init_head(8, 4, seed=0)],
+                  Temperatures(), epochs=epochs, seed=0)
 
 
 @pytest.mark.parametrize("n_heads", [0, 2])
@@ -387,8 +383,8 @@ def test_train_toy_trains_exactly_one_head(n_heads):
 
 
 def _reference_sgd(feats, labels, table, encoder, heads, temps, epochs, lr_head, lr_encoder, seed, batch_size):
-    """The dense training loop `_sgd` reproduces: every step multiplies the
-    full (m, n) weights, and positives are drawn one scalar call at a time."""
+    """The dense training loop `train_toy` reproduces: every step multiplies
+    the full (m, n) weights, and positives are drawn one scalar call at a time."""
     pools = [np.flatnonzero(labels == c) for c in range(labels.max() + 1)]
     rng = substream(seed, "train-toy")
     encoder = ToyEncoder(weights=encoder.weights.copy())
@@ -434,19 +430,22 @@ def _sgd_items(seed, n_items):
 
 
 @pytest.mark.parametrize("soft", [True, False])
-@pytest.mark.parametrize("seed, n_items, batch_size", [(0, 33, 16), (1, 40, 8), (2, 7, 64)])
-def test_sgd_matches_the_dense_reference_loop(soft, seed, n_items, batch_size):
-    # 33 items in batches of 16 end in a batch of 1, which both loops skip
+@pytest.mark.parametrize("seed, n_items", [(0, 65), (1, 129), (2, 7)])
+def test_train_toy_matches_the_dense_reference_loop(soft, seed, n_items):
+    # 65 and 129 items end each epoch in a batch of one anchor, which both loops skip
+    assert n_items < DEFAULT_BATCH_SIZE or n_items % DEFAULT_BATCH_SIZE == 1
     items = _sgd_items(seed, n_items)
     encoder = init_toy_encoder(m=256, n=8, seed=seed)
     head = init_head(8, 4, seed=seed)
     temps = Temperatures(tau=0.3, tau_label=0.5)
-    rows, inverse, labels, table = _train_set(items, encoder, soft)
+    actions = sorted({it.action for it in items})
+    labels = np.array([actions.index(it.action) for it in items])
+    table = build_label_table(actions) if soft else None
     assert np.bincount(labels).min() == 1
-    rest = (temps, 4, 0.1, 0.05, seed, batch_size)
-    fast = _sgd(rows, inverse, labels, table, encoder, head, *rest)
-    slow = _reference_sgd(rows[inverse], labels, table, encoder, [head], *rest)
-    assert len(fast.loss_curve) == 4
+    feats = encoder.features([it.text for it in items])
+    fast = train_toy(items, encoder, [head], temps, 4, 0.1, 0.05, seed, soft=soft)
+    slow = _reference_sgd(feats, labels, table, encoder, [head], temps, 4, 0.1, 0.05, seed, DEFAULT_BATCH_SIZE)
+    assert len(fast.loss_curve) == 4 and np.isfinite(fast.loss_curve).all()
     assert np.max(np.abs(np.array(fast.loss_curve) - slow.loss_curve)) < 1e-12
     assert np.max(np.abs(fast.encoder.weights - slow.encoder.weights)) < 1e-12
     assert not np.array_equal(fast.encoder.weights, encoder.weights)  # it trained
@@ -455,10 +454,9 @@ def test_sgd_matches_the_dense_reference_loop(soft, seed, n_items, batch_size):
 def test_sgd_returns_the_rows_of_unused_columns_bit_for_bit():
     items = _sgd_items(3, 24)
     encoder = init_toy_encoder(m=512, n=8, seed=3)
-    rows, inverse, labels, table = _train_set(items, encoder, soft=True)
-    trained = _sgd(rows, inverse, labels, table, encoder, init_head(8, 4, seed=3),
-                   Temperatures(tau=0.3), 3, 0.1, 0.05, 3, 8).encoder.weights
-    used = rows.any(axis=0)
+    head = init_head(8, 4, seed=3)
+    trained = train_toy(items, encoder, [head], Temperatures(tau=0.3), 3, 0.1, 0.05, 3).encoder.weights
+    used = encoder.features([it.text for it in items]).any(axis=0)
     assert 0 < used.sum() < len(used)
     assert np.array_equal(trained[~used], encoder.weights[~used])
     assert not np.any(trained[used] == encoder.weights[used])

@@ -22,7 +22,7 @@ from convflow.corpus import (
     utterance_id,
 )
 from convflow.errors import InputError
-from convflow.flowgraph import Trajectory, TrajectoryStep, trajectories_gold
+from convflow.flowgraph import Trajectory, trajectories_gold
 from convflow.synth import planted_flow
 from corpora import random_corpus
 
@@ -463,8 +463,8 @@ def _reference_trajectories_gold(dialogs: list[UnifiedDialog]) -> list[Trajector
         steps = []
         for turn in dialog.turns:
             label = action_of(turn)
-            steps.append(TrajectoryStep(speaker=turn.speaker, action=f"{turn.speaker}:{label.render()}"))
-        out.append(Trajectory(dialog_id=dialog.dialog_id, steps=tuple(steps)))
+            steps.append((f"{turn.speaker}:{label.render()}", turn.speaker))
+        out.append(tuple(steps))
     return out
 
 

@@ -11,9 +11,6 @@ from convflow.errors import InputError
 from convflow.flowgraph import (
     LLM_WORKERS,
     DotOptions,
-    GraphDiff,
-    Trajectory,
-    TrajectoryStep,
     build_graph,
     build_label_messages,
     export_dot,
@@ -21,6 +18,7 @@ from convflow.flowgraph import (
     extract_canonical_form,
     label_clusters_llm,
     prune,
+    size_difference,
     trajectories_gold,
     trajectories_induced,
 )
@@ -31,9 +29,8 @@ def _utt(speaker, acts, slots=()):
     return AnnotatedUtterance(speaker=speaker, text="t", acts=tuple(acts), slots=tuple(slots))
 
 
-def _traj(dialog_id, actions):
-    steps = tuple(TrajectoryStep(speaker="user", action=a) for a in actions)
-    return Trajectory(dialog_id=dialog_id, steps=steps)
+def _traj(actions):
+    return tuple((a, "user") for a in actions)
 
 
 # ---------------------------------------------------------------------------
@@ -53,22 +50,21 @@ def test_trajectories_gold_hospital_fragment():
         ),
     )
     trajs = trajectories_gold([dialog])
-    assert [s.action for s in trajs[0].steps] == [
-        "user:inform department",
-        "system:request_more",
-        "user:request phone",
-        "system:inform phone",
-        "user:confirm phone",
-        "system:thank_you",
-    ]
-    assert [s.speaker for s in trajs[0].steps] == ["user", "system"] * 3
+    assert trajs[0] == (
+        ("user:inform department", "user"),
+        ("system:request_more", "system"),
+        ("user:request phone", "user"),
+        ("system:inform phone", "system"),
+        ("user:confirm phone", "user"),
+        ("system:thank_you", "system"),
+    )
 
 
 def test_trajectories_gold_empty_and_single():
     assert trajectories_gold([]) == []
     single = UnifiedDialog("d", (_utt("user", ["greeting"]),))
     trajs = trajectories_gold([single])
-    assert len(trajs[0].steps) == 1
+    assert trajs == [(("user:greeting", "user"),)]
 
 
 def test_trajectories_gold_strict_missing_annotation():
@@ -85,7 +81,7 @@ def test_trajectories_induced_alternating():
     cu = Clustering(ids=("d:0", "d:2"), labels=[0, 0], centroids=np.array([[1.0]]))
     cs = Clustering(ids=("d:1",), labels=[1], centroids=np.array([[1.0], [1.0]]))
     trajs = trajectories_induced([dialog], cu, cs)
-    assert [s.action for s in trajs[0].steps] == ["U0", "S1", "U0"]
+    assert trajs == [(("U0", "user"), ("S1", "system"), ("U0", "user"))]
 
 
 def test_trajectories_induced_coverage_error():
@@ -120,12 +116,13 @@ def test_trajectories_induced_matches_direct_lookup():
     cs = Clustering(ids=tuple(assign_s), labels=list(assign_s.values()), centroids=np.ones((3, 1)))
     trajs = trajectories_induced(dialogs, cu, cs)
     for traj, dialog in zip(trajs, dialogs):
-        for i, step in enumerate(traj.steps):
+        for i, (action, speaker) in enumerate(traj):
             uid = f"{dialog.dialog_id}:{i}"
-            if dialog.turns[i].speaker == "user":
-                assert step.action == f"U{assign_u[uid]}"
+            assert speaker == dialog.turns[i].speaker
+            if speaker == "user":
+                assert action == f"U{assign_u[uid]}"
             else:
-                assert step.action == f"S{assign_s[uid]}"
+                assert action == f"S{assign_s[uid]}"
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +130,7 @@ def test_trajectories_induced_matches_direct_lookup():
 # ---------------------------------------------------------------------------
 
 def test_build_graph_hand_counts():
-    trajs = [_traj("d1", ["a", "b"]), _traj("d2", ["a", "b"]), _traj("d3", ["a", "c"])]
+    trajs = [_traj(["a", "b"]), _traj(["a", "b"]), _traj(["a", "c"])]
     graph = build_graph(trajs)
     assert abs(graph.edge_weights[("a", "b")] - 2 / 3) < 1e-12
     assert abs(graph.edge_weights[("a", "c")] - 1 / 3) < 1e-12
@@ -143,14 +140,14 @@ def test_build_graph_hand_counts():
 
 
 def test_build_graph_single_step_trajectory():
-    graph = build_graph([_traj("d", ["a"])])
+    graph = build_graph([_traj(["a"])])
     assert graph.nodes == ("a",)
     assert graph.node_weights["a"] == 1.0
     assert graph.edge_weights == {}
 
 
 def test_build_graph_no_cross_dialog_edges():
-    graph = build_graph([_traj("d1", ["a", "b"]), _traj("d2", ["c", "d"])])
+    graph = build_graph([_traj(["a", "b"]), _traj(["c", "d"])])
     assert ("b", "c") not in graph.edge_weights
     assert set(graph.edge_weights) == {("a", "b"), ("c", "d")}
 
@@ -159,15 +156,15 @@ def test_build_graph_empty_inputs():
     with pytest.raises(InputError, match="no non-empty trajectories"):
         build_graph([])
     with pytest.raises(InputError, match="no non-empty trajectories"):
-        build_graph([Trajectory(dialog_id="d", steps=())])
+        build_graph([()])
 
 
 def _random_trajectories(rng, n_dialogs=8, alphabet=6):
     trajs = []
-    for d in range(n_dialogs):
+    for _ in range(n_dialogs):
         length = int(rng.integers(1, 8))
         actions = [f"a{int(rng.integers(alphabet))}" for _ in range(length)]
-        trajs.append(_traj(f"d{d}", actions))
+        trajs.append(_traj(actions))
     return trajs
 
 
@@ -196,7 +193,7 @@ def test_build_graph_order_invariant():
 # ---------------------------------------------------------------------------
 
 def test_prune_removes_below_threshold():
-    trajs = [_traj("d1", ["a"] * 50 + ["b"] * 49 + ["c"])]
+    trajs = [_traj(["a"] * 50 + ["b"] * 49 + ["c"])]
     graph = build_graph(trajs)
     pruned = prune(graph, 0.02)
     assert set(pruned.nodes) == {"a", "b"}
@@ -209,7 +206,7 @@ def test_prune_zero_epsilon_unchanged():
 
 
 def test_prune_epsilon_one_empties_multinode_graph():
-    graph = build_graph([_traj("d", ["a", "b"])])
+    graph = build_graph([_traj(["a", "b"])])
     assert prune(graph, 1.0).nodes == ()
 
 
@@ -226,7 +223,7 @@ def test_prune_idempotent_and_monotone():
 
 
 def test_prune_keeps_original_weights():
-    graph = build_graph([_traj("d1", ["a"] * 50 + ["b"] * 49 + ["c"])])
+    graph = build_graph([_traj(["a"] * 50 + ["b"] * 49 + ["c"])])
     pruned = prune(graph, 0.02)
     assert pruned.node_weights["a"] == graph.node_weights["a"]
     assert pruned.total_steps == graph.total_steps
@@ -237,19 +234,18 @@ def test_prune_keeps_original_weights():
 # ---------------------------------------------------------------------------
 
 def test_graph_size_diff_table_values():
-    d = GraphDiff.from_sizes(18, 17)
-    assert d.raw == -1 and round(d.normalized_pct, 2) == 5.56
-    d = GraphDiff.from_sizes(31, 31)
-    assert d.raw == 0 and d.normalized_pct == 0.0
-    d = GraphDiff.from_sizes(49, 50)
-    assert d.raw == 1 and round(d.normalized_pct, 2) == 2.04
-    d = GraphDiff.from_sizes(59, 56)
-    assert d.raw == -3 and round(d.normalized_pct, 2) == 5.08
+    raw, pct = size_difference(18, 17)
+    assert raw == -1 and round(pct, 2) == 5.56
+    assert size_difference(31, 31) == (0, 0.0)
+    raw, pct = size_difference(49, 50)
+    assert raw == 1 and round(pct, 2) == 2.04
+    raw, pct = size_difference(59, 56)
+    assert raw == -3 and round(pct, 2) == 5.08
 
 
 def test_graph_size_diff_empty_reference():
     with pytest.raises(InputError, match="reference graph has no nodes"):
-        GraphDiff.from_sizes(0, 5)
+        size_difference(0, 5)
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +268,7 @@ def _check_dot_grammar(text: str):
 
 
 def test_export_dot_empty_graph_header_only():
-    graph = build_graph([_traj("d", ["a", "b"])])
+    graph = build_graph([_traj(["a", "b"])])
     empty = prune(graph, 1.0)
     assert empty.nodes == ()
     text = export_dot(empty)
@@ -280,7 +276,7 @@ def test_export_dot_empty_graph_header_only():
 
 
 def test_export_dot_two_nodes_one_edge():
-    graph = build_graph([_traj("d", ["a", "b"])])
+    graph = build_graph([_traj(["a", "b"])])
     text = export_dot(graph)
     assert text.count("->") == 1
     _check_dot_grammar(text)
@@ -295,18 +291,18 @@ def test_export_dot_random_graphs_parse():
 
 
 def test_export_dot_weights_three_decimals():
-    graph = build_graph([_traj("d1", ["a", "b"]), _traj("d2", ["a", "c"])])
+    graph = build_graph([_traj(["a", "b"]), _traj(["a", "c"])])
     text = export_dot(graph)
     assert '"0.500"' in text  # edge weight a->b rendered to 3 decimals
 
 
 def test_export_dot_escapes_quotes():
-    graph = build_graph([_traj("d", ['act "quoted"'])])
+    graph = build_graph([_traj(['act "quoted"'])])
     _check_dot_grammar(export_dot(graph))
 
 
 def test_export_json_structure():
-    graph = build_graph([_traj("d1", ["a", "b"]), _traj("d2", ["a"])])
+    graph = build_graph([_traj(["a", "b"]), _traj(["a"])])
     payload = json.loads(export_json(graph))
     assert {n["id"] for n in payload["nodes"]} == {"a", "b"}
     assert payload["edges"][0]["src"] == "a"

@@ -8,6 +8,10 @@ by position, or through `*args`/`**kwargs`. Names are matched by spelling
 only, so a method sharing its name with another (`dict.get`) reads as
 reached: the check finds dead surface, it cannot prove a name live.
 
+Every keyword a call in `bench/` passes to a function or dataclass of
+`src/convflow` must still be one of its parameters or fields, so a renamed
+or removed parameter fails here and not only in the benchmark's replay.
+
 Two lists hold the exceptions, each entry with a one-line reason. An entry
 is a name, or `name(a=, b=)` for defaulted parameters of `name`.
 - BENCH_ONLY: what only `bench/` reaches today. `bench/` must still use
@@ -27,7 +31,7 @@ BENCH_ONLY = {
     "cut": "ROADMAP item 4: goes with agglomerative",
     "dendrogram_to_text": "ROADMAP item 4: goes with agglomerative",
     "assignment": "ROADMAP item 4: bench/verify.py checks the agglomerative cut through Clustering.assignment",
-    "train_toy": "ROADMAP item 1 slice C: only the bench replay's sweep trains through it",
+    "train_toy(soft=)": "ROADMAP item 1 slice C: only the bench replay passes it; the sweep trains on the soft loss",
     "kmeans(return_history=)": "ROADMAP item 1 slice C: the iteration count becomes a trace counter",
     "init_toy_encoder(m=)": "ROADMAP item 1 slice C: only the bench replay's train_toy path passes it",
     "planted_flow(min_len=, max_len=)": "the workloads' fixed-length dialogs, which ROADMAP item 3's seed check uses",
@@ -123,6 +127,48 @@ def unreached(src_paths, demo_paths) -> set[str]:
     return found
 
 
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    return any(getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass" for d in node.decorator_list)
+
+
+def accepted_keywords(trees) -> dict[str, set[str] | None]:
+    """The keywords each top-level function and dataclass takes: its
+    parameters or fields, merged over same-named definitions; None when
+    a `**kwargs` takes any."""
+    out: dict[str, set[str] | None] = {}
+    for _, tree in trees:
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                args = node.args
+                names = None if args.kwarg else {a.arg for a in args.args + args.kwonlyargs}
+            elif isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                names = {item.target.id for item in node.body
+                         if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)}
+            else:
+                continue
+            known = out.get(node.name, set())
+            out[node.name] = None if names is None or known is None else known | names
+    return out
+
+
+def stale_keywords(src_paths, bench_paths) -> set[str]:
+    """Each `name(kw=)` a call in `bench_paths` passes that the function or
+    dataclass `name` of `src_paths` does not take. Names that `bench_paths`
+    defines itself are its own and are skipped."""
+    accepted = accepted_keywords(_parse(src_paths))
+    bench = _parse(bench_paths)
+    own = {node.name for _, tree in bench for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    _, calls = references(bench)
+    return {
+        f"{name}({kw.arg}=)"
+        for name, found in calls.items()
+        if accepted.get(name) is not None and name not in own
+        for call in found
+        for kw in call.keywords
+        if kw.arg is not None and kw.arg not in accepted[name]
+    }
+
+
 def test_every_public_name_and_defaulted_parameter_is_reached():
     found = unreached(_paths(SRC), _paths(ROOT / "demos"))
     listed = _entries(BENCH_ONLY) | _entries(ALLOWED)
@@ -154,3 +200,27 @@ def test_unreached_reports_dead_names_parameters_and_spares_live_ones(tmp_path):
     demo = tmp_path / "demo.py"
     demo.write_text("from mod import live, Box\nlive(0, 5)\nBox().used(n=2)\n")
     assert unreached([module], [demo]) == {"live(c=)", "live(d=)", "unused", "dead_recursive(y=)"}
+
+
+def test_bench_passes_only_keywords_src_takes():
+    assert stale_keywords(_paths(SRC), _paths(ROOT / "bench")) == set()
+
+
+def test_stale_keywords_checks_functions_and_dataclass_fields(tmp_path):
+    module = tmp_path / "mod.py"
+    module.write_text(
+        "from dataclasses import dataclass\nfrom typing import final\n\n"
+        "def fit(x, *, rate=1):\n    return x\n\n"
+        "def loose(**kwargs):\n    return kwargs\n\n"
+        "@dataclass(frozen=True)\nclass Box:\n    size: int\n    label: str = ''\n\n"
+        "@final\nclass Plain:\n    def __init__(self, n=0):\n        self.n = n\n\n"
+        "def report(a):\n    return a\n"
+    )
+    bench = tmp_path / "bench.py"
+    bench.write_text(
+        "import mod\n\n"
+        "def report(a, style=None):\n    return a\n\n"
+        "mod.fit(1, rate=2, epochs=3)\nmod.loose(anything=1)\n"
+        "mod.Box(size=1, label='x', colour='red')\nmod.Plain(n=1)\nreport(1, style='x')\nmod.fit(**{'rate': 1})\n"
+    )
+    assert stale_keywords([module], [bench]) == {"fit(epochs=)", "Box(colour=)"}
