@@ -38,8 +38,8 @@ print("per-anchor terms:", np.round(per_anchor, 3))
 # The soft loss replaces the uniform-on-positives target with a softmax over
 # label similarities. Labels sharing tokens ("inform name" vs "inform name
 # price") get graded target mass instead of being treated as full negatives.
-table = build_label_table(labels_text, dim=128)
-print("\nlabel similarity matrix (hashed bag-of-words):")
+table = build_label_table(labels_text)
+print("\nlabel similarity matrix (cosine of token counts):")
 print(np.round(table, 3))
 
 targets = soft_targets(label_ids, table, temps.tau_label)

@@ -19,7 +19,7 @@ from numbers import Real
 import numpy as np
 
 from .corpus import ActionLabel
-from .embedding import build_store, hashed_bow_vector, l2_normalize
+from .embedding import build_store, hashed_bow_vector, tokenize
 from .errors import DegenerateProjectionError, InputError
 from .evaluation import LabeledEmbeddings, evaluate_labeled
 from .seeding import substream
@@ -126,14 +126,17 @@ def _head_backward(head: ContrastiveHead, cache, dz: np.ndarray):
 # Label table and target distributions
 # ---------------------------------------------------------------------------
 
-def build_label_table(texts: list[str], dim: int = 256) -> np.ndarray:
+def build_label_table(texts: list[str]) -> np.ndarray:
     """The label-similarity matrix delta(y_i, y_j), indexed by label id: the
-    symmetric pairwise dots of the texts' hashed bag-of-words embeddings."""
+    symmetric pairwise cosines of the texts' exact token counts (no hashing)."""
     if not texts:
         raise InputError("label table needs at least one label")
-    # hashed_bow_vector is already unit-norm; normalizing again still moves
-    # last bits, and the sweep's results depend on them
-    embs = np.stack([l2_normalize(hashed_bow_vector(t, dim)) for t in texts])
+    tokens = [tokenize(t) for t in texts]
+    if not all(tokens):
+        raise InputError(f"label {texts[tokens.index([])]!r} has no tokens")
+    vocab = sorted(set().union(*tokens))
+    counts = np.array([[toks.count(v) for v in vocab] for toks in tokens], dtype=np.float64)
+    embs = counts / np.linalg.norm(counts, axis=1, keepdims=True)
     delta = embs @ embs.T
     return (delta + delta.T) / 2.0  # exact symmetry against fp noise
 
@@ -275,7 +278,7 @@ def _distinct_features(texts: list[str], m: int) -> tuple[np.ndarray, np.ndarray
     appearance, and the row of each text: `rows[inverse]` are the texts'."""
     first: dict[str, int] = {}
     inverse = np.array([first.setdefault(t, len(first)) for t in texts], dtype=np.intp)
-    return np.stack([hashed_bow_vector(t, m, normalize=False) for t in first]), inverse
+    return np.stack([hashed_bow_vector(t, m) for t in first]), inverse
 
 
 def init_toy_encoder(m: int = DEFAULT_HASH_DIM, n: int = 64, seed: int = 0) -> ToyEncoder:

@@ -252,25 +252,22 @@ def save_embeddings(store: EmbeddingStore, path: str, format: str = "jsonl") -> 
 # Deterministic offline provider
 # ---------------------------------------------------------------------------
 
-def hashed_bow_vector(text: str, dim: int, normalize: bool = True) -> np.ndarray:
-    """Deterministic hashed bag-of-words vector (signed hashing trick).
+def tokenize(text: str) -> list[str]:
+    """The tokens of `text`: lowercased, split on whitespace and underscores."""
+    return text.lower().replace("_", " ").split()
 
-    Tokens are lowercased and split on whitespace and underscores, so
-    snake_case compounds ("phone_number") share mass with their parts.
-    The same text always maps to the same vector, independent of process
-    or platform, which keeps label similarity tables reproducible offline.
-    """
+
+def hashed_bow_vector(text: str, dim: int) -> np.ndarray:
+    """The toy encoder's features: signed hashed token counts in `dim` columns,
+    the same in every process and platform. Distinct tokens can share a
+    column, so label similarity (`build_label_table`) does not use them."""
     v = np.zeros(dim, dtype=np.float64)
-    for token in text.lower().replace("_", " ").split():
+    for token in tokenize(text):
         digest = hashlib.md5(token.encode("utf-8")).digest()
         idx = int.from_bytes(digest[:8], "little") % dim
         sign = 1.0 if digest[8] & 1 else -1.0
         v[idx] += sign
-    if not normalize:
-        return v
-    if not v.any():
-        raise InputError(f"text {text!r} hashes to the zero vector")
-    return l2_normalize(v)
+    return v
 
 
 # ---------------------------------------------------------------------------

@@ -123,24 +123,24 @@ def test_criterion_3_gradient_correctness():
 # ---------------------------------------------------------------------------
 
 def test_criterion_4_sweep_soft_beats_hard():
-    gaps = []
+    # tau'=1e-4 is the hard loss: no two distinct graded labels have delta
+    # near 1, so every off-diagonal soft target underflows to 0
+    f1_gaps, delta_gaps = [], []
     for seed in (0, 1, 2):
         train_rows, eval_rows = graded_label_rows(seed=seed)
-        rows = sweep_tau_label(
+        hard, soft = sweep_tau_label(
             [r for r in _to_items(train_rows)],
             [r for r in _to_items(eval_rows)],
             [1e-4, 0.35],
             seed=seed,
             **SWEEP_TOY,
         )
-        by_tau = {round(r[0], 6): r for r in rows}
-        delta_hard = by_tau[round(1e-4, 6)][2]
-        delta_soft = by_tau[0.35][2]
-        gaps.append(delta_soft - delta_hard)
-    median_gap = sorted(gaps)[1]
-    assert median_gap > 0.0
-    print(f"\nACCEPTANCE 4 PASS: delta(tau'=0.35) > delta(tau'=1e-4) for the median "
-          f"seed (gaps {[round(g, 4) for g in gaps]})")
+        assert (hard[0], soft[0]) == (1e-4, 0.35)
+        f1_gaps.append(soft[1] - hard[1])
+        delta_gaps.append(soft[2] - hard[2])
+    assert min(f1_gaps) > 0.0 and min(delta_gaps) > 0.0
+    print(f"\nACCEPTANCE 4 PASS: tau'=0.35 beats tau'=1e-4 on every seed in 5-shot F1 "
+          f"(gaps {[round(g, 4) for g in f1_gaps]}) and in delta (gaps {[round(g, 4) for g in delta_gaps]})")
 
 
 def _to_items(rows):

@@ -461,6 +461,26 @@ def test_sweep_limit_row_matches_hard_loss(sweep_corpus, tmp_path):
     assert abs(soft_rows[0][2] - delta_hard) < 1e-9
 
 
+def test_sweep_runs_on_a_label_whose_tokens_cancel_in_a_hash(tmp_path):
+    # "inform s819" hashes to the zero vector at 256 columns; the label table
+    # counts tokens exactly, so the label is as good as any other
+    from convflow.corpus import AnnotatedUtterance, UnifiedDialog
+
+    dialogs = [
+        UnifiedDialog(
+            dialog_id=f"d{act}{i}",
+            turns=(AnnotatedUtterance(speaker="user", text=f"{act} the {slot} w{i % 7} v{i % 5}",
+                                      acts=(act,), slots=(slot,)),),
+        )
+        for act, slot in (("inform", "s819"), ("request", "s1"))
+        for i in range(40)
+    ]
+    corpus, out = tmp_path / "corpus.json", tmp_path / "sweep.tsv"
+    corpus.write_bytes(serialize_unified(dialogs))
+    assert main(["sweep", "--corpus", str(corpus), "--out", str(out), "--grid", "0.35", "--epochs", "1"]) == 0
+    assert out.read_text().splitlines()[1].startswith("0.35\t")
+
+
 def test_config_file_and_flag_precedence(planted, tmp_path):
     _, corpus_path, emb_path = planted
     config = tmp_path / "config.json"

@@ -16,6 +16,7 @@ from convflow.contrastive import (
     TrainResult,
     build_label_table,
     grad_loss,
+    hard_targets,
     init_head,
     init_toy_encoder,
     single_items,
@@ -31,6 +32,7 @@ from convflow.errors import DegenerateProjectionError, InputError
 from convflow.evaluation import LabeledEmbeddings, intra_inter_anisotropy
 from convflow.corpus import ActionLabel
 from convflow.seeding import substream
+from convflow.synth import SWEEP_TOY, graded_label_rows, planted_flow
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +127,7 @@ def test_sup_loss_empty_batch():
 # ---------------------------------------------------------------------------
 
 def test_soft_targets_identical_labels_uniform():
-    table = build_label_table(["inform name"], dim=64)
+    table = build_label_table(["inform name"])
     p = soft_targets(np.zeros(4, dtype=int), table, 0.35)
     assert np.allclose(p, 0.25)
 
@@ -144,7 +146,7 @@ def test_soft_targets_rows_sum_to_one():
     rng = np.random.default_rng(3)
     for _ in range(20):
         n_labels = int(rng.integers(2, 6))
-        table = build_label_table([f"label {i}" for i in range(n_labels)], dim=64)
+        table = build_label_table([f"label {i}" for i in range(n_labels)])
         labels = rng.integers(0, n_labels, size=int(rng.integers(2, 10)))
         for tau_label in (1e-3, 0.35, 5.0):
             p = soft_targets(labels, table, tau_label)
@@ -177,7 +179,7 @@ def test_soft_loss_uniform_targets_for_large_tau_label():
     n, d = 6, 4
     anchors, positives = random_unit_rows(rng, n, d), random_unit_rows(rng, n, d)
     labels = rng.integers(0, 3, size=n)
-    table = build_label_table(["a", "b", "c"], dim=64)
+    table = build_label_table(["a", "b", "c"])
     batch = ContrastiveBatch(anchors, positives, labels)
     got, _ = soft_loss(batch, table, Temperatures(tau=0.05, tau_label=1e9))
     sims = anchors @ positives.T / 0.05
@@ -194,7 +196,7 @@ def test_soft_loss_brute_force_oracle():
         anchors, positives = random_unit_rows(rng, n, d), random_unit_rows(rng, n, d)
         n_labels = max(2, n // 2)
         labels = rng.integers(0, n_labels, size=n)
-        table = build_label_table([f"tok{i} word{i}" for i in range(n_labels)], dim=64)
+        table = build_label_table([f"tok{i} word{i}" for i in range(n_labels)])
         got, _ = soft_loss(ContrastiveBatch(anchors, positives, labels), table, temps)
         total = 0.0
         for i in range(n):
@@ -213,7 +215,7 @@ def test_losses_invariant_under_common_permutation():
     n, d = 7, 5
     anchors, positives = random_unit_rows(rng, n, d), random_unit_rows(rng, n, d)
     labels = rng.integers(0, 3, size=n)
-    table = build_label_table(["a b", "c d", "e f"], dim=64)
+    table = build_label_table(["a b", "c d", "e f"])
     base_sup, _ = sup_loss(ContrastiveBatch(anchors, positives, labels), temps)
     base_soft, _ = soft_loss(ContrastiveBatch(anchors, positives, labels), table, temps)
     for _ in range(5):
@@ -228,7 +230,7 @@ def test_losses_invariant_under_common_permutation():
 def test_losses_nonnegative():
     rng = np.random.default_rng(8)
     temps = Temperatures()
-    table = build_label_table(["a b", "c d"], dim=64)
+    table = build_label_table(["a b", "c d"])
     for _ in range(20):
         n, d = int(rng.integers(1, 8)), int(rng.integers(2, 6))
         anchors, positives = random_unit_rows(rng, n, d), random_unit_rows(rng, n, d)
@@ -257,7 +259,7 @@ def test_gradients_match_finite_differences(soft):
         xa, xp = random_unit_rows(rng, n, enc), random_unit_rows(rng, n, enc)
         labels = rng.integers(0, 2, size=n)
         head = init_head(enc, d, seed=int(rng.integers(1000)))
-        table = build_label_table(["tok a", "tok b"], dim=32) if soft else None
+        table = build_label_table(["tok a", "tok b"]) if soft else None
         batch = ContrastiveBatch(xa, xp, labels)  # the differences below move xa and xp in place
 
         def loss_now():
@@ -481,7 +483,7 @@ def test_features_hash_each_distinct_text_once_and_keep_every_row():
     texts = ["b a", "a b", "b a", "", "c_d", "a b"]
     rows, inverse = _distinct_features(texts, 64)
     assert rows.shape == (4, 64) and inverse.tolist() == [0, 1, 0, 2, 3, 1]
-    expected = np.stack([hashed_bow_vector(t, 64, normalize=False) for t in texts])
+    expected = np.stack([hashed_bow_vector(t, 64) for t in texts])
     assert np.array_equal(init_toy_encoder(m=64, n=4).features(texts), expected)
 
 
@@ -505,11 +507,59 @@ def test_train_toy_on_texts_that_hash_to_zero_raises():
 
 
 def test_label_table_diagonal_is_row_max():
-    table = build_label_table(["inform name", "inform price", "request phone", "thank you"], dim=128)
+    table = build_label_table(["inform name", "inform price", "request phone", "thank you"])
     for i in range(4):
         assert table[i, i] >= table[i].max() - 1e-12
         assert abs(table[i, i] - 1.0) < 1e-12
     assert np.array_equal(table, table.T)
+
+
+def _label_set(source):
+    """The labels of the graded sweep corpus, or of `planted_flow` with k user
+    and k system actions at the benchmark's dialog length."""
+    if source == "graded":
+        train, eval_rows = graded_label_rows(seed=0)
+        return sorted({action.render() for _, _, _, action in train + eval_rows})
+    pf = planted_flow(k_user=source, k_system=source, n_dialogs=4, dim=2 * source, seed=0, min_len=8, max_len=8)
+    return sorted({action.render() for action in pf.user_actions + pf.system_actions})
+
+
+@pytest.mark.parametrize("source", ["graded", 4, 9, 64])
+def test_label_table_keeps_distinct_labels_apart_so_tiny_tau_label_is_the_hard_target(source):
+    labels = _label_set(source)
+    table = build_label_table(labels)
+    assert len(labels) > 2 and np.max(table - 2.0 * np.eye(len(labels))) <= 0.99
+    ids = np.repeat(np.arange(len(labels)), 3)
+    assert np.array_equal(soft_targets(ids, table, 1e-4), hard_targets(ids))
+
+
+def test_train_toy_at_tiny_tau_label_is_the_hard_loss_bit_for_bit():
+    items = single_items(graded_label_rows(seed=0)[0])
+    n, d = SWEEP_TOY["encoder_dim"], SWEEP_TOY["head_dim"]
+    temps = Temperatures(tau=SWEEP_TOY["tau"], tau_label=1e-4)
+    soft, hard = (
+        train_toy(items, init_toy_encoder(n=n, seed=0), [init_head(n, d, seed=0)], temps, epochs=2,
+                  lr_head=SWEEP_TOY["lr_head"], lr_encoder=SWEEP_TOY["lr_encoder"], seed=0, soft=flag)
+        for flag in (True, False)
+    )
+    assert np.array_equal(soft.encoder.weights, hard.encoder.weights)
+    assert soft.loss_curve == hard.loss_curve
+
+
+def test_label_table_of_a_label_whose_tokens_cancel_in_the_hash():
+    # "inform" and "s819" take one column with opposite signs at 256 columns
+    assert not hashed_bow_vector("inform s819", 256).any()
+    table = build_label_table(["inform s819", "request s1"])
+    assert table[0, 1] == table[1, 0] == 0.0
+    assert np.allclose(np.diag(table), 1.0, rtol=0.0, atol=1e-12)
+
+
+def test_label_table_rejects_a_label_with_no_tokens():
+    empty = ActionLabel.make("", []).render()
+    with pytest.raises(InputError, match="label '' has no tokens"):
+        build_label_table(["inform s1", empty])
+    with pytest.raises(InputError, match="label '_ _' has no tokens"):
+        build_label_table(["_ _"])
 
 
 def test_default_head_dimensions():

@@ -13,6 +13,7 @@ from convflow.embedding import (
     l2_normalize,
     load_embeddings,
     save_embeddings,
+    tokenize,
 )
 from convflow.errors import InputError, RemoteError, UnavailableError
 from mockserver import Handler, serving
@@ -222,16 +223,23 @@ def test_store_rows_are_read_only_and_matrix_is_a_copy():
     assert store.matrix([]).shape == (0, 2)
 
 
-def test_hashed_bow_deterministic_and_unit():
+def test_hashed_bow_deterministic_raw_counts():
     a = hashed_bow_vector("request the phone number", 64)
-    b = hashed_bow_vector("request the phone number", 64)
-    assert np.array_equal(a, b)
-    assert abs(np.linalg.norm(a) - 1.0) < 1e-12
+    assert np.array_equal(a, hashed_bow_vector("request the phone number", 64))
+    one = hashed_bow_vector("phone", 64)
+    assert sorted(np.abs(one)) == [0.0] * 63 + [1.0]  # one signed count, not normalized
+    assert np.array_equal(hashed_bow_vector("phone Phone PHONE", 64), 3 * one)
+    assert not hashed_bow_vector("", 64).any()  # no tokens: the zero vector, not an error
+
+
+def test_tokenize_lowercases_and_splits_on_whitespace_and_underscores():
+    assert tokenize(" Request_the  phone_NUMBER\t") == ["request", "the", "phone", "number"]
+    assert tokenize("_ _") == []
 
 
 def test_hashed_bow_splits_underscores():
-    a = hashed_bow_vector("phone_number", 128, normalize=False)
-    b = hashed_bow_vector("phone number", 128, normalize=False)
+    a = hashed_bow_vector("phone_number", 128)
+    b = hashed_bow_vector("phone number", 128)
     assert np.array_equal(a, b)
 
 

@@ -31,7 +31,7 @@ BENCH_ONLY = {
     "cut": "ROADMAP item 4: goes with agglomerative",
     "dendrogram_to_text": "ROADMAP item 4: goes with agglomerative",
     "assignment": "ROADMAP item 4: bench/verify.py checks the agglomerative cut through Clustering.assignment",
-    "train_toy(soft=)": "ROADMAP item 1 slice C: only the bench replay passes it; the sweep trains on the soft loss",
+    "train_toy(soft=)": "ROADMAP item 1: bitwise redundant (tau_label=1e-4 trains the hard loss); only bench/replay.py's soft=True keeps it",
     "kmeans(return_history=)": "ROADMAP item 1 slice C: the iteration count becomes a trace counter",
     "init_toy_encoder(m=)": "ROADMAP item 1 slice C: only the bench replay's train_toy path passes it",
     "planted_flow(min_len=, max_len=)": "the workloads' fixed-length dialogs, which ROADMAP item 3's seed check uses",
