@@ -226,15 +226,16 @@ def _stationarity_case(seed: int, temps: Temperatures):
 
 def run_losscheck(
     seed: int = 0,
-    equivalence_cases: int = 50,
-    gradient_cases: int = 10,
+    cases: int = 50,
     inject_fault: bool = False,
 ) -> list[CheckResult]:
-    """The full check battery. Deterministic per seed; any failing case is
-    attached as a JSON-serializable payload for replay."""
-    if min(equivalence_cases, gradient_cases) < 1:
+    """The full check battery: `cases` equivalence batches and
+    max(2, cases // 5) gradient cases. Deterministic per seed; any failing
+    case is attached as a JSON-serializable payload for replay."""
+    gradient_cases = max(2, cases // 5)
+    if cases < 1:
         raise InputError(
-            f"losscheck needs at least one case per check, got {equivalence_cases} equivalence "
+            f"losscheck needs at least one case per check, got {cases} equivalence "
             f"and {gradient_cases} gradient cases"
         )
     temps = Temperatures()
@@ -247,9 +248,9 @@ def run_losscheck(
         for soft in (False, True)
     )
     return [
-        _run_check("brute-force equivalence", 1e-10, _equivalence_cases(seed, equivalence_cases, temps),
+        _run_check("brute-force equivalence", 1e-10, _equivalence_cases(seed, cases, temps),
                    lambda sup, soft: f"max |sup-brute|={sup:.2e}, max |soft-brute|={soft:.2e} "
-                                     f"over {equivalence_cases} batches"),
+                                     f"over {cases} batches"),
         _run_check("soft-to-hard limit", 1e-6, _limit_cases(seed, temps),
                    lambda err: f"max |soft(tau'=1e-4) - sup|={err:.2e} over {LIMIT_CASES} batches"),
         _run_check("gradient vs central differences", 1e-5, gradient,

@@ -108,19 +108,13 @@ def _load_corpus(path: str) -> list[corpus.UnifiedDialog]:
         return corpus.parse_unified(fh.read())
 
 
-def _embedding_format(path: str) -> str:
-    """Binary when the file starts with the binary magic bytes, else JSONL."""
-    with open(path, "rb") as fh:
-        return "binary" if fh.read(4) == embedding.BINARY_MAGIC else "jsonl"
-
-
 def _resolve_store(
     embeddings_path: str | None, dialogs: list[corpus.UnifiedDialog]
 ) -> embedding.EmbeddingStore:
     """Embedding file when a path is given, else the remote encoder from
     the environment (one vector per utterance, keyed by utterance id)."""
     if embeddings_path:
-        return embedding.load_embeddings(embeddings_path, format=_embedding_format(embeddings_path))
+        return embedding.load_embeddings(embeddings_path)
     endpoint = os.environ.get(embedding.ENV_EMBED_URL)
     if not endpoint:
         raise InputError(
@@ -259,8 +253,7 @@ def cmd_losscheck(args: argparse.Namespace) -> int:
     config = resolve_config(args)
     results = checks.run_losscheck(
         seed=config.seed,
-        equivalence_cases=args.cases,
-        gradient_cases=max(2, args.cases // 5),
+        cases=args.cases,
         inject_fault=args.inject_fault,
     )
     for r in results:

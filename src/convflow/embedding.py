@@ -12,7 +12,6 @@ import hashlib
 import json
 import struct
 from array import array
-from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,15 +49,26 @@ def _normalize_rows(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         return np.divide(x, norms[:, None], out=out)
 
 
-class _Rows(Mapping):
-    """Read-only id -> row view of one (N, dim) matrix; `index` maps ids to rows."""
+@dataclass(frozen=True, eq=False)
+class EmbeddingStore:
+    """Immutable id -> vector table: `index` maps each id to its row of
+    `array`, one read-only float64 (N, dim) matrix, so a store is safe to
+    share across threads; `store[uid]` is that row. `build_store` and
+    `load_embeddings` make stores; a non-finite value raises InputError.
+    """
 
-    def __init__(self, index: dict[str, int], matrix: np.ndarray):
-        matrix.flags.writeable = False
-        self.index, self.matrix = index, matrix
+    index: dict[str, int]
+    array: np.ndarray
+    normalized: bool = False
+
+    def __post_init__(self):
+        self.array.flags.writeable = False
+        finite = np.isfinite(self.array).all(axis=1)
+        if not finite.all():
+            raise InputError(f"vector '{list(self.index)[np.argmin(finite)]}' holds a non-finite value")
 
     def __getitem__(self, uid: str) -> np.ndarray:
-        return self.matrix[self.index[uid]]
+        return self.array[self.index[uid]]
 
     def __iter__(self):
         return iter(self.index)
@@ -66,43 +76,26 @@ class _Rows(Mapping):
     def __len__(self) -> int:
         return len(self.index)
 
-
-@dataclass(frozen=True, eq=False)
-class EmbeddingStore:
-    """Immutable id -> vector table: one read-only float64 (N, dim) matrix
-    behind an id -> row index, so a store is safe to share across threads.
-
-    `vectors` maps each id to its read-only row. `build_store` and
-    `load_embeddings` make stores; a non-finite value raises InputError.
-    """
-
-    dim: int
-    vectors: _Rows
-    normalized: bool = False
-
-    def __post_init__(self):
-        finite = np.isfinite(self.vectors.matrix).all(axis=1)
-        if not finite.all():
-            raise InputError(f"vector '{list(self.vectors)[np.argmin(finite)]}' holds a non-finite value")
-
-    def __len__(self) -> int:
-        return len(self.vectors)
-
     def __contains__(self, uid: str) -> bool:
-        return uid in self.vectors.index
+        return uid in self.index
+
+    @property
+    def dim(self) -> int:
+        return self.array.shape[1]
+
+    @property
+    def vectors(self) -> "EmbeddingStore":
+        """The store itself. Only bench/verify.py reads it (`store.vectors[uid]`);
+        it goes when the benchmark reads `store[uid]` (ROADMAP item 3 slice B)."""
+        return self
 
     def ids(self) -> list[str]:
-        return sorted(self.vectors)
+        return sorted(self.index)
 
     def rows(self, ids: list[str]) -> np.ndarray:
         """The matrix row of each id in `ids`, in the given order."""
-        index = self.vectors.index
+        index = self.index
         return np.fromiter((index[i] for i in ids), np.intp, len(ids))
-
-    @property
-    def array(self) -> np.ndarray:
-        """The whole read-only (N, dim) matrix; `rows` maps ids into it."""
-        return self.vectors.matrix
 
     def matrix(self, ids: list[str]) -> np.ndarray:
         """A copy of the rows for `ids` in the given order, shape (len(ids), dim)."""
@@ -111,8 +104,7 @@ class EmbeddingStore:
     def normalize(self) -> "EmbeddingStore":
         if self.normalized:
             return self
-        unit = _normalize_rows(self.vectors.matrix)
-        return EmbeddingStore(dim=self.dim, vectors=_Rows(self.vectors.index, unit), normalized=True)
+        return EmbeddingStore(self.index, _normalize_rows(self.array), normalized=True)
 
 
 def build_store(pairs: list[tuple[str, np.ndarray]], normalize: bool = False) -> EmbeddingStore:
@@ -130,7 +122,7 @@ def build_store(pairs: list[tuple[str, np.ndarray]], normalize: bool = False) ->
         matrix[row] = arr
     if normalize:
         _normalize_rows(matrix, out=matrix)
-    return EmbeddingStore(dim=dim, vectors=_Rows(index, matrix), normalized=normalize)
+    return EmbeddingStore(index, matrix, normalized=normalize)
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +133,7 @@ def save_jsonl(store: EmbeddingStore, path: str) -> None:
     """One record per line: {"id": ..., "vector": [...]}; sorted by id."""
     with open(path, "w", encoding="utf-8") as fh:
         for uid in store.ids():
-            rec = {"id": uid, "vector": store.vectors[uid].tolist()}
+            rec = {"id": uid, "vector": store[uid].tolist()}
             fh.write(json.dumps(rec, ensure_ascii=False) + "\n")
 
 
@@ -226,12 +218,17 @@ def _load_binary(path: str) -> EmbeddingStore:
         off += 4 * dim
     if off != len(data):
         raise InputError(f"{path}: {len(data) - off} bytes after the {count} declared records")
-    return EmbeddingStore(dim=dim, vectors=_Rows(index, matrix))
+    return EmbeddingStore(index, matrix)
 
 
-def load_embeddings(path: str, format: str = "jsonl") -> EmbeddingStore:
+def load_embeddings(path: str, format: str | None = None) -> EmbeddingStore:
     """Load an unnormalized store from disk; its dim comes from the first JSONL
-    record or the binary header, and every record must have it."""
+    record or the binary header, and every record must have it. With no
+    `format`, a file that starts with the binary magic bytes is binary and
+    any other is JSONL."""
+    if format is None:
+        with open(path, "rb") as fh:
+            format = "binary" if fh.read(4) == BINARY_MAGIC else "jsonl"
     if format == "jsonl":
         return build_store(_load_jsonl(path))
     if format == "binary":

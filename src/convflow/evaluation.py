@@ -165,7 +165,6 @@ def prototype_classify(data: LabeledEmbeddings, k: int, seed: int = 0) -> Classi
 class RankingResult:
     mean: float
     std: float
-    per_repetition: tuple[float, ...]
     excluded: int  # actions without a second embedding
 
 
@@ -222,7 +221,6 @@ def ndcg_ranking(
     return RankingResult(
         mean=float(arr.mean()),
         std=float(arr.std()),
-        per_repetition=tuple(per_rep),
         excluded=excluded,
     )
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import ActionLabel, AnnotatedUtterance, UnifiedDialog, utterance_id
-from .embedding import EmbeddingStore, _Rows
+from .embedding import EmbeddingStore
 from .errors import InputError
 from .seeding import substream
 
@@ -155,10 +155,9 @@ def planted_flow(
     centers.take(which_rows, axis=0, out=vectors)
     vectors *= cos[:, None]
     vectors += tangents
-    store = EmbeddingStore(dim=dim, vectors=_Rows(index, vectors), normalized=True)
     return PlantedFlow(
         dialogs=dialogs,
-        store=store,
+        store=EmbeddingStore(index, vectors, normalized=True),
         user_actions=user_actions,
         system_actions=system_actions,
     )

@@ -549,7 +549,7 @@ def test_eval_remote_embeddings_via_env(planted, tmp_path, monkeypatch):
             seen = type(self).texts_seen
             ids = order[len(seen) : len(seen) + len(payload["texts"])]
             seen.extend(payload["texts"])
-            self.reply(json.dumps({"vectors": [pf.store.vectors[uid].tolist() for uid in ids]}).encode())
+            self.reply(json.dumps({"vectors": [pf.store[uid].tolist() for uid in ids]}).encode())
 
         texts_seen = []
 

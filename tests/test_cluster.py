@@ -206,7 +206,7 @@ def _reference_agglomerative(store: EmbeddingStore, ids: list[str]) -> Dendrogra
 
 def test_agglomerative_equals_the_reference_on_a_planted_subsample():
     pf = planted_flow(k_user=5, k_system=5, n_dialogs=80, dim=16, seed=3)
-    all_ids = sorted(pf.store.vectors)
+    all_ids = sorted(pf.store)
     picks = np.random.default_rng(0).choice(len(all_ids), size=300, replace=False)
     ids = [all_ids[i] for i in sorted(picks)]
     assert agglomerative(pf.store, ids).merges == _reference_agglomerative(pf.store, ids).merges
@@ -249,7 +249,7 @@ def test_agglomerative_heights_equal_scipy_linkage():
     x = rng.standard_normal((120, 8))
     x /= np.linalg.norm(x, axis=1, keepdims=True)
     store = _store({f"u{i:03d}": x[i] for i in range(120)})
-    dendro = agglomerative(store, sorted(store.vectors))
+    dendro = agglomerative(store, sorted(store))
     reference = hierarchy.linkage(x, method="average", metric="cosine")[:, 2]
     assert np.allclose([m[2] for m in dendro.merges], reference, rtol=0.0, atol=1e-9)
 
@@ -371,7 +371,7 @@ def test_representative_exhaustive_oracle():
     for c in range(3):
         got = representative(store, clustering, c)
         members = clustering.members(c)
-        sims = {uid: float(store.vectors[uid] @ clustering.centroids[c]) for uid in members}
+        sims = {uid: float(store[uid] @ clustering.centroids[c]) for uid in members}
         best = min(members, key=lambda uid: (-sims[uid], uid))  # highest cosine, then lowest id
         assert got == best
 
@@ -392,7 +392,7 @@ def _reference_representative(store: EmbeddingStore, clustering: Clustering, clu
     centroid = clustering.centroids[cluster_id]
     best_id, best_sim = None, -np.inf
     for uid in members:
-        sim = float(store.vectors[uid] @ centroid)
+        sim = float(store[uid] @ centroid)
         if sim > best_sim:
             best_id, best_sim = uid, sim
     return best_id

@@ -56,7 +56,7 @@ def test_jsonl_load(tmp_path):
     path.write_text('{"id": "a", "vector": [1, 0, 0, 0]}\n{"id": "true", "vector": [0, 1e0, 0, -0.5]}\n')
     store = load_embeddings(str(path), format="jsonl")
     assert len(store) == 2 and store.dim == 4
-    assert store.vectors["true"].tolist() == [0.0, 1.0, 0.0, -0.5]  # an id that reads "true" is no bool
+    assert store["true"].tolist() == [0.0, 1.0, 0.0, -0.5]  # an id that reads "true" is no bool
 
 
 def test_jsonl_dim_mismatch(tmp_path):
@@ -107,6 +107,26 @@ def test_binary_bytes_after_the_declared_records_are_a_format_error(tmp_path, da
         load_embeddings(str(path), format="binary")
 
 
+def test_load_embeddings_reads_the_format_from_the_first_four_bytes(tmp_path):
+    path, _ = _binary_file(tmp_path)
+    store = load_embeddings(str(path))
+    assert store.ids() == ["a", "b"] and store["b"].tolist() == [0.0, 1.0]
+    jsonl = tmp_path / "e.jsonl"
+    save_embeddings(store, str(jsonl), format="jsonl")
+    assert np.array_equal(load_embeddings(str(jsonl)).matrix(["a", "b"]), store.matrix(["a", "b"]))
+    with pytest.raises(InputError, match="e.bin:1: not UTF-8 at byte 22 of the line"):
+        load_embeddings(str(path), format="jsonl")  # a named format is taken as given
+
+
+def test_store_dim_comes_from_the_matrix(tmp_path):
+    assert build_store([]).dim == 0
+    assert EmbeddingStore({"a": 0}, np.ones((1, 4))).dim == 4
+    path = tmp_path / "empty.bin"
+    path.write_bytes(b"D2FV" + struct.pack("<BIQ", 1, 7, 0))
+    store = load_embeddings(str(path))
+    assert len(store) == 0 and store.dim == 7
+
+
 def test_duplicate_id(tmp_path):
     path = tmp_path / "e.jsonl"
     path.write_text('{"id": "a", "vector": [1, 0]}\n{"id": "a", "vector": [0, 1]}\n')
@@ -139,7 +159,7 @@ def _reference_save_binary(store: EmbeddingStore, path: str) -> None:
             raw = uid.encode("utf-8")
             fh.write(struct.pack("<H", len(raw)))
             fh.write(raw)
-            fh.write(np.asarray(store.vectors[uid], dtype="<f4").tobytes())
+            fh.write(np.asarray(store[uid], dtype="<f4").tobytes())
 
 
 def test_save_binary_matches_the_per_field_writer(tmp_path):
@@ -162,7 +182,7 @@ def test_load_order_independent(tmp_path):
     s2 = load_embeddings(str(p2), format="jsonl")
     assert s1.ids() == s2.ids()
     for uid in s1.ids():
-        assert np.array_equal(s1.vectors[uid], s2.vectors[uid])
+        assert np.array_equal(s1[uid], s2[uid])
 
 
 def test_normalized_store_pairwise_matches_definitional_cosine():
@@ -185,7 +205,7 @@ def test_store_normalize_matches_l2_normalize_bit_for_bit():
         pairs = [(f"u{i}", rng.uniform(0.1, 10.0) * rng.standard_normal(dim)) for i in range(100)]
         for store in (build_store(pairs, normalize=True), build_store(pairs).normalize()):
             for uid, vec in pairs:
-                assert np.array_equal(store.vectors[uid], l2_normalize(vec))
+                assert np.array_equal(store[uid], l2_normalize(vec))
 
 
 def test_store_normalize_rejects_a_zero_vector():
@@ -213,8 +233,8 @@ def test_store_rows_are_read_only_and_matrix_is_a_copy():
     source = {"a": np.array([1.0, 2.0]), "b": np.array([3.0, 4.0])}
     store = build_store(list(source.items()))
     source["a"][0] = 9.0  # the store holds its own copy
-    assert np.array_equal(store.vectors["a"], [1.0, 2.0])
-    for row in (store.vectors["a"], store.normalize().vectors["b"]):
+    assert np.array_equal(store["a"], [1.0, 2.0])
+    for row in (store["a"], store.normalize()["b"]):
         with pytest.raises(ValueError):
             row[0] = 9.0
     mat = store.matrix(["b", "a"])
@@ -296,8 +316,8 @@ def test_fetch_remote_empty_list(mock_server):
 
 def test_fetch_remote_matches_mock_payload(mock_server):
     store = fetch_remote(mock_server, ["ab", "defg"], ids=["x", "y"])
-    assert np.allclose(store.vectors["x"], [2.0, 1.0, 0.0])
-    assert np.allclose(store.vectors["y"], [4.0, 1.0, 0.0])
+    assert np.allclose(store["x"], [2.0, 1.0, 0.0])
+    assert np.allclose(store["y"], [4.0, 1.0, 0.0])
 
 
 def test_fetch_remote_sends_full_batches_in_order(mock_server):
@@ -307,7 +327,7 @@ def test_fetch_remote_sends_full_batches_in_order(mock_server):
     assert _MockHandler.posted == [texts[:128], texts[128:256], texts[256:]]
     assert [len(batch) for batch in _MockHandler.posted] == [128, 128, 44]
     for i, uid in enumerate(ids):
-        assert np.array_equal(store.vectors[uid], [i + 1.0, 1.0, 0.0])
+        assert np.array_equal(store[uid], [i + 1.0, 1.0, 0.0])
 
 
 def test_fetch_remote_retries_transient_then_succeeds(mock_server, monkeypatch):
@@ -315,7 +335,7 @@ def test_fetch_remote_retries_transient_then_succeeds(mock_server, monkeypatch):
     monkeypatch.setattr(remote, "sleep", sleeps.append)
     _MockHandler.fail_next = 2
     store = fetch_remote(mock_server, ["abc"], ids=["0"])
-    assert np.allclose(store.vectors["0"], [3.0, 1.0, 0.0])
+    assert np.allclose(store["0"], [3.0, 1.0, 0.0])
     assert _MockHandler.calls == 3
     assert sleeps == [0.5, 1.0]
 
@@ -332,7 +352,7 @@ def test_fetch_remote_retries_429_waiting_at_least_retry_after(mock_server, monk
     _MockHandler.fail_status = 429
     _MockHandler.retry_after = retry_after
     store = fetch_remote(mock_server, ["abc"], ids=["0"])
-    assert np.allclose(store.vectors["0"], [3.0, 1.0, 0.0])
+    assert np.allclose(store["0"], [3.0, 1.0, 0.0])
     assert _MockHandler.calls == 3
     assert sleeps == expected
 
@@ -393,4 +413,4 @@ def test_fetch_remote_mixed_lengths_is_a_protocol_error():
 def test_store_normalize_flag():
     store = build_store([("a", np.array([3.0, 4.0]))], normalize=True)
     assert store.normalized
-    assert np.allclose(store.vectors["a"], [0.6, 0.8])
+    assert np.allclose(store["a"], [0.6, 0.8])

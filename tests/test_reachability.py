@@ -1,19 +1,23 @@
 """Every public function, class and method in `src/convflow` is reached,
-and so is every defaulted parameter of one.
+and so is every defaulted parameter of one and every field of a public
+dataclass or NamedTuple.
 
 A name is reached when `src/convflow` (not counting the `__init__.py`
 re-exports) or `demos/` refers to it outside its own definition. A
 defaulted parameter is reached when a call there passes it: by keyword,
-by position, or through `*args`/`**kwargs`. Names are matched by spelling
-only, so a method sharing its name with another (`dict.get`) reads as
-reached: the check finds dead surface, it cannot prove a name live.
+by position, or through `*args`/`**kwargs`. A field is reached when code
+there reads it as an attribute (`result.field`); passing it to the
+constructor does not count. Names are matched by spelling only, so a
+method sharing its name with another (`dict.get`) reads as reached: the
+check finds dead surface, it cannot prove a name live.
 
 Every keyword a call in `bench/` passes to a function or dataclass of
 `src/convflow` must still be one of its parameters or fields, so a renamed
 or removed parameter fails here and not only in the benchmark's replay.
 
 Two lists hold the exceptions, each entry with a one-line reason. An entry
-is a name, or `name(a=, b=)` for defaulted parameters of `name`.
+is a name, `name(a=, b=)` for defaulted parameters of `name`, or
+`Class.field` for a field.
 - BENCH_ONLY: what only `bench/` reaches today. `bench/` must still use
   each entry, so an entry fails as stale once the benchmark stops.
 - ALLOWED: what stays although nothing reaches it; at most 4 entries.
@@ -35,9 +39,11 @@ BENCH_ONLY = {
     "kmeans(return_history=)": "ROADMAP item 1 slice C: the iteration count becomes a trace counter",
     "init_toy_encoder(m=)": "ROADMAP item 1 slice C: only the bench replay's train_toy path passes it",
     "planted_flow(min_len=, max_len=)": "the workloads' fixed-length dialogs, which ROADMAP item 3's seed check uses",
+    "save_embeddings": "bench/workloads.py writes the JSONL and binary embedding files that eval and extract read",
+    "load_embeddings(format=)": "ROADMAP item 3 slice B: the bench replay names the format the command detects",
 }
 ALLOWED = {
-    "save_embeddings": "writes the JSONL and binary embedding files that eval and extract read",
+    "TrainResult.loss_curve": "ROADMAP item 3 slice C: becomes a trace note, and train_toy returns the encoder",
     "planted_flow(max_dispersion_deg=)": "the spread of the planted action clusters, a knob of the fixture",
     "graded_label_rows(per_variant_train=, per_variant_eval=)": "the golden sweep corpus uses 30 of each",
     "main(argv=)": "cli.main, the console-script entry point, which is called with no argument",
@@ -111,10 +117,14 @@ def _defaulted(fn: ast.FunctionDef, is_method: bool) -> tuple[list[str], list[st
 
 
 def unreached(src_paths, demo_paths) -> set[str]:
-    """Each name, and each `name(param=)`, that no reference or call in
-    `src_paths` or `demo_paths` reaches."""
+    """Each name, each `name(param=)` and each `Class.field` that no
+    reference, call or attribute read in `src_paths` or `demo_paths`
+    reaches."""
     defined = _parse(src_paths)
-    refs, calls = references(defined + _parse(demo_paths))
+    trees = defined + _parse(demo_paths)
+    refs, calls = references(trees)
+    read = {node.attr for _, tree in trees for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
     found = set()
     for path, node, is_method in definitions(defined):
         inside = range(node.lineno, node.end_lineno + 1)
@@ -124,11 +134,19 @@ def unreached(src_paths, demo_paths) -> set[str]:
             positional, with_default = _defaulted(node, is_method)
             passed = set().union(*(_passed(call, positional) for call in calls.get(node.name, [])))
             found |= {f"{node.name}({p}=)" for p in with_default if p not in passed}
+        elif _is_dataclass(node) or any(getattr(b, "id", None) == "NamedTuple" for b in node.bases):
+            found |= {f"{node.name}.{f}" for f in _fields(node) if f not in read and not f.startswith("_")}
     return found
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:
     return any(getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass" for d in node.decorator_list)
+
+
+def _fields(node: ast.ClassDef) -> set[str]:
+    """The names a class body annotates: a dataclass's or NamedTuple's fields."""
+    return {item.target.id for item in node.body
+            if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)}
 
 
 def accepted_keywords(trees) -> dict[str, set[str] | None]:
@@ -142,8 +160,7 @@ def accepted_keywords(trees) -> dict[str, set[str] | None]:
                 args = node.args
                 names = None if args.kwarg else {a.arg for a in args.args + args.kwonlyargs}
             elif isinstance(node, ast.ClassDef) and _is_dataclass(node):
-                names = {item.target.id for item in node.body
-                         if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)}
+                names = _fields(node)
             else:
                 continue
             known = out.get(node.name, set())
@@ -200,6 +217,21 @@ def test_unreached_reports_dead_names_parameters_and_spares_live_ones(tmp_path):
     demo = tmp_path / "demo.py"
     demo.write_text("from mod import live, Box\nlive(0, 5)\nBox().used(n=2)\n")
     assert unreached([module], [demo]) == {"live(c=)", "live(d=)", "unused", "dead_recursive(y=)"}
+
+
+def test_unreached_reports_fields_no_attribute_read_reaches(tmp_path):
+    module = tmp_path / "mod.py"
+    module.write_text(
+        "from dataclasses import dataclass\nfrom typing import NamedTuple\n\n"
+        "@dataclass(frozen=True)\nclass Result:\n    mean: float\n    history: list\n    _cache: int = 0\n\n"
+        "@dataclass\nclass Box:\n    size: int\n\n"
+        "class Pair(NamedTuple):\n    left: int\n    right: int\n\n"
+        "def make():\n    return Result(mean=1.0, history=[]), Pair(1, right=2), Box(size=3)\n"
+    )
+    demo = tmp_path / "demo.py"
+    demo.write_text("from mod import make\nresult, pair, box = make()\nbox.size = 4\nprint(result.mean, pair.left)\n")
+    # a constructor keyword and an assignment are not reads
+    assert unreached([module], [demo]) == {"Result.history", "Pair.right", "Box.size"}
 
 
 def test_bench_passes_only_keywords_src_takes():

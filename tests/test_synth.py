@@ -106,7 +106,7 @@ def test_planted_flow_matches_the_per_turn_loop_bit_for_bit(kwargs):
         want = _reference_planted_flow(seed=seed, **kwargs)
         assert got.dialogs == want.dialogs
         assert got.user_actions == want.user_actions and got.system_actions == want.system_actions
-        assert list(got.store.vectors) == list(want.store.vectors)
+        assert list(got.store) == list(want.store)
         assert got.store.array.tobytes() == want.store.array.tobytes()
         assert got.store.dim == want.store.dim and got.store.normalized
 
