@@ -196,7 +196,7 @@ def _load_binary(path: str) -> EmbeddingStore:
     dim, count = struct.unpack_from("<IQ", data, 5)
     if count * (2 + 4 * dim) > len(data) - 17:
         raise InputError(f"{path}: {count} records of dim {dim} do not fit in {len(data)} bytes")
-    matrix = np.empty((count, dim))
+    starts = np.empty(count, dtype=np.intp)  # where each record's vector begins
     index: dict[str, int] = {}
     off = 17
     for row in range(count):
@@ -214,11 +214,15 @@ def _load_binary(path: str) -> EmbeddingStore:
         if uid in index:
             raise InputError(f"duplicate id '{uid}'")
         index[uid] = row
-        matrix[row] = np.frombuffer(data, dtype="<f4", count=dim, offset=off)
+        starts[row] = off
         off += 4 * dim
     if off != len(data):
         raise InputError(f"{path}: {len(data) - off} bytes after the {count} declared records")
-    return EmbeddingStore(index, matrix)
+    if not count:  # nothing to gather, and a 4 * dim byte window may not fit
+        return EmbeddingStore(index, np.empty((0, dim)))
+    # every vector's bytes in one gather from a sliding window over the file, then one conversion
+    windows = np.lib.stride_tricks.sliding_window_view(np.frombuffer(data, np.uint8), 4 * dim)
+    return EmbeddingStore(index, windows[starts].view("<f4").astype(np.float64))
 
 
 def load_embeddings(path: str, format: str | None = None) -> EmbeddingStore:

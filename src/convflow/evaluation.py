@@ -115,13 +115,17 @@ def prototype_classify(data: LabeledEmbeddings, k: int, seed: int = 0) -> Classi
     """Nearest-prototype classification: per action, k seeded embeddings
     are averaged and re-normalized into a prototype; every remaining
     embedding of an included action is assigned the action of its
-    highest-cosine prototype (ties to the lowest action index)."""
+    highest-cosine prototype (ties to the lowest action index).
+
+    Cost: one (store rows x included actions) product per call, as in
+    `ndcg_ranking`: every row of the store's own matrix is scored, so no
+    embedding is copied, and the eval rows' scores are read out of it."""
     if k < 1:
         raise InputError("k must be >= 1")
     layout = data.layout
     rng = substream(seed, "prototype", k)
     included: list[str] = []
-    prototypes = []
+    picked_rows = []
     eval_rows = []
     excluded: list[str] = []
     for action, members in zip(layout.actions, layout.members):
@@ -130,18 +134,22 @@ def prototype_classify(data: LabeledEmbeddings, k: int, seed: int = 0) -> Classi
             continue
         picked = np.zeros(len(members), dtype=bool)
         picked[rng.choice(len(members), size=k, replace=False)] = True
-        proto = data.store.array.take(layout.rows[members[picked]], axis=0).mean(axis=0)
-        norm = np.linalg.norm(proto)
-        if norm == 0.0:
-            raise InputError(f"prototype for action '{action}' collapsed to zero")
-        prototypes.append(proto / norm)
         included.append(action)
+        picked_rows.append(layout.rows[members[picked]])
         eval_rows.append(layout.rows[members[~picked]])
     if not included:
         raise InputError(f"no action has more than k={k} embeddings")
+    matrix = data.store.array
+    picks = matrix.take(np.concatenate(picked_rows), axis=0).reshape(len(included), k, -1)
+    prototypes = picks.sum(axis=1) / k  # each action's k rows summed in order: their mean
+    # np.linalg.norm's dot product, row by row, as _normalize_rows takes it
+    norms = np.sqrt((prototypes[:, None, :] @ prototypes[:, :, None]).ravel())
+    if (norms == 0.0).any():
+        raise InputError(f"prototype for action '{included[int(np.argmax(norms == 0.0))]}' collapsed to zero")
+    prototypes /= norms[:, None]
     gold = np.repeat(np.arange(len(included)), [len(r) for r in eval_rows])
-    sims = data.store.array.take(np.concatenate(eval_rows), axis=0) @ np.stack(prototypes).T
-    predicted = np.argmax(sims, axis=1)  # first max wins: lowest action index
+    # first max wins: lowest action index
+    predicted = np.argmax(matrix @ prototypes.T, axis=1).take(np.concatenate(eval_rows))
     tps = np.bincount(gold[predicted == gold], minlength=len(included))
     n_predicted = np.bincount(predicted, minlength=len(included))
     n_gold = np.bincount(gold, minlength=len(included))

@@ -12,13 +12,13 @@ roles never merge.
 from __future__ import annotations
 
 import concurrent.futures
-import json
 import threading
 import warnings
 from collections import Counter
 from collections.abc import Hashable
 from dataclasses import dataclass, field
 from itertools import chain
+from json.encoder import encode_basestring_ascii as _encode_ascii  # the C escaper behind ensure_ascii=True
 
 from . import remote
 from .cluster import Clustering
@@ -200,35 +200,67 @@ def export_dot(graph: FlowGraph, options: DotOptions | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
+# The layout json.dumps(payload, indent=2, sort_keys=True) gives flow.json;
+# export_json fills it in directly, because with an indent set json.dumps
+# skips its C encoder for a pure-Python one.
+_JSON_GRAPH = """{
+  "edges": %s,
+  "ends": %s,
+  "nodes": %s,
+  "starts": %s,
+  "total_steps": %d
+}"""
+_JSON_NODE = """{
+      "count": %d,
+      "id": %s,
+      "label": %s,
+      "speaker": %s,
+      "weight": %r
+    }"""
+_JSON_EDGE = """{
+      "count": %d,
+      "dst": %s,
+      "src": %s,
+      "weight": %r
+    }"""
+
+
+def _json_block(open_: str, entries: list[str], close: str) -> str:
+    """A top-level value of flow.json: `entries` one per line at depth 2;
+    empty renders as `open_ + close`, as json.dumps does."""
+    if not entries:
+        return open_ + close
+    return f"{open_}\n    " + ",\n    ".join(entries) + f"\n  {close}"
+
+
 def export_json(graph: FlowGraph, labels: dict[str, str] | None = None) -> str:
     """Structured-text export: node and edge records plus the start/end
-    statistics, which are not part of the graph itself."""
+    statistics, which are not part of the graph itself. The text equals
+    `json.dumps(payload, indent=2, sort_keys=True)` of those records byte
+    for byte."""
     labels = labels or {}
-    payload = {
-        "nodes": [
-            {
-                "id": node,
-                "label": labels.get(node, node),
-                "speaker": graph.speakers.get(node),
-                "weight": graph.node_weights[node],
-                "count": graph.node_counts[node],
-            }
-            for node in sorted(graph.nodes)
-        ],
-        "edges": [
-            {
-                "src": src,
-                "dst": dst,
-                "weight": graph.edge_weights[(src, dst)],
-                "count": graph.edge_counts[(src, dst)],
-            }
-            for src, dst in graph.edges()
-        ],
-        "starts": {k: graph.start_counts[k] for k in sorted(graph.start_counts)},
-        "ends": {k: graph.end_counts[k] for k in sorted(graph.end_counts)},
-        "total_steps": graph.total_steps,
-    }
-    return json.dumps(payload, indent=2, sort_keys=True)
+    ids = {node: _encode_ascii(node) for node in graph.nodes}
+    nodes = [
+        _JSON_NODE % (
+            graph.node_counts[node],
+            ids[node],
+            _encode_ascii(labels[node]) if node in labels else ids[node],
+            _encode_ascii(graph.speakers[node]) if node in graph.speakers else "null",
+            graph.node_weights[node],
+        )
+        for node in sorted(graph.nodes)
+    ]
+    edges = [
+        _JSON_EDGE % (graph.edge_counts[edge], ids[edge[1]], ids[edge[0]], graph.edge_weights[edge])
+        for edge in graph.edges()
+    ]
+    starts, ends = (
+        _json_block("{", [f"{ids[node]}: {n}" for node, n in sorted(counts.items())], "}")
+        for counts in (graph.start_counts, graph.end_counts)
+    )
+    return _JSON_GRAPH % (
+        _json_block("[", edges, "]"), ends, _json_block("[", nodes, "]"), starts, graph.total_steps
+    )
 
 
 # ---------------------------------------------------------------------------

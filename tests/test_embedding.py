@@ -172,6 +172,109 @@ def test_save_binary_matches_the_per_field_writer(tmp_path):
         assert (tmp_path / "got.bin").read_bytes() == (tmp_path / "want.bin").read_bytes()
 
 
+def _reference_load_binary(path: str) -> EmbeddingStore:
+    """One np.frombuffer per record, each vector cast to float64 on its own."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if data[:4] != b"D2FV":
+        raise InputError(f"{path}: bad magic bytes {data[:4]!r}")
+    if len(data) < 17:
+        raise InputError(f"{path}: truncated header")
+    if data[4] != 1:
+        raise InputError(f"{path}: unsupported version {data[4]}")
+    dim, count = struct.unpack_from("<IQ", data, 5)
+    if count * (2 + 4 * dim) > len(data) - 17:
+        raise InputError(f"{path}: {count} records of dim {dim} do not fit in {len(data)} bytes")
+    matrix = np.empty((count, dim))
+    index: dict[str, int] = {}
+    off = 17
+    for row in range(count):
+        if off + 2 > len(data):
+            raise InputError(f"{path}: truncated record header at byte {off}")
+        (id_len,) = struct.unpack_from("<H", data, off)
+        off += 2
+        try:
+            uid = data[off : off + id_len].decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise InputError(f"{path}: the id at byte {off} is not valid UTF-8") from exc
+        off += id_len
+        if off + 4 * dim > len(data):
+            raise InputError(f"{path}: truncated vector for id '{uid}'")
+        if uid in index:
+            raise InputError(f"duplicate id '{uid}'")
+        index[uid] = row
+        matrix[row] = np.frombuffer(data, dtype="<f4", count=dim, offset=off)
+        off += 4 * dim
+    if off != len(data):
+        raise InputError(f"{path}: {len(data) - off} bytes after the {count} declared records")
+    return EmbeddingStore(index, matrix)
+
+
+def _binary_outcome(load, path):
+    """The store's ids, row order and matrix bytes, or the InputError's message."""
+    try:
+        store = load(str(path))
+    except InputError as exc:
+        return str(exc)
+    return list(store.index.items()), store.array.shape, store.array.dtype, store.array.tobytes()
+
+
+def _binary_records(ids, dim, vectors_f4) -> bytes:
+    """A binary file in the layout save_binary writes, for ids in the given order."""
+    parts = [b"D2FV", struct.pack("<BIQ", 1, dim, len(ids))]
+    for uid, vec in zip(ids, vectors_f4):
+        raw = uid if isinstance(uid, bytes) else uid.encode("utf-8")
+        parts += (struct.pack("<H", len(raw)), raw, vec.tobytes())
+    return b"".join(parts)
+
+
+def test_load_binary_matches_the_per_record_reader_on_valid_files(tmp_path):
+    rng = np.random.default_rng(21)
+    path = tmp_path / "e.bin"
+    for n, dim in ((0, 0), (0, 7), (1, 0), (3, 0), (1, 1), (2, 3), (17, 5), (200, 64)):
+        ids = [f"d{i}:{'é☃😀'[i % 3]}-{i}" for i in rng.permutation(n)]  # non-ASCII ids, rows out of id order
+        vectors = (rng.standard_normal((n, dim)) * 10.0 ** rng.integers(-40, 35, (n, 1))).astype("<f4")
+        path.write_bytes(_binary_records(ids, dim, vectors))
+        got = _binary_outcome(load_embeddings, path)
+        assert got == _binary_outcome(_reference_load_binary, path), (n, dim)
+        assert not isinstance(got, str) and got[1] == (n, dim)
+
+
+def test_load_binary_matches_the_per_record_reader_on_malformed_files(tmp_path):
+    vectors = np.arange(6, dtype="<f4").reshape(3, 2)
+    data = _binary_records(["a", "bb", "ccc"], 2, vectors)  # 17-byte header, then records at bytes 17, 28 and 40
+
+    def count(n: int, body: bytes = data) -> bytes:
+        return body[:9] + struct.pack("<Q", n) + body[17:]
+
+    # the header's count passes the fit check, but the long first id leaves 1 byte for the second header
+    long_id = count(2, _binary_records(["a" * 9], 2, vectors[:1])) + b"\x00"
+    non_finite = vectors.copy()
+    non_finite[1, 1] = np.nan
+    damaged = {
+        "empty": b"",
+        "bad magic": b"D2FX" + data[4:],
+        "truncated header": data[:16],
+        "unsupported version": data[:4] + b"\x02" + data[5:],
+        "records do not fit": count(4),
+        "huge count": count(2**60),
+        "truncated record header": long_id,
+        "truncated vector": data[:-5],
+        "id not UTF-8": data[:19] + b"\xff" + data[20:],
+        "id cut inside a UTF-8 sequence": _binary_records([b"\xc3", "bb", "ccc"], 2, vectors),
+        "duplicate id": _binary_records(["a", "bb", "a"], 2, vectors),
+        "trailing bytes": data + b"junk",
+        "count one short": count(2),
+        "non-finite value": _binary_records(["a", "bb", "ccc"], 2, non_finite),
+    }
+    path = tmp_path / "e.bin"
+    for name, body in damaged.items():
+        path.write_bytes(body)
+        want = _binary_outcome(_reference_load_binary, path)
+        assert isinstance(want, str), name  # each damage is one the reader rejects
+        assert _binary_outcome(lambda p: load_embeddings(p, format="binary"), path) == want, name
+
+
 def test_load_order_independent(tmp_path):
     lines = ['{"id": "a", "vector": [1, 0]}', '{"id": "b", "vector": [0, 1]}']
     p1 = tmp_path / "fwd.jsonl"

@@ -579,14 +579,20 @@ def test_report_matches_the_reference_on_a_many_action_planted_flow(monkeypatch)
         k_user=64, k_system=64, dim=256, n_dialogs=150, seed=3, min_len=8, max_len=8, max_dispersion_deg=80.0
     )
     rows = labeled_utterances(pf.dialogs)
-    data = LabeledEmbeddings(store=pf.store, labels={uid: action for uid, _, _, action in rows})
-    got = evaluate(data, seed=5)
+    labels = {uid: action for uid, _, _, action in rows}
+    # and with a third of the store's ids unlabeled: k-shot and nDCG score those rows, the references never do
+    partly = {uid: action for i, (uid, action) in enumerate(labels.items()) if i % 3}
+    reports = {}
+    for name, given in (("all labeled", labels), ("a third unlabeled", partly)):
+        reports[name] = evaluate(LabeledEmbeddings(store=pf.store, labels=given), seed=5)
     monkeypatch.setattr(evaluation, "intra_inter_anisotropy", _reference_intra_inter_anisotropy)
     monkeypatch.setattr(evaluation, "prototype_classify", _reference_prototype_classify)
     monkeypatch.setattr(evaluation, "ndcg_ranking", _reference_ndcg_ranking)
-    want = evaluate(data, seed=5)
-    # summing per-action vectors instead of Gram blocks moves the last bits
-    for name in ("intra", "inter", "delta"):
-        assert abs(getattr(got, name) - getattr(want, name)) < 1e-9, name
-    want = dataclasses.replace(want, intra=got.intra, inter=got.inter, delta=got.delta)
-    assert report_to_json(got) == report_to_json(want)
+    for name, given in (("all labeled", labels), ("a third unlabeled", partly)):
+        got = reports[name]
+        want = evaluate(LabeledEmbeddings(store=pf.store, labels=given), seed=5)
+        # summing per-action vectors instead of Gram blocks moves the last bits
+        for field in ("intra", "inter", "delta"):
+            assert abs(getattr(got, field) - getattr(want, field)) < 1e-9, (name, field)
+        want = dataclasses.replace(want, intra=got.intra, inter=got.inter, delta=got.delta)
+        assert report_to_json(got) == report_to_json(want), name

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 
@@ -309,6 +310,59 @@ def test_export_json_structure():
     assert payload["starts"] == {"a": 2}
     assert payload["ends"] == {"b": 1, "a": 1}
     assert payload["total_steps"] == 3
+
+
+def _reference_export_json(graph, labels=None) -> str:
+    """The payload through json.dumps, which `export_json` renders directly."""
+    labels = labels or {}
+    payload = {
+        "nodes": [
+            {
+                "id": node,
+                "label": labels.get(node, node),
+                "speaker": graph.speakers.get(node),
+                "weight": graph.node_weights[node],
+                "count": graph.node_counts[node],
+            }
+            for node in sorted(graph.nodes)
+        ],
+        "edges": [
+            {
+                "src": src,
+                "dst": dst,
+                "weight": graph.edge_weights[(src, dst)],
+                "count": graph.edge_counts[(src, dst)],
+            }
+            for src, dst in graph.edges()
+        ],
+        "starts": {k: graph.start_counts[k] for k in sorted(graph.start_counts)},
+        "ends": {k: graph.end_counts[k] for k in sorted(graph.end_counts)},
+        "total_steps": graph.total_steps,
+    }
+    return json.dumps(payload, indent=2, sort_keys=True)
+
+
+# names json escapes: non-ASCII (one BMP, one astral, one lone surrogate), a quote, a backslash, controls
+_AWKWARD = ["a", "b", "U0: café", "say \"hi\"", "c:\\path", "tab\there", "nl\n\x01\x1f", "\u2603", "\U0001f600", "\ud800x"]
+
+
+def test_export_json_equals_json_dumps_byte_for_byte():
+    rng = np.random.default_rng(11)
+    for case in range(60):
+        alphabet = [_AWKWARD[i] for i in rng.permutation(len(_AWKWARD))[: int(rng.integers(1, len(_AWKWARD) + 1))]]
+        trajs = [
+            tuple((alphabet[int(rng.integers(len(alphabet)))], "user" if rng.random() < 0.5 else "system")
+                  for _ in range(int(rng.integers(1, 9))))
+            for _ in range(int(rng.integers(1, 12)))
+        ]
+        graph = build_graph(trajs)
+        labels = {node: f"{node[::-1]} é\\\"" for node in graph.nodes if rng.random() < 0.5}
+        unspoken = dataclasses.replace(graph, speakers={n: s for n, s in graph.speakers.items() if n != graph.nodes[0]})
+        for g, lab in ((graph, None), (graph, {}), (graph, labels), (unspoken, labels), (prune(graph, 0.2), labels)):
+            assert export_json(g, labels=lab) == _reference_export_json(g, lab), case
+    empty = prune(build_graph([_traj(["a", "b"])]), 1.0)
+    assert export_json(empty) == _reference_export_json(empty)
+    assert '"edges": []' in export_json(empty) and '"ends": {}' in export_json(empty)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,9 @@ and so is every defaulted parameter of one and every field of a public
 dataclass or NamedTuple.
 
 A name is reached when `src/convflow` (not counting the `__init__.py`
-re-exports) or `demos/` refers to it outside its own definition. A
+re-exports) or `demos/` refers to it outside its own definition; a method
+or property only through an attribute read (`x.name`) or an import, so a
+local variable of the same name does not reach it. A
 defaulted parameter is reached when a call there passes it: by keyword,
 by position, or through `*args`/`**kwargs`. A field is reached when code
 there reads it as an attribute (`result.field`); passing it to the
@@ -41,6 +43,7 @@ BENCH_ONLY = {
     "planted_flow(min_len=, max_len=)": "the workloads' fixed-length dialogs, which ROADMAP item 3's seed check uses",
     "save_embeddings": "bench/workloads.py writes the JSONL and binary embedding files that eval and extract read",
     "load_embeddings(format=)": "ROADMAP item 3 slice B: the bench replay names the format the command detects",
+    "vectors": "ROADMAP item 3 slice B: EmbeddingStore.vectors is the store itself; only bench/verify.py reads store.vectors[uid]",
 }
 ALLOWED = {
     "TrainResult.loss_curve": "ROADMAP item 3 slice C: becomes a trace note, and train_toy returns the encoder",
@@ -68,16 +71,15 @@ def _entries(listed) -> set[str]:
 
 
 def definitions(trees):
-    """(path, node, is_method) for each public top-level function or class
-    and each public method of a public class."""
+    """(path, node, member) for each public top-level function or class
+    (member False) and each public method of a public class (member True)."""
     for path, tree in trees:
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
                 yield path, node, False
                 for item in node.body if isinstance(node, ast.ClassDef) else []:
                     if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
-                        static = any(getattr(d, "id", None) == "staticmethod" for d in item.decorator_list)
-                        yield path, item, not static
+                        yield path, item, True
 
 
 def _callee(call: ast.Call) -> str | None:
@@ -85,17 +87,17 @@ def _callee(call: ast.Call) -> str | None:
 
 
 def references(trees):
-    """(path, line, name) for every name, attribute and import, and the
-    calls of each callee name."""
+    """(path, line, name, bare) for every name (bare True), attribute and
+    import, and the calls of each callee name."""
     refs, calls = [], {}
     for path, tree in trees:
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
-                refs.append((path, node.lineno, node.id))
+                refs.append((path, node.lineno, node.id, True))
             elif isinstance(node, ast.Attribute):
-                refs.append((path, node.lineno, node.attr))
+                refs.append((path, node.lineno, node.attr, False))
             elif isinstance(node, ast.alias):
-                refs.append((path, node.lineno, node.name.rsplit(".", 1)[-1]))
+                refs.append((path, node.lineno, node.name.rsplit(".", 1)[-1], False))
             elif isinstance(node, ast.Call):
                 calls.setdefault(_callee(node), []).append(node)
     return refs, calls
@@ -126,12 +128,14 @@ def unreached(src_paths, demo_paths) -> set[str]:
     read = {node.attr for _, tree in trees for node in ast.walk(tree)
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
     found = set()
-    for path, node, is_method in definitions(defined):
+    for path, node, member in definitions(defined):
         inside = range(node.lineno, node.end_lineno + 1)
-        if not any(name == node.name and not (p == path and line in inside) for p, line, name in refs):
+        if not any(name == node.name and not (member and bare) and not (p == path and line in inside)
+                   for p, line, name, bare in refs):
             found.add(node.name)
         elif isinstance(node, ast.FunctionDef):
-            positional, with_default = _defaulted(node, is_method)
+            static = any(getattr(d, "id", None) == "staticmethod" for d in node.decorator_list)
+            positional, with_default = _defaulted(node, member and not static)
             passed = set().union(*(_passed(call, positional) for call in calls.get(node.name, [])))
             found |= {f"{node.name}({p}=)" for p in with_default if p not in passed}
         elif _is_dataclass(node) or any(getattr(b, "id", None) == "NamedTuple" for b in node.bases):
@@ -201,7 +205,7 @@ def test_lists_are_short_and_give_reasons():
 
 def test_bench_still_uses_every_bench_only_entry():
     refs, calls = references(_parse(_paths(ROOT / "bench")))
-    used = {name for _, _, name in refs}
+    used = {name for _, _, name, _ in refs}
     used |= {f"{name}({kw.arg}=)" for name, found in calls.items() for call in found for kw in call.keywords}
     assert _entries(BENCH_ONLY) - used == set(), "bench/ no longer uses these: delete them"
 
@@ -209,14 +213,16 @@ def test_bench_still_uses_every_bench_only_entry():
 def test_unreached_reports_dead_names_parameters_and_spares_live_ones(tmp_path):
     module = tmp_path / "mod.py"
     module.write_text(
-        "def live(a, b=1, c=2, *, d=3):\n    return dead_recursive(a)\n\n"
+        "def live(a, b=1, c=2, *, d=3):\n    shadowed = a\n    return dead_recursive(shadowed)\n\n"
         "def dead_recursive(x, y=0):\n    return dead_recursive(x - 1) if x else 0\n\n"
-        "class Box:\n    def used(self, n=1):\n        return n\n    def unused(self):\n        return 0\n\n"
+        "class Box:\n    def used(self, n=1):\n        return n\n    def unused(self):\n        return 0\n"
+        "    @property\n    def shadowed(self):\n        return 0\n\n"
         "def _private(q=0):\n    return q\n"
     )
     demo = tmp_path / "demo.py"
     demo.write_text("from mod import live, Box\nlive(0, 5)\nBox().used(n=2)\n")
-    assert unreached([module], [demo]) == {"live(c=)", "live(d=)", "unused", "dead_recursive(y=)"}
+    # a local variable named like a method does not reach the method
+    assert unreached([module], [demo]) == {"live(c=)", "live(d=)", "unused", "shadowed", "dead_recursive(y=)"}
 
 
 def test_unreached_reports_fields_no_attribute_read_reaches(tmp_path):
