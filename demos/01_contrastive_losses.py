@@ -15,6 +15,7 @@ from convflow.contrastive import (
     soft_targets,
     sup_loss,
 )
+from convflow.embedding import l2_normalize
 
 rng = np.random.default_rng(0)
 
@@ -22,10 +23,8 @@ rng = np.random.default_rng(0)
 # unit vector; similarity is plain dot product.
 labels_text = ["inform name", "inform name price", "request phone"]
 d = 8
-anchors = rng.standard_normal((6, d))
-anchors /= np.linalg.norm(anchors, axis=1, keepdims=True)
-positives = rng.standard_normal((6, d))
-positives /= np.linalg.norm(positives, axis=1, keepdims=True)
+anchors = l2_normalize(rng.standard_normal((6, d)))
+positives = l2_normalize(rng.standard_normal((6, d)))
 label_ids = np.array([0, 0, 1, 1, 2, 2])
 
 batch = ContrastiveBatch(anchors=anchors, positives=positives, labels=label_ids)
@@ -58,10 +57,8 @@ print(f"soft loss at tau'=1e-4: {near_hard:.6f} (hard loss: {hard:.6f})")
 # grad_loss takes encoder-level inputs and differentiates the whole path.
 n = 12
 head = init_head(n, d, seed=1)
-x_anchors = rng.standard_normal((6, n))
-x_anchors /= np.linalg.norm(x_anchors, axis=1, keepdims=True)
-x_positives = rng.standard_normal((6, n))
-x_positives /= np.linalg.norm(x_positives, axis=1, keepdims=True)
+x_anchors = l2_normalize(rng.standard_normal((6, n)))
+x_positives = l2_normalize(rng.standard_normal((6, n)))
 enc_batch = ContrastiveBatch(anchors=x_anchors, positives=x_positives, labels=label_ids)
 loss, grads = grad_loss(enc_batch, table, temps, head)
 print(f"\nloss through the head: {loss:.4f}")

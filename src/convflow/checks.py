@@ -59,8 +59,7 @@ def brute_soft_loss(anchors, positives, labels, delta, tau: float, tau_label: fl
 
 
 def random_unit_rows(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
-    x = rng.standard_normal((n, d))
-    return x / np.linalg.norm(x, axis=1, keepdims=True)
+    return l2_normalize(rng.standard_normal((n, d)))
 
 
 def random_label_table(rng: np.random.Generator, n_labels: int) -> np.ndarray:

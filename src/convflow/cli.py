@@ -81,7 +81,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         with open(path, encoding="utf-8") as fh:
             try:
                 file_values = json.load(fh)
-            except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+            except (ValueError, RecursionError) as exc:  # JSONDecodeError, UnicodeDecodeError, deep nesting
                 raise InputError(f"config file {path} is not valid JSON: {exc}") from exc
         if not isinstance(file_values, dict):
             raise InputError(f"config file {path} must hold a JSON object")
@@ -261,10 +261,10 @@ def cmd_losscheck(args: argparse.Namespace) -> int:
     if all(r.passed for r in results):
         return EXIT_OK
     payload = checks.serialize_failure(results)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+    if config.out:
+        with open(config.out, "w", encoding="utf-8") as fh:
             fh.write(payload + "\n")
-        print(f"failing cases serialized to {args.out}", file=sys.stderr)
+        print(f"failing cases serialized to {config.out}", file=sys.stderr)
     else:
         print(payload, file=sys.stderr)
     return EXIT_CHECK

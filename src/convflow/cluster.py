@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .embedding import EmbeddingStore
+from .embedding import EmbeddingStore, l2_normalize, row_norms
 from .errors import InputError
 from .seeding import substream
 
@@ -60,12 +60,10 @@ class Clustering:
 
 
 def _renormalized_mean(rows: np.ndarray) -> np.ndarray:
-    mean = rows.mean(axis=0)
-    norm = np.linalg.norm(mean)
-    if norm == 0.0:
-        # antipodal members cancel out; fall back to the first member
-        return rows[0] / np.linalg.norm(rows[0])
-    return mean / norm
+    try:
+        return l2_normalize(rows.mean(axis=0))
+    except InputError:  # antipodal members cancel out; fall back to the first member
+        return l2_normalize(rows[0])
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +133,7 @@ def kmeans(
         new_centroids = np.empty_like(centroids)
         for c in range(k):
             new_centroids[c] = _renormalized_mean(x[assign == c])
-        movement = float(np.linalg.norm(new_centroids - centroids, axis=1).sum())
+        movement = float(row_norms(new_centroids - centroids).sum())
         centroids = new_centroids
         history.append(float(np.sum(x * centroids[assign])))
         if movement < KMEANS_TOL:

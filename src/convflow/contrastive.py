@@ -19,7 +19,7 @@ from numbers import Real
 import numpy as np
 
 from .corpus import ActionLabel
-from .embedding import build_store, hashed_bow_vector, tokenize
+from .embedding import build_store, hashed_bow_vector, l2_normalize, row_norms, tokenize
 from .errors import DegenerateProjectionError, InputError
 from .evaluation import LabeledEmbeddings, evaluate_labeled
 from .seeding import substream
@@ -68,8 +68,7 @@ class ContrastiveBatch:
         if len(self.labels) != a.shape[0]:
             raise InputError("one label per anchor required")
         for name, m in (("anchors", a), ("positives", p)):
-            norms = np.linalg.norm(m, axis=1)
-            if m.shape[0] and np.max(np.abs(norms - 1.0)) > 1e-6:
+            if m.shape[0] and np.max(np.abs(row_norms(m) - 1.0)) > 1e-6:
                 raise InputError(f"{name} must be unit-norm within 1e-6")
 
     @property
@@ -96,24 +95,32 @@ def init_head(n: int = DEFAULT_ENCODER_DIM, d: int = DEFAULT_HEAD_DIM, seed: int
     return ContrastiveHead(w1=w1, w2=w2)
 
 
+def _unit_rows(u: np.ndarray, zero_message: str) -> tuple[np.ndarray, np.ndarray]:
+    """The unit-norm layer: the rows of `u` over their norms, and the (N, 1) norms."""
+    norms = row_norms(u)[:, None]
+    if np.any(norms == 0.0):
+        raise DegenerateProjectionError(zero_message)
+    return u / norms, norms
+
+
+def _unit_rows_backward(z: np.ndarray, norms: np.ndarray, dz: np.ndarray) -> np.ndarray:
+    """dL/du of the unit-norm layer z = u / ||u|| given dL/dz."""
+    return (dz - np.sum(dz * z, axis=1, keepdims=True) * z) / norms
+
+
 def _head_forward_batch(head: ContrastiveHead, x: np.ndarray):
     """Forward pass keeping intermediates for backprop."""
     x = np.asarray(x, dtype=np.float64)
     a = x @ head.w1
     h = np.maximum(a, 0.0)
-    u = h @ head.w2
-    norms = np.linalg.norm(u, axis=1, keepdims=True)
-    if np.any(norms == 0.0):
-        raise DegenerateProjectionError("projection collapsed to the zero vector")
-    z = u / norms
-    return z, (x, a, h, u, norms)
+    z, norms = _unit_rows(h @ head.w2, "projection collapsed to the zero vector")
+    return z, (x, a, h, z, norms)
 
 
 def _head_backward(head: ContrastiveHead, cache, dz: np.ndarray):
     """Gradients of (W1, W2, input) given upstream dL/dz."""
-    x, a, h, u, norms = cache
-    z = u / norms
-    du = (dz - np.sum(dz * z, axis=1, keepdims=True) * z) / norms
+    x, a, h, z, norms = cache
+    du = _unit_rows_backward(z, norms, dz)
     dw2 = h.T @ du
     dh = du @ head.w2.T
     da = dh * (a > 0.0)
@@ -136,7 +143,7 @@ def build_label_table(texts: list[str]) -> np.ndarray:
         raise InputError(f"label {texts[tokens.index([])]!r} has no tokens")
     vocab = sorted(set().union(*tokens))
     counts = np.array([[toks.count(v) for v in vocab] for toks in tokens], dtype=np.float64)
-    embs = counts / np.linalg.norm(counts, axis=1, keepdims=True)
+    embs = l2_normalize(counts)
     delta = embs @ embs.T
     return (delta + delta.T) / 2.0  # exact symmetry against fp noise
 
@@ -256,21 +263,16 @@ class ToyEncoder:
         return rows[inverse]
 
     def encode_features(self, feats: np.ndarray):
-        a = feats @ self.weights
-        norms = np.linalg.norm(a, axis=1, keepdims=True)
-        if np.any(norms == 0.0):
-            raise DegenerateProjectionError("encoder produced a zero vector")
-        return a / norms, (feats, a, norms)
+        x, norms = _unit_rows(feats @ self.weights, "encoder produced a zero vector")
+        return x, (feats, x, norms)
 
     def encode(self, texts: list[str]) -> np.ndarray:
         x, _ = self.encode_features(self.features(texts))
         return x
 
     def backward(self, cache, dx: np.ndarray) -> np.ndarray:
-        feats, a, norms = cache
-        x = a / norms
-        da = (dx - np.sum(dx * x, axis=1, keepdims=True) * x) / norms
-        return feats.T @ da
+        feats, x, norms = cache
+        return feats.T @ _unit_rows_backward(x, norms, dx)
 
 
 def _distinct_features(texts: list[str], m: int) -> tuple[np.ndarray, np.ndarray]:

@@ -304,6 +304,8 @@ def _parse_dialogs(text: str) -> list[UnifiedDialog]:
     except json.JSONDecodeError as exc:
         byte_offset = len(text[: exc.pos].encode("utf-8"))
         raise InputError(f"malformed document at byte {byte_offset}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise InputError("malformed document: nested too deeply") from exc
     if not isinstance(root, dict) or "dialogs" not in root:
         raise InputError("document must be an object with a 'dialogs' key")
     dialogs_obj = root["dialogs"]

@@ -2,8 +2,10 @@
 
 Vectors are float64 in memory (gradient checks need the headroom) and
 float32 in the binary file format. All similarity in this package is a
-dot product of unit vectors, so `l2_normalize` is the one geometric
-operation everything else reduces to.
+dot product of unit vectors, so `l2_normalize`, of a vector or of each row
+of a matrix, is the one geometric operation everything else reduces to.
+Every norm in the package is taken by `row_norms`, so a row rounds the same
+alone as in a batch, and a change to the formula is made in one place.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
+import sys
 from array import array
 from dataclasses import dataclass
 
@@ -28,25 +31,22 @@ ENV_EMBED_TOKEN = "D2F_EMBED_TOKEN"
 REMOTE_BATCH_SIZE = 128
 
 
-def l2_normalize(v: np.ndarray) -> np.ndarray:
-    """Return v / ||v||. Idempotent; zero input is a hard error."""
-    v = np.asarray(v, dtype=np.float64)
-    norm = float(np.linalg.norm(v))
-    if norm == 0.0:
-        raise InputError("cannot normalize the zero vector")
-    return v / norm
+def row_norms(x: np.ndarray) -> np.ndarray:
+    """The L2 norm of each row of the matrix `x`: the square root of the row's dot
+    with itself, a stacked 1xd @ dx1 matmul. That rounds as `np.linalg.norm` of
+    the row alone does; `np.linalg.norm(x, axis=1)` sums differently."""
+    return np.sqrt((x[:, None, :] @ x[:, :, None]).ravel())
 
 
-def _normalize_rows(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """`l2_normalize` of every row of `x` in one pass, bit for bit: each norm
-    is the square root of the row's dot product with itself (a stacked
-    1xd @ dx1 matmul is that dot; `np.linalg.norm(x, axis=1)` sums
-    differently). `out=x` works in place."""
-    norms = np.sqrt((x[:, None, :] @ x[:, :, None]).ravel())
+def l2_normalize(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """v / ||v|| for a vector or each row of a matrix, bit for bit the same either
+    way; idempotent. A zero vector or row raises InputError. `out=x` works in place."""
+    x = np.asarray(x, dtype=np.float64)
+    norms = row_norms(np.atleast_2d(x))
     if (norms == 0.0).any():
         raise InputError("cannot normalize the zero vector")
     with np.errstate(invalid="ignore"):  # a non-finite row turns into NaN, which the store rejects
-        return np.divide(x, norms[:, None], out=out)
+        return np.divide(x, norms.reshape(*x.shape[:-1], 1), out=out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,7 +104,7 @@ class EmbeddingStore:
     def normalize(self) -> "EmbeddingStore":
         if self.normalized:
             return self
-        return EmbeddingStore(self.index, _normalize_rows(self.array), normalized=True)
+        return EmbeddingStore(self.index, l2_normalize(self.array), normalized=True)
 
 
 def build_store(pairs: list[tuple[str, np.ndarray]], normalize: bool = False) -> EmbeddingStore:
@@ -121,7 +121,7 @@ def build_store(pairs: list[tuple[str, np.ndarray]], normalize: bool = False) ->
         index[uid] = row
         matrix[row] = arr
     if normalize:
-        _normalize_rows(matrix, out=matrix)
+        l2_normalize(matrix, out=matrix)
     return EmbeddingStore(index, matrix, normalized=normalize)
 
 
@@ -151,6 +151,8 @@ def _load_jsonl(path: str) -> list[tuple[str, np.ndarray]]:
                 rec = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise InputError(f"{path}:{lineno}: invalid json ({exc.msg})") from exc
+            except RecursionError as exc:
+                raise InputError(f"{path}:{lineno}: invalid json (nested too deeply)") from exc
             if not isinstance(rec, dict) or "id" not in rec or "vector" not in rec:
                 raise InputError(f"{path}:{lineno}: record needs 'id' and 'vector'")
             uid = rec["id"]
@@ -276,10 +278,10 @@ def hashed_bow_vector(text: str, dim: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _numeric_vector(value) -> np.ndarray | None:
-    if not isinstance(value, list) or not all(type(x) in (int, float) for x in value):
-        return None
-    arr = np.asarray(value, dtype=np.float64)
-    return arr if np.isfinite(arr).all() else None
+    # a NaN, an infinity or an integer past the float range fails the bound
+    if isinstance(value, list) and all(type(x) in (int, float) and abs(x) <= sys.float_info.max for x in value):
+        return np.asarray(value, dtype=np.float64)
+    return None
 
 
 def fetch_remote(endpoint: str, texts: list[str], ids: list[str], token: str | None = None) -> EmbeddingStore:

@@ -13,7 +13,7 @@ from functools import cached_property
 import numpy as np
 
 from .corpus import ActionLabel
-from .embedding import EmbeddingStore
+from .embedding import EmbeddingStore, row_norms
 from .errors import InputError
 from .seeding import substream
 
@@ -142,8 +142,7 @@ def prototype_classify(data: LabeledEmbeddings, k: int, seed: int = 0) -> Classi
     matrix = data.store.array
     picks = matrix.take(np.concatenate(picked_rows), axis=0).reshape(len(included), k, -1)
     prototypes = picks.sum(axis=1) / k  # each action's k rows summed in order: their mean
-    # np.linalg.norm's dot product, row by row, as _normalize_rows takes it
-    norms = np.sqrt((prototypes[:, None, :] @ prototypes[:, :, None]).ravel())
+    norms = row_norms(prototypes)
     if (norms == 0.0).any():
         raise InputError(f"prototype for action '{included[int(np.argmax(norms == 0.0))]}' collapsed to zero")
     prototypes /= norms[:, None]

@@ -187,15 +187,14 @@ def export_dot(graph: FlowGraph, options: DotOptions | None = None) -> str:
     if graph.nodes:
         lines.append("  rankdir=LR;")
         lines.append('  node [shape=box, style="rounded,filled"];')
+    ids = {node: _dot_quote(node) for node in graph.nodes}
     for node in sorted(graph.nodes):
         weight = graph.node_weights[node]
         label = _dot_quote(f"{options.labels.get(node, node)} ({weight:.3f})")
         color = "#ffe0cc" if graph.speakers.get(node) == "user" else "#cce5ff"
-        lines.append(f'  {_dot_quote(node)} [label={label}, penwidth={1.0 + 6.0 * weight:.3f}, fillcolor="{color}"];')
-    for src, dst in graph.edges():
-        weight = graph.edge_weights[(src, dst)]
-        lines.append(f"  {_dot_quote(src)} -> {_dot_quote(dst)} [label={_dot_quote(f'{weight:.3f}')}, "
-                     f"penwidth={1.0 + 4.0 * weight:.3f}];")
+        lines.append(f'  {ids[node]} [label={label}, penwidth={1.0 + 6.0 * weight:.3f}, fillcolor="{color}"];')
+    for (src, dst), weight in sorted(graph.edge_weights.items()):  # a formatted weight needs no escapes
+        lines.append(f'  {ids[src]} -> {ids[dst]} [label="{weight:.3f}", penwidth={1.0 + 4.0 * weight:.3f}];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -71,7 +71,7 @@ def post_json(url: str, payload: dict, token: str | None) -> dict:
         sleep(wait)
     try:
         reply = json.loads(raw)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise RemoteError(f"{url} replied with invalid JSON ({exc})") from exc
     if not isinstance(reply, dict):
         raise RemoteError(f"{url} replied with a JSON {type(reply).__name__}, not an object")

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import ActionLabel, AnnotatedUtterance, UnifiedDialog, utterance_id
-from .embedding import EmbeddingStore
+from .embedding import EmbeddingStore, row_norms
 from .errors import InputError
 from .seeding import substream
 
@@ -144,8 +144,7 @@ def planted_flow(
     vectors = centers.take(which_rows, axis=0)
     vectors *= np.array(dots)[:, None]
     tangents -= vectors
-    # each row's dot with itself, summed as np.linalg.norm sums it (see embedding._normalize_rows)
-    norms = np.sqrt((tangents[:, None, :] @ tangents[:, :, None]).ravel())
+    norms = row_norms(tangents)
     theta = np.array(uniforms) * np.deg2rad(max_dispersion_deg)
     cos, sin = np.cos(theta), np.sin(theta)
     zero = norms == 0.0  # a tangent along the centre (probability 0): the centre itself

@@ -301,6 +301,15 @@ def test_losscheck_inject_fault_exits_1(tmp_path, capsys):
     assert payload["failures"]
 
 
+def test_losscheck_writes_failures_to_the_config_files_out(tmp_path, capsys):
+    out_path = tmp_path / "fail.json"
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"out": str(out_path)}))
+    assert main(["losscheck", "--cases", "6", "--seed", "4", "--inject-fault", "--config", str(config)]) == 1
+    assert json.loads(out_path.read_text())["failures"]
+    assert capsys.readouterr().err == f"failing cases serialized to {out_path}\n"
+
+
 def test_losscheck_failure_serialization_deterministic(tmp_path):
     p1, p2 = tmp_path / "f1.json", tmp_path / "f2.json"
     for p in (p1, p2):
@@ -506,6 +515,31 @@ def test_config_unknown_key_exits_2(planted, tmp_path):
                  "--config", str(config)]) == 2
 
 
+DEEP = "[" * 100_000  # past any interpreter's recursion limit
+
+
+@pytest.mark.parametrize(
+    "site, text, named",
+    [
+        ("corpus", DEEP, "input error: malformed document: nested too deeply"),
+        ("config", DEEP, "is not valid JSON: maximum recursion depth exceeded"),
+        ("embeddings", '{"id": "a", "vector": ' + DEEP, ":1: invalid json (nested too deeply)"),
+    ],
+    ids=["corpus", "config", "embeddings"],
+)
+def test_json_nested_too_deeply_exits_2(planted, tmp_path, capsys, site, text, named):
+    _, corpus_path, emb_path = planted
+    files = {"corpus": corpus_path, "embeddings": emb_path, "config": str(tmp_path / "c.json")}
+    files[site] = str(tmp_path / "deep")
+    (tmp_path / "deep").write_text(text)
+    (tmp_path / "c.json").write_text("{}")
+    argv = ["eval", "--corpus", files["corpus"], "--embeddings", files["embeddings"], "--config", files["config"],
+            "--out", str(tmp_path / "r.json")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert named in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "text",
     ['{"seed": 1', b'{"out": "\xff"}', "[1, 2]", '{"epsilon": "abc"}', '{"seed": "x"}', '{"seed": true}',
@@ -653,8 +687,11 @@ def reply_server():
         lambda n, payload: json.dumps({"vectors": [[1.0] * (1 + i % 2) for i in range(len(payload["texts"]))]}).encode(),
         lambda n, payload: json.dumps({"vectors": [[0.0] * 8 for _ in payload["texts"]]}).encode(),
         lambda n, payload: json.dumps({"vectors": [[] for _ in payload["texts"]]}).encode(),
+        lambda n, payload: json.dumps({"vectors": [[10**400] + [1.0] * 7 for _ in payload["texts"]]}).encode(),
+        lambda n, payload: DEEP.encode(),
     ],
-    ids=["not-json", "string-in-vector", "mixed-lengths", "zero-vector", "empty-vector"],
+    ids=["not-json", "string-in-vector", "mixed-lengths", "zero-vector", "empty-vector", "huge-integer",
+         "nested-too-deeply"],
 )
 def test_eval_malformed_encoder_reply_exits_3(planted, tmp_path, monkeypatch, reply_server, body_for, capsys):
     _, corpus_path, _ = planted

@@ -27,7 +27,7 @@ from convflow.contrastive import (
 )
 from convflow import checks
 from convflow.checks import finite_difference, random_unit_rows, relative_error
-from convflow.embedding import build_store, hashed_bow_vector
+from convflow.embedding import build_store, hashed_bow_vector, l2_normalize, tokenize
 from convflow.errors import DegenerateProjectionError, InputError
 from convflow.evaluation import LabeledEmbeddings, intra_inter_anisotropy
 from convflow.corpus import ActionLabel
@@ -70,6 +70,37 @@ def test_head_forward_matches_naive_composition():
         expected = u / math.sqrt(float(u @ u))
         assert np.max(np.abs(z - expected)) < 1e-12
         checked += 1
+
+
+def test_every_unit_row_is_l2_normalize_of_that_row_alone():
+    """The head, the toy encoder, the label table, random_unit_rows and
+    EmbeddingStore.normalize all take their norms through `row_norms`, so
+    each row they put on the sphere is `l2_normalize` of that row taken
+    alone, bit for bit, whatever rows sit next to it in the batch."""
+
+    def assert_unit_rows(units, raw):
+        assert units.shape == raw.shape
+        for i, (unit, row) in enumerate(zip(units, raw)):
+            assert np.array_equal(unit, l2_normalize(row)), f"row {i} of {raw.shape}"
+
+    words = [f"w{i}" for i in range(30)]
+    for dim in (4, 16, 64, 257):
+        rng = np.random.default_rng(dim)
+        x = rng.standard_normal((60, dim))
+        head = init_head(dim, 8, seed=dim)
+        assert_unit_rows(_head_forward_batch(head, x)[0], np.maximum(x @ head.w1, 0.0) @ head.w2)
+        encoder = init_toy_encoder(m=dim, n=8, seed=dim)
+        assert_unit_rows(encoder.encode_features(x)[0], x @ encoder.weights)
+        raw = substream(dim, "rows").standard_normal((60, dim))
+        assert_unit_rows(random_unit_rows(substream(dim, "rows"), 60, dim), raw)
+        assert_unit_rows(build_store([(f"u{i}", row) for i, row in enumerate(x)]).normalize().array, x)
+        labels = [" ".join(rng.choice(words, size=int(rng.integers(1, 3 * dim)))) for _ in range(20)]
+        tokens = [tokenize(label) for label in labels]
+        vocab = sorted(set().union(*tokens))
+        counts = np.array([[toks.count(v) for v in vocab] for toks in tokens], dtype=np.float64)
+        embs = np.stack([l2_normalize(row) for row in counts])
+        delta = embs @ embs.T
+        assert np.array_equal(build_label_table(labels), (delta + delta.T) / 2.0)
 
 
 # ---------------------------------------------------------------------------

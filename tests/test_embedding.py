@@ -12,6 +12,7 @@ from convflow.embedding import (
     hashed_bow_vector,
     l2_normalize,
     load_embeddings,
+    row_norms,
     save_embeddings,
     tokenize,
 )
@@ -38,6 +39,25 @@ def test_l2_normalize_norm_oracle():
 def test_l2_normalize_zero_vector():
     with pytest.raises(InputError, match="cannot normalize the zero vector"):
         l2_normalize(np.zeros(4))
+
+
+def test_row_norms_round_as_np_linalg_norm_of_each_row_alone():
+    rng = np.random.default_rng(4)
+    for n, dim in ((1, 3), (7, 4), (60, 16), (60, 64), (300, 257), (5, 2048)):
+        x = rng.uniform(0.01, 100.0) * rng.standard_normal((n, dim))
+        assert np.array_equal(row_norms(x), [np.linalg.norm(row) for row in x])
+
+
+def test_l2_normalize_takes_a_matrix_row_by_row_and_in_place():
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal((40, 9))
+    rows = l2_normalize(x)
+    assert rows.shape == x.shape and l2_normalize(x[0]).shape == (9,)
+    assert all(np.array_equal(row, l2_normalize(v)) for row, v in zip(rows, x))
+    assert l2_normalize(x, out=x) is x and np.array_equal(x, rows)
+    x[3] = 0.0
+    with pytest.raises(InputError, match="cannot normalize the zero vector"):
+        l2_normalize(x)
 
 
 def test_cosine_scale_invariance_through_normalize():
@@ -506,6 +526,12 @@ def test_fetch_remote_vector_with_no_non_zero_entry_is_a_remote_error(reply):
     named = "'1'" if reply[0] else "'0'"
     with _encoder_replying(reply) as url, pytest.raises(RemoteError, match=f"no non-zero entry for id {named}"):
         fetch_remote(url, ["a", "b"], ids=["0", "1"])
+
+
+def test_fetch_remote_integer_past_the_float_range_is_a_remote_error():
+    with _encoder_replying([[1.0, 0.0], [10**400, 0.0]]) as url:
+        with pytest.raises(RemoteError, match="does not hold 2 vectors of finite numbers"):
+            fetch_remote(url, ["a", "b"], ids=["0", "1"])
 
 
 def test_fetch_remote_mixed_lengths_is_a_protocol_error():

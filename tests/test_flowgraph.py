@@ -365,6 +365,48 @@ def test_export_json_equals_json_dumps_byte_for_byte():
     assert '"edges": []' in export_json(empty) and '"ends": {}' in export_json(empty)
 
 
+def _reference_export_dot(graph, options=None) -> str:
+    """The DOT export quoting every id again at each use, which `export_dot`
+    quotes once per node."""
+
+    def quote(s: str) -> str:
+        return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+    options = options or DotOptions()
+    lines = ["digraph dialog_flow {"]
+    if graph.nodes:
+        lines.append("  rankdir=LR;")
+        lines.append('  node [shape=box, style="rounded,filled"];')
+    for node in sorted(graph.nodes):
+        weight = graph.node_weights[node]
+        label = quote(f"{options.labels.get(node, node)} ({weight:.3f})")
+        color = "#ffe0cc" if graph.speakers.get(node) == "user" else "#cce5ff"
+        lines.append(f'  {quote(node)} [label={label}, penwidth={1.0 + 6.0 * weight:.3f}, fillcolor="{color}"];')
+    for src, dst in graph.edges():
+        weight = graph.edge_weights[(src, dst)]
+        lines.append(f"  {quote(src)} -> {quote(dst)} [label={quote(f'{weight:.3f}')}, "
+                     f"penwidth={1.0 + 4.0 * weight:.3f}];")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def test_export_dot_equals_the_quote_per_use_export_byte_for_byte():
+    rng = np.random.default_rng(12)
+    for case in range(60):
+        alphabet = [_AWKWARD[i] for i in rng.permutation(len(_AWKWARD))[: int(rng.integers(1, len(_AWKWARD) + 1))]]
+        trajs = [
+            tuple((alphabet[int(rng.integers(len(alphabet)))], "user" if rng.random() < 0.5 else "system")
+                  for _ in range(int(rng.integers(1, 9))))
+            for _ in range(int(rng.integers(1, 12)))
+        ]
+        graph = build_graph(trajs)
+        options = DotOptions(labels={node: f"{node[::-1]} \\\"" for node in graph.nodes if rng.random() < 0.5})
+        for g, opts in ((graph, None), (graph, options), (prune(graph, 0.2), options)):
+            assert export_dot(g, opts) == _reference_export_dot(g, opts), case
+    empty = prune(build_graph([_traj(["a", "b"])]), 1.0)
+    assert export_dot(empty) == _reference_export_dot(empty)
+
+
 # ---------------------------------------------------------------------------
 # LLM labeling
 # ---------------------------------------------------------------------------
