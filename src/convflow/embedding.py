@@ -31,11 +31,23 @@ ENV_EMBED_TOKEN = "D2F_EMBED_TOKEN"
 REMOTE_BATCH_SIZE = 128
 
 
+@np.errstate(over="ignore")  # an overflowing square is taken again by _scaled_norms
 def row_norms(x: np.ndarray) -> np.ndarray:
     """The L2 norm of each row of the matrix `x`: the square root of the row's dot
     with itself, a stacked 1xd @ dx1 matmul. That rounds as `np.linalg.norm` of
     the row alone does; `np.linalg.norm(x, axis=1)` sums differently."""
-    return np.sqrt((x[:, None, :] @ x[:, :, None]).ravel())
+    return _scaled_norms(x, (x[:, None, :] @ x[:, :, None]).ravel())
+
+
+def _scaled_norms(x: np.ndarray, squares: np.ndarray) -> np.ndarray:
+    """sqrt(`squares`), the rows' squared norms, except that a nonzero finite row whose
+    square is outside [tiny, inf) is first divided by its largest |x|."""
+    norms, tiny = np.sqrt(squares), np.finfo(np.float64).tiny
+    if squares.size and not (tiny <= squares.min() and squares.max() < np.inf):  # a NaN fails both
+        peaks = np.abs(x).max(axis=1, initial=0.0)  # as LAPACK's dnrm2 scales; other rows keep their bits
+        off = ((squares < tiny) | (squares == np.inf)) & (0.0 < peaks) & (peaks < np.inf)
+        norms[off] = peaks[off] * row_norms(x[off] / peaks[off, None])
+    return norms
 
 
 def l2_normalize(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -46,6 +58,9 @@ def l2_normalize(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     if (norms == 0.0).any():
         raise InputError("cannot normalize the zero vector")
     with np.errstate(invalid="ignore"):  # a non-finite row turns into NaN, which the store rejects
+        if (norms == np.inf).any():  # a norm past the float range: divide the row by its largest |x| first
+            peaks = np.where(norms == np.inf, np.abs(np.atleast_2d(x)).max(axis=1), 1.0)
+            return l2_normalize(x / peaks.reshape(*x.shape[:-1], 1), out=out)
         return np.divide(x, norms.reshape(*x.shape[:-1], 1), out=out)
 
 
@@ -86,7 +101,7 @@ class EmbeddingStore:
     @property
     def vectors(self) -> "EmbeddingStore":
         """The store itself. Only bench/verify.py reads it (`store.vectors[uid]`);
-        it goes when the benchmark reads `store[uid]` (ROADMAP item 3 slice B)."""
+        it goes when the benchmark reads `store[uid]` (ROADMAP item 1)."""
         return self
 
     def ids(self) -> list[str]:
@@ -129,7 +144,7 @@ def build_store(pairs: list[tuple[str, np.ndarray]], normalize: bool = False) ->
 # File formats
 # ---------------------------------------------------------------------------
 
-def save_jsonl(store: EmbeddingStore, path: str) -> None:
+def _save_jsonl(store: EmbeddingStore, path: str) -> None:
     """One record per line: {"id": ..., "vector": [...]}; sorted by id."""
     with open(path, "w", encoding="utf-8") as fh:
         for uid in store.ids():
@@ -172,7 +187,7 @@ def _load_jsonl(path: str) -> list[tuple[str, np.ndarray]]:
     return pairs
 
 
-def save_binary(store: EmbeddingStore, path: str) -> None:
+def _save_binary(store: EmbeddingStore, path: str) -> None:
     """Binary layout: magic 'D2FV', version u8, dim u32 LE, count u64 LE,
     then per record: id length u16 LE, UTF-8 id, dim little-endian f32."""
     ids = store.ids()
@@ -244,9 +259,9 @@ def load_embeddings(path: str, format: str | None = None) -> EmbeddingStore:
 
 def save_embeddings(store: EmbeddingStore, path: str, format: str = "jsonl") -> None:
     if format == "jsonl":
-        save_jsonl(store, path)
+        _save_jsonl(store, path)
     elif format == "binary":
-        save_binary(store, path)
+        _save_binary(store, path)
     else:
         raise InputError(f"unknown embedding format '{format}'")
 

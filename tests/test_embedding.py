@@ -48,6 +48,23 @@ def test_row_norms_round_as_np_linalg_norm_of_each_row_alone():
         assert np.array_equal(row_norms(x), [np.linalg.norm(row) for row in x])
 
 
+def test_row_norms_and_l2_normalize_at_the_float_limits():
+    """A nonzero finite row whose square over- or underflows is divided by its
+    largest |x| first, in place too; every other row keeps its bits."""
+    rng = np.random.default_rng(6)
+    x = rng.standard_normal((6, 4))
+    want_norms, want_units = row_norms(x), l2_normalize(x)
+    x[1], x[4] = [1e308] * 4, [5e-324, 0.0, 0.0, 0.0]
+    x[2], x[5] = [1e-170, 1e-170, 0.0, 0.0], [-1e-300, 0.0, 1e-300, 0.0]
+    norms = row_norms(x)
+    assert np.array_equal(norms[[0, 3]], want_norms[[0, 3]])
+    assert norms[1] == np.inf and norms[4] == 5e-324 and norms[2] == 1e-170 * np.sqrt(2.0)
+    assert l2_normalize(x, out=x) is x and np.array_equal(x[[0, 3]], want_units[[0, 3]])
+    assert np.array_equal(x[1], [0.5] * 4) and np.array_equal(x[4], [1.0, 0.0, 0.0, 0.0])
+    assert np.array_equal(x[[2, 5]], l2_normalize(np.array([[1.0, 1.0, 0.0, 0.0], [-1.0, 0.0, 1.0, 0.0]])))
+    with pytest.raises(InputError, match="cannot normalize the zero vector"):
+        l2_normalize(np.array([[1e308, 0.0], [0.0, 0.0]]))
+
 def test_l2_normalize_takes_a_matrix_row_by_row_and_in_place():
     rng = np.random.default_rng(5)
     x = rng.standard_normal((40, 9))
@@ -240,7 +257,7 @@ def _binary_outcome(load, path):
 
 
 def _binary_records(ids, dim, vectors_f4) -> bytes:
-    """A binary file in the layout save_binary writes, for ids in the given order."""
+    """A binary file in the layout save_embeddings(format="binary") writes, for ids in the given order."""
     parts = [b"D2FV", struct.pack("<BIQ", 1, dim, len(ids))]
     for uid, vec in zip(ids, vectors_f4):
         raw = uid if isinstance(uid, bytes) else uid.encode("utf-8")

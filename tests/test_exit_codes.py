@@ -1,31 +1,38 @@
 """Property test of the exit-code contract: whatever bytes an input file
-holds, a command exits 0 (ok) or 2 (input error) and never raises."""
+holds, a command exits 0 (ok) or 2 (input error) and never raises; whatever
+the remote encoder replies, it exits 0, 2 or 3 (remote error)."""
 
+import contextlib
+import io
 import json
 import math
 import os
 import tempfile
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from convflow import remote
 from convflow.cli import main
-from convflow.corpus import serialize_unified
+from convflow.corpus import serialize_unified, utterance_id
 from convflow.embedding import save_embeddings
 from convflow.synth import planted_flow
+from mockserver import Handler, serving
+
+PLANTED = planted_flow(k_user=3, k_system=3, n_dialogs=30, dim=8, seed=5)
 
 
 def _valid_inputs() -> dict[str, bytes]:
-    pf = planted_flow(k_user=3, k_system=3, n_dialogs=30, dim=8, seed=5)
     with tempfile.TemporaryDirectory() as tmp:
         files = {}
         for fmt in ("jsonl", "binary"):
             path = os.path.join(tmp, fmt)
-            save_embeddings(pf.store, path, format=fmt)
+            save_embeddings(PLANTED.store, path, format=fmt)
             with open(path, "rb") as fh:
                 files[fmt] = fh.read()
-    files["corpus"] = serialize_unified(pf.dialogs)
+    files["corpus"] = serialize_unified(PLANTED.dialogs)
     files["acts"] = b"[raw_to_standard]\ninform\tinform\nask\trequest\n[standard_to_parent]\nrequest\trequest\n"
     files["config"] = b'{"seed": 3, "epsilon": 0.02, "tau": 0.05, "kshot": [1, 2], "repetitions": 2}'
     return files
@@ -136,6 +143,80 @@ def test_unpaired_surrogate_escape_exits_2(command, capsys):
     corpus = VALID["corpus"].replace(b'"text": "', b'"text": "\\ud800', 1)
     assert _run("corpus", command, corpus) == 2
     assert "turn 0: 'text' holds an unpaired surrogate" in capsys.readouterr().err
+
+
+# the largest |x| of a vector: every float from the smallest subnormal to near the largest float
+_MAGNITUDE = st.floats(min_value=5e-324, max_value=1.7e308)
+
+
+def _with_peak(vector, magnitude: float) -> list[float]:
+    """`vector` scaled so that its largest |x| is `magnitude` exactly."""
+    peak = max(map(abs, vector))
+    return [x / peak * magnitude for x in vector]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=30)
+@given(command=st.sampled_from(["eval", "extract"]), magnitude=_MAGNITUDE)
+def test_vector_of_any_finite_magnitude_exits_0_and_prints_nothing(command, magnitude):
+    """One JSONL vector is scaled to the drawn magnitude: a square that over- or
+    underflows neither zeroes its unit vector nor fails it as the zero vector."""
+    first, rest = VALID["jsonl"].split(b"\n", 1)
+    record = json.loads(first)
+    record["vector"] = _with_peak(record["vector"], magnitude)
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        code = _run("jsonl", command, json.dumps(record).encode() + b"\n" + rest)
+    assert (code, err.getvalue()) == (0, "")
+
+
+# what an encoder can send: any bytes, any JSON value, a nesting too deep for
+# the parser, or one vector per text (a count off by one at times) that is the
+# planted vector scaled to a drawn magnitude or a drawn list of JSON values
+_TEXT_VECTORS = {t.text: PLANTED.store[utterance_id(d.dialog_id, i)].tolist()
+                 for d in PLANTED.dialogs for i, t in enumerate(d.turns)}
+_COUNT_OFF_BY = st.just(0) | st.sampled_from([-1, 1])
+_REPLY = st.one_of(
+    st.tuples(st.just("planted"), _MAGNITUDE, _COUNT_OFF_BY),
+    st.tuples(st.just("vectors"), st.lists(_JSON_VALUE | _MAGNITUDE, max_size=4), _COUNT_OFF_BY),
+    st.tuples(st.just("bytes"), st.binary(max_size=24)),
+    st.tuples(st.just("json"), _JSON_VALUE),
+    st.tuples(st.just("deep"), st.integers(min_value=1, max_value=5000)),
+)
+
+
+def _reply_body(reply, texts: list[str]) -> bytes:
+    kind, *drawn = reply
+    if kind == "bytes":
+        return drawn[0]
+    if kind == "json":
+        return json.dumps(drawn[0]).encode()
+    if kind == "deep":
+        return b"[" * drawn[0] + b"]" * drawn[0]
+    value, extra = drawn
+    n = max(len(texts) + extra, 0)
+    if kind == "planted":
+        vectors = [_with_peak(_TEXT_VECTORS[text], value) for text in (texts * 2)[:n]]
+    else:
+        vectors = [value] * n
+    return json.dumps({"vectors": vectors}).encode()
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(status=st.just(200) | st.sampled_from([204, 400, 404, 429, 500, 503]), reply=_REPLY)
+def test_any_encoder_reply_exits_0_2_or_3_without_a_traceback(status, reply):
+    class Encoder(Handler):
+        def do_POST(self):
+            payload = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+            self.reply(_reply_body(reply, payload["texts"]), status)
+
+    with tempfile.TemporaryDirectory() as tmp, serving(Encoder, "/embed") as url, \
+            mock.patch.object(remote, "sleep", lambda seconds: None), \
+            mock.patch.dict(os.environ, {"D2F_EMBED_URL": url}), contextlib.redirect_stderr(io.StringIO()) as err:
+        corpus = os.path.join(tmp, "corpus")
+        with open(corpus, "wb") as fh:
+            fh.write(VALID["corpus"])
+        code = main(["eval", "--corpus", corpus, "--reps", "2", "--out", os.path.join(tmp, "report.json")])
+    assert code in (0, 2, 3) and "Traceback" not in err.getvalue(), (code, err.getvalue())
+    assert (code == 0) == (err.getvalue() == ""), err.getvalue()
 
 
 # ---------------------------------------------------------------------------

@@ -2,14 +2,13 @@
 and so is every defaulted parameter of one and every field of a public
 dataclass or NamedTuple.
 
-A name is reached when `src/convflow` (not counting the `__init__.py`
-re-exports) or `demos/` refers to it outside its own definition; a method
-or property only through an attribute read (`x.name`) or an import, so a
-local variable of the same name does not reach it. A
-defaulted parameter is reached when a call there passes it: by keyword,
-by position, or through `*args`/`**kwargs`. A field is reached when code
-there reads it as an attribute (`result.field`); passing it to the
-constructor does not count. Names are matched by spelling only, so a
+A name is reached when `src/convflow` or `demos/` refers to it outside
+its own definition; a method or property only through an attribute read
+(`x.name`) or an import, so a local variable of the same name does not
+reach it. A defaulted parameter is reached when a call there passes it:
+by keyword, by position, or through `*args`/`**kwargs`. A field is reached
+when code there reads it as an attribute (`result.field`); passing it to
+the constructor does not count. Names are matched by spelling only, so a
 method sharing its name with another (`dict.get`) reads as reached: the
 check finds dead surface, it cannot prove a name live.
 
@@ -33,20 +32,20 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "convflow"
 
 BENCH_ONLY = {
-    "agglomerative": "ROADMAP item 4: deleted with the bench's agglomerative path, or wired into extract",
-    "cut": "ROADMAP item 4: goes with agglomerative",
-    "dendrogram_to_text": "ROADMAP item 4: goes with agglomerative",
-    "assignment": "ROADMAP item 4: bench/verify.py checks the agglomerative cut through Clustering.assignment",
+    "agglomerative": "ROADMAP item 1: deleted with the bench's agglomerative path, or wired into extract",
+    "cut": "ROADMAP item 1: goes with agglomerative",
+    "dendrogram_to_text": "ROADMAP item 1: goes with agglomerative",
+    "assignment": "ROADMAP item 1: bench/verify.py checks the agglomerative cut through Clustering.assignment",
     "train_toy(soft=)": "ROADMAP item 1: bitwise redundant (tau_label=1e-4 trains the hard loss); only bench/replay.py's soft=True keeps it",
-    "kmeans(return_history=)": "ROADMAP item 1 slice C: the iteration count becomes a trace counter",
-    "init_toy_encoder(m=)": "ROADMAP item 1 slice C: only the bench replay's train_toy path passes it",
+    "kmeans(return_history=)": "ROADMAP item 2 slice C: the iteration count becomes a trace counter",
+    "init_toy_encoder(m=)": "ROADMAP item 1: only the bench replay's train_toy path passes it",
     "planted_flow(min_len=, max_len=)": "the workloads' fixed-length dialogs, which ROADMAP item 3's seed check uses",
     "save_embeddings": "bench/workloads.py writes the JSONL and binary embedding files that eval and extract read",
-    "load_embeddings(format=)": "ROADMAP item 3 slice B: the bench replay names the format the command detects",
-    "vectors": "ROADMAP item 3 slice B: EmbeddingStore.vectors is the store itself; only bench/verify.py reads store.vectors[uid]",
+    "load_embeddings(format=)": "ROADMAP item 1: the bench replay names the format the command detects",
+    "vectors": "ROADMAP item 1: EmbeddingStore.vectors is the store itself; only bench/verify.py reads store.vectors[uid]",
 }
 ALLOWED = {
-    "TrainResult.loss_curve": "ROADMAP item 3 slice C: becomes a trace note, and train_toy returns the encoder",
+    "TrainResult.loss_curve": "ROADMAP item 2 slice C: becomes a trace note, and train_toy returns the encoder",
     "planted_flow(max_dispersion_deg=)": "the spread of the planted action clusters, a knob of the fixture",
     "graded_label_rows(per_variant_train=, per_variant_eval=)": "the golden sweep corpus uses 30 of each",
     "main(argv=)": "cli.main, the console-script entry point, which is called with no argument",
@@ -58,7 +57,7 @@ def _parse(paths) -> list[tuple[pathlib.Path, ast.Module]]:
 
 
 def _paths(folder: pathlib.Path) -> list[pathlib.Path]:
-    return sorted(p for p in folder.glob("*.py") if p.name != "__init__.py")
+    return sorted(folder.glob("*.py"))
 
 
 def _entries(listed) -> set[str]:
