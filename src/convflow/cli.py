@@ -165,8 +165,7 @@ def _labeled_data(
 def cmd_eval(args: argparse.Namespace) -> int:
     config = resolve_config(args)
     dialogs = _load_corpus(_require(config.corpus, "--corpus"))
-    store = _resolve_store(config.embeddings, dialogs)
-    data = _labeled_data(dialogs, store)
+    data = _labeled_data(dialogs, _resolve_store(config.embeddings, dialogs))
     report = evaluation.evaluate(
         data,
         kshots=config.kshot,

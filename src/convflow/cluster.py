@@ -135,7 +135,8 @@ def kmeans(
             new_centroids[c] = _renormalized_mean(x[assign == c])
         movement = float(row_norms(new_centroids - centroids).sum())
         centroids = new_centroids
-        history.append(float(np.sum(x * centroids[assign])))
+        if return_history:
+            history.append(float(np.sum(x * centroids[assign])))
         if movement < KMEANS_TOL:
             break
     clustering = Clustering(ids=tuple(ids), labels=assign, centroids=centroids)

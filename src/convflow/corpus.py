@@ -298,26 +298,107 @@ def parse_unified(document: bytes) -> list[UnifiedDialog]:
     return dialogs
 
 
-def _parse_dialogs(text: str) -> list[UnifiedDialog]:
+# json.loads' own parts: the C scanner decodes every value, scanstring every
+# key, and WHITESPACE is the whitespace json skips between tokens
+_scan_value = json.scanner.make_scanner(json.JSONDecoder())
+_skip = json.decoder.WHITESPACE.match
+
+
+def _parse_dialog(dialog_id: str, turns_obj) -> UnifiedDialog | InputError:
+    """One dialog from its decoded turn list, or its first schema error."""
+    if not isinstance(turns_obj, list) or not turns_obj:
+        return InputError(f"dialog '{dialog_id}': turns must be a non-empty list")
     try:
-        root = json.loads(text)
-    except json.JSONDecodeError as exc:
-        byte_offset = len(text[: exc.pos].encode("utf-8"))
-        raise InputError(f"malformed document at byte {byte_offset}: {exc.msg}") from exc
-    except RecursionError as exc:
-        raise InputError("malformed document: nested too deeply") from exc
-    if not isinstance(root, dict) or "dialogs" not in root:
-        raise InputError("document must be an object with a 'dialogs' key")
-    dialogs_obj = root["dialogs"]
-    if not isinstance(dialogs_obj, dict):
-        raise InputError("'dialogs' must map dialog ids to turn lists")
-    dialogs: list[UnifiedDialog] = []
-    for dialog_id, turns_obj in dialogs_obj.items():
-        if not isinstance(turns_obj, list) or not turns_obj:
-            raise InputError(f"dialog '{dialog_id}': turns must be a non-empty list")
         turns = tuple([_parse_turn(t, dialog_id, i) for i, t in enumerate(turns_obj)])
-        dialogs.append(UnifiedDialog(dialog_id=dialog_id, turns=turns))
-    return dialogs
+    except InputError as exc:
+        return exc.with_traceback(None)  # no frame, and so no turn JSON, stays alive with it
+    return UnifiedDialog(dialog_id=dialog_id, turns=turns)
+
+
+def _next_member(text: str, idx: int, first: bool) -> tuple[str | None, int]:
+    """From `idx`, just after an object's '{' if `first`, else just after a
+    member's value: the next member's key and where its value starts, or
+    None and the index after the closing '}'. ValueError where json.loads
+    would fail."""
+    idx = _skip(text, idx).end()
+    if text.startswith("}", idx):
+        return None, idx + 1
+    if not first:
+        if not text.startswith(",", idx):
+            raise ValueError("expected ',' or '}'")
+        idx = _skip(text, idx + 1).end()
+    if not text.startswith('"', idx):
+        raise ValueError("expected a key")
+    key, idx = json.decoder.scanstring(text, idx + 1)
+    idx = _skip(text, idx).end()
+    if not text.startswith(":", idx):
+        raise ValueError("expected ':'")
+    return key, _skip(text, idx + 1).end()
+
+
+def _walk_dialogs(text: str) -> dict[str, UnifiedDialog | InputError] | None:
+    """Dialog id -> dialog or first schema error, decoding one turn list at
+    a time; None when the document is not an object whose last 'dialogs'
+    member is an object, or holds anything after the root."""
+    dialogs = None
+    idx = _skip(text, 0).end()
+    if not text.startswith("{", idx):
+        return None
+    key, idx = _next_member(text, idx + 1, True)
+    while key is not None:
+        if key != "dialogs":
+            _, idx = _scan_value(text, idx)
+        elif not text.startswith("{", idx):
+            return None
+        else:
+            dialogs = {}  # a repeated 'dialogs' key: the last value wins, as in json.loads
+            dialog_id, idx = _next_member(text, idx + 1, True)
+            while dialog_id is not None:
+                turns_obj, idx = _scan_value(text, idx)
+                dialogs[dialog_id] = _parse_dialog(dialog_id, turns_obj)
+                del turns_obj
+                dialog_id, idx = _next_member(text, idx, False)
+        key, idx = _next_member(text, idx, False)
+    return dialogs if _skip(text, idx).end() == len(text) else None
+
+
+def _deeper(levels: int, function, *args):
+    """`function(*args)`, called `levels` (at least 1) frames deeper than a
+    direct call."""
+    return function(*args) if levels == 1 else _deeper(levels - 1, function, *args)
+
+
+def _parse_dialogs(text: str) -> list[UnifiedDialog]:
+    """The document's dialogs; a JSON error anywhere wins over any schema
+    error. Whatever the walk does not take (a JSON error, an unexpected
+    shape, nesting near the recursion limit) goes to json.loads, which
+    raises its own message or returns the tree for the same per-dialog
+    conversion."""
+    try:
+        # where frames and json's nesting share one recursion count (Python
+        # 3.10, 3.11), json.loads reaches a turn list 4 levels deeper: its
+        # decode and raw_decode frames, the root and 'dialogs' objects.
+        # Started as deep, the walk accepts no document json.loads rejects.
+        dialogs = _deeper(4, _walk_dialogs, text)
+    except (ValueError, StopIteration, RecursionError):  # JSONDecodeError is a ValueError
+        dialogs = None
+    if dialogs is None:
+        try:
+            root = json.loads(text)
+        except json.JSONDecodeError as exc:
+            byte_offset = len(text[: exc.pos].encode("utf-8"))
+            raise InputError(f"malformed document at byte {byte_offset}: {exc.msg}") from exc
+        except RecursionError as exc:
+            raise InputError("malformed document: nested too deeply") from exc
+        if not isinstance(root, dict) or "dialogs" not in root:
+            raise InputError("document must be an object with a 'dialogs' key")
+        if not isinstance(root["dialogs"], dict):
+            raise InputError("'dialogs' must map dialog ids to turn lists")
+        dialogs = {dialog_id: _parse_dialog(dialog_id, turns) for dialog_id, turns in root["dialogs"].items()}
+    for dialog in dialogs.values():
+        if type(dialog) is not UnifiedDialog:
+            raise dialog
+    return list(dialogs.values())
 
 
 def compute_stats(corpus: list[UnifiedDialog]) -> dict:
@@ -331,14 +412,13 @@ def compute_stats(corpus: list[UnifiedDialog]) -> dict:
 # The layout json.dumps(tree, ensure_ascii=False, indent=1) gives the
 # unified schema; serialize_unified fills it in directly, because with an
 # indent set json.dumps skips its C encoder for a pure-Python one.
-_DOCUMENT = """{
+_DOCUMENT_HEAD = """{
  "stats": {
   "domains": %s,
   "labels": %s
  },
- "dialogs": %s
-}
-"""
+ "dialogs": """
+_DOCUMENT_TAIL = b"\n}\n"
 _TURN = """{
     "speaker": %s,
     "text": %s,
@@ -394,11 +474,18 @@ def serialize_unified(corpus: list[UnifiedDialog]) -> bytes:
         _json_block("{", [f"{_encode(k)}: {n}" for k, n in stats[key].items()], "}", "  ")
         for key in ("domains", "labels")
     )
+    head = (_DOCUMENT_HEAD % (domains, labels)).encode("utf-8")
+    if not corpus:
+        return head + b"{}" + _DOCUMENT_TAIL
     dialogs = [
-        f"{_encode(d.dialog_id)}: " + _json_block("[", [_json_turn(t) for t in d.turns], "]", "  ")
+        (f"{_encode(d.dialog_id)}: " + _json_block("[", [_json_turn(t) for t in d.turns], "]", "  ")).encode("utf-8")
         for d in corpus
     ]
-    return (_DOCUMENT % (domains, labels, _json_block("{", dialogs, "}", " "))).encode("utf-8")
+    # each dialog is encoded once and the document joined once: the head and
+    # tail ride on the first and last dialog, so no str copy of it is made
+    dialogs[0] = head + b"{\n  " + dialogs[0]
+    dialogs[-1] += b"\n }" + _DOCUMENT_TAIL
+    return b",\n  ".join(dialogs)
 
 
 def standardize_corpus(

@@ -238,8 +238,9 @@ def _load_binary(path: str) -> EmbeddingStore:
     if not count:  # nothing to gather, and a 4 * dim byte window may not fit
         return EmbeddingStore(index, np.empty((0, dim)))
     # every vector's bytes in one gather from a sliding window over the file, then one conversion
-    windows = np.lib.stride_tricks.sliding_window_view(np.frombuffer(data, np.uint8), 4 * dim)
-    return EmbeddingStore(index, windows[starts].view("<f4").astype(np.float64))
+    vectors = np.lib.stride_tricks.sliding_window_view(np.frombuffer(data, np.uint8), 4 * dim)[starts]
+    del data  # the file's bytes are not needed while the vectors convert
+    return EmbeddingStore(index, vectors.view("<f4").astype(np.float64))
 
 
 def load_embeddings(path: str, format: str | None = None) -> EmbeddingStore:

@@ -1,9 +1,11 @@
 import json
 import re
 import struct
+import tracemalloc
 
 import pytest
 
+from convflow import evaluation
 from convflow.cli import _parse_grid, main
 from convflow.corpus import serialize_unified
 from convflow.embedding import save_embeddings
@@ -129,6 +131,27 @@ def test_eval_deterministic_report(planted, tmp_path):
         assert main(["eval", "--corpus", corpus_path, "--embeddings", emb_path,
                      "--out", str(p), "--seed", "3", "--reps", "3"]) == 0
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_eval_holds_one_store_matrix_while_it_evaluates(planted, tmp_path, monkeypatch):
+    """The unnormalized store is released before evaluate runs, so only the
+    normalized (N, dim) matrix of that size is traced at its call."""
+    _, corpus_path, emb_path = planted
+    evaluate = evaluation.evaluate
+    matrices = []
+
+    def spy(data, **kwargs):
+        size = data.store.array.nbytes
+        matrices.append(sum(t.size == size for t in tracemalloc.take_snapshot().traces))
+        return evaluate(data, **kwargs)
+
+    monkeypatch.setattr(evaluation, "evaluate", spy)
+    tracemalloc.start()
+    try:
+        assert main(["eval", "--corpus", corpus_path, "--embeddings", emb_path, "--reps", "1"]) == 0
+    finally:
+        tracemalloc.stop()
+    assert matrices == [1]
 
 
 def test_eval_missing_embeddings_exits_2(planted, tmp_path, capsys):

@@ -1,15 +1,22 @@
 import gc
 import json
 import random
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from convflow.corpus import (
     SPEAKERS,
     ActionLabel,
     AnnotatedUtterance,
     UnifiedDialog,
+    _parse_dialogs,
+    _parse_turn,
     action_of,
     builtin_table,
     compute_stats,
@@ -574,3 +581,230 @@ def test_memoized_action_loops_raise_at_the_first_offending_turn():
             if isinstance(expected, tuple):
                 raised[next(kind for kind in raised if kind in expected[1])] += 1
     assert min(raised.values()) > 50  # both errors were reached, many times
+
+
+def _reference_parse_dialogs(text: str) -> list[UnifiedDialog]:
+    """The json.loads-tree parse that corpus._parse_dialogs' one-dialog-at-a-time walk replaced."""
+    try:
+        root = json.loads(text)
+    except json.JSONDecodeError as exc:
+        byte_offset = len(text[: exc.pos].encode("utf-8"))
+        raise InputError(f"malformed document at byte {byte_offset}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise InputError("malformed document: nested too deeply") from exc
+    if not isinstance(root, dict) or "dialogs" not in root:
+        raise InputError("document must be an object with a 'dialogs' key")
+    dialogs_obj = root["dialogs"]
+    if not isinstance(dialogs_obj, dict):
+        raise InputError("'dialogs' must map dialog ids to turn lists")
+    dialogs: list[UnifiedDialog] = []
+    for dialog_id, turns_obj in dialogs_obj.items():
+        if not isinstance(turns_obj, list) or not turns_obj:
+            raise InputError(f"dialog '{dialog_id}': turns must be a non-empty list")
+        turns = tuple([_parse_turn(t, dialog_id, i) for i, t in enumerate(turns_obj)])
+        dialogs.append(UnifiedDialog(dialog_id=dialog_id, turns=turns))
+    return dialogs
+
+
+def _nested_document(where: str, depth: int) -> str:
+    """A one-turn document holding `depth` nested lists in an ignored turn
+    field, in `acts`, or in the top-level `stats` value."""
+    nested = "[" * depth + "]" * depth
+    fields = {
+        "extra": f', "extra": {nested}',
+        "acts": f', "labels": {{"dialog_acts": {{"acts": {nested}}}}}',
+        "stats": "",
+    }[where]
+    stats = nested if where == "stats" else "{}"
+    return '{"stats": %s, "dialogs": {"d1": [{"speaker": "user", "text": "hi"%s}]}}' % (stats, fields)
+
+
+@pytest.mark.parametrize("where", ["extra", "acts", "stats"])
+@pytest.mark.parametrize("offset", range(-30, 6))
+def test_parse_matches_reference_at_nesting_depths_near_the_recursion_limit(where, offset):
+    # a new thread starts with an empty stack, so the recursion limit falls
+    # inside the offsets, as it does for a command; both parsers run at one depth
+    text = _nested_document(where, sys.getrecursionlimit() + offset)
+    outcomes = []
+
+    def run():
+        for parse in (_reference_parse_dialogs, _parse_dialogs):
+            try:
+                outcomes.append(_outcome(parse, text))
+            except RecursionError as exc:
+                outcomes.append(exc)
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    thread.join()
+    expected, outcome = outcomes
+    assert not isinstance(outcome, RecursionError)
+    assert outcome == expected
+
+
+class _Obj(tuple):
+    """A JSON object as (key, value) pairs, so a key may repeat."""
+
+
+def _render(value, data) -> str:
+    """`value` as JSON text, with drawn whitespace around every token."""
+    def ws() -> str:
+        return data.draw(st.sampled_from(["", "", " ", "\n  ", "\t", "\r\n"]))
+
+    if isinstance(value, _Obj):
+        brackets, items = "{}", [f"{ws()}{json.dumps(k)}{ws()}:{ws()}{_render(v, data)}{ws()}" for k, v in value]
+    elif isinstance(value, list):
+        brackets, items = "[]", [f"{ws()}{_render(v, data)}{ws()}" for v in value]
+    else:
+        return json.dumps(value, ensure_ascii=data.draw(st.booleans()))
+    return brackets[0] + (",".join(items) if items else ws()) + brackets[1]
+
+
+_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-3, 3), st.floats(), st.text("aé\"\\\n😀", max_size=3))
+_STRING_LISTS = st.lists(st.text("ab é\\", max_size=3), max_size=3)
+_ANY = st.one_of(_SCALARS, st.lists(_SCALARS, max_size=2), _STRING_LISTS)
+
+
+def _members(draw, required: list, optional: list) -> _Obj:
+    """The required members and a drawn subset of the optional ones, in a
+    drawn order."""
+    return _Obj(draw(st.permutations(required + [m for m in optional if draw(st.booleans())])))
+
+
+@st.composite
+def _turns(draw):
+    """A turn object; one in eight may break the schema at any field."""
+    wrong = draw(st.integers(0, 7)) == 0
+
+    def value(valid):
+        return draw(_ANY | valid) if wrong else draw(valid)
+
+    def members(required, optional):
+        return _members(draw, [] if wrong else required, optional + (required if wrong else []))
+
+    dialog_acts = members([], [(k, value(_STRING_LISTS)) for k in ("acts", "main_acts", "original_acts")])
+    labels = members([], [
+        ("dialog_acts", value(st.just(dialog_acts))),
+        ("slots", value(_STRING_LISTS)),
+        ("intents", value(_STRING_LISTS)),
+    ])
+    return members(
+        [("speaker", value(st.sampled_from(SPEAKERS))), ("text", value(st.text("hi é\"😀", max_size=4)))],
+        [("domains", value(_STRING_LISTS)), ("labels", value(st.just(labels))), ("future_field", draw(_ANY))],
+    )
+
+
+# few ids, so that a dialog id repeats; now and then an empty or non-list turn list
+_DIALOGS = st.lists(
+    st.tuples(st.sampled_from(["d1", "d2", "d3", "é\\u"]), st.lists(_turns(), min_size=1, max_size=3)),
+    max_size=4,
+).map(_Obj)
+_BAD_DIALOGS = st.lists(st.tuples(st.sampled_from(["d1", "d2"]), st.just([]) | _SCALARS), min_size=1, max_size=2)
+_STATS = st.just(_Obj([("domains", _Obj([("taxi", 2)])), ("labels", _Obj())])) | _ANY
+
+
+@st.composite
+def _documents(draw):
+    """Unified documents as UTF-8, mostly valid, in the variations the walk
+    must treat as json.loads does; about one in four is truncated, or has
+    one byte flipped, inserted or appended."""
+    shape = draw(st.integers(0, 9))  # 0-4 keep the unified shape
+    dialogs = draw(_DIALOGS)
+    if shape == 5:  # an empty or non-list turn list
+        dialogs = _Obj(list(dialogs) + draw(_BAD_DIALOGS))
+    members = list(_members(draw, [("dialogs", dialogs)], [("stats", draw(_STATS)), ("version", 1)]))
+    if shape == 6:  # a repeated 'dialogs' key: the last value wins
+        members.append(("dialogs", draw(_DIALOGS.filter(len) if draw(st.booleans()) else _ANY)))
+    if shape == 7:
+        members = [(k, v) for k, v in members if k != "dialogs"]
+    if shape == 8:
+        members = [(k, draw(_ANY) if k == "dialogs" else v) for k, v in members]
+    root = draw(_ANY | st.just(members)) if shape == 9 else _Obj(members)
+    prefix = draw(st.sampled_from(["", "", "", " \n", "\ufeff"]))
+    document = (prefix + _render(root, draw(st.data()))).encode("utf-8")
+    at = draw(st.integers(0, len(document)))
+    byte = bytes([draw(st.sampled_from(b'{}[]:,"\\ 0e-tn'))])
+    return draw(st.sampled_from([
+        *[document] * 9,
+        document[:at],
+        document[:at] + byte + document[at + 1 :],
+        document[:at] + byte + document[at:],
+        document + byte,
+    ]))
+
+
+_TURN_JSON = '[{"speaker": "user", "text": "hi"}]'
+_OTHER_TURN_JSON = '[{"speaker": "system", "text": "ok"}]'
+
+
+@pytest.mark.parametrize("template", [
+    '{"dialogs": {"d1": T, "d2": T}}',
+    ' \n{ "stats" : {} ,\t"dialogs":{ "d1":T } }\r\n',
+    '{"dialogs": {}}',
+    '{"dialogs": {"d1": T "d2": T}}',  # a missing comma
+    '{"stats": {} "dialogs": {"d1": T}}',
+    '{"dialogs": {"d1": T,}}',  # a trailing comma
+    '{"stats": {}, "dialogs": {"d1": T},}',
+    '{"dialogs": {"d1" T}}',  # a missing colon
+    '{"dialogs" {"d1": T}}',
+    '{"dialogs": {d1: T}}',
+    '{dialogs: {"d1": T}}',
+    '{"dialogs": {"d1": }}',
+    '{"dialogs": {"d1": T}} x',  # data after the root
+    '{"dialogs": {"d1": T}}}',
+    '{"dialogs": {"d1": T}} {}',
+    '{"dialogs": {"d1": T}',
+    '{"dialogs": {"d1": T',
+    '{"dialogs": {"d1": T}, "dialogs": {"d2": T}}',  # the last 'dialogs' wins
+    '{"dialogs": {"d1": T}, "dialogs": {}}',
+    '{"dialogs": [], "dialogs": {"d1": T}}',
+    '{"dialogs": {"d1": T}, "dialogs": []}',
+    '{"dialogs": {"d1": T, "d2": U, "d1": U}}',  # a repeated id keeps its place and takes the last value
+    '{"dialogs": {"d1": [], "d2": T, "d1": T}}',
+    '{"dialogs": {"d1": [1], "d2": T}} x',  # a JSON error wins over an earlier schema error
+    '{"dialogs": {"d1": [1], "d2": [2]}}',  # the first schema error in document order
+    '{"stats": [[[', '', '"dialogs"', '[]', 'null', '\ufeff{"dialogs": {}}',
+])
+def test_parse_matches_reference_on_framing_edge_cases(template):
+    text = template.replace("T", _TURN_JSON).replace("U", _OTHER_TURN_JSON)
+    assert _outcome(_parse_dialogs, text) == _outcome(_reference_parse_dialogs, text)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(document=_documents())
+def test_parse_matches_reference_on_generated_documents(document):
+    try:
+        text = document.decode("utf-8")
+    except UnicodeDecodeError:
+        assume(False)
+    assert _outcome(_parse_dialogs, text) == _outcome(_reference_parse_dialogs, text)
+
+
+def _traced(function, *args):
+    """`function(*args)`, its traced peak and what it kept, in bytes."""
+    tracemalloc.start()
+    try:
+        result = function(*args)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak, kept
+
+
+MEMORY_FLOW = planted_flow(k_user=4, k_system=3, n_dialogs=400, dim=8, min_len=8, max_len=8)
+
+
+def test_parse_holds_one_dialogs_json_at_a_time():
+    document = serialize_unified(MEMORY_FLOW.dialogs)
+    assert len(document) > 1_000_000
+    dialogs, peak, kept = _traced(parse_unified, document)
+    assert dialogs == MEMORY_FLOW.dialogs
+    # the text and one dialog's JSON on top of the parsed dialogs; the whole
+    # document's JSON tree is about 2.8 times the document
+    assert (peak - kept) / len(document) < 1.5
+
+
+def test_serialize_encodes_each_dialog_once():
+    document, peak, _ = _traced(serialize_unified, MEMORY_FLOW.dialogs)
+    # the encoded pieces and the joined result, without a str copy of the document
+    assert peak / len(document) < 2.5

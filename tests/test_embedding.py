@@ -1,5 +1,6 @@
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -182,6 +183,23 @@ def test_binary_roundtrip_bit_identical(tmp_path):
         again = load_embeddings(str(p1), format="binary")
         save_embeddings(again, str(p2), format="binary")
         assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_load_binary_releases_the_file_bytes_before_converting(tmp_path):
+    """At the float32 -> float64 conversion, only the gathered float32
+    vectors are transient: the file's bytes are already released."""
+    rng = np.random.default_rng(3)
+    path = tmp_path / "e.bin"
+    save_embeddings(build_store([(f"utt{i}", rng.standard_normal(64)) for i in range(2000)]), str(path), format="binary")
+    tracemalloc.start()
+    try:
+        store = load_embeddings(str(path))
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    gathered = store.array.nbytes // 2
+    # gathered plus the id table's growth; with the file's bytes still held, plus the file size
+    assert peak - kept < gathered + path.stat().st_size / 2
 
 
 def _reference_save_binary(store: EmbeddingStore, path: str) -> None:
