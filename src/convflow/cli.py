@@ -1,10 +1,12 @@
 """Command-line orchestration: ingest, eval, extract, losscheck, sweep.
 
-Configuration precedence is flags > environment > config file > defaults;
-defaults are pinned to the published hyperparameters. All randomness flows
-from one root seed through named substreams, so fixed seed + fixed inputs
-means byte-identical outputs. Exit codes: 0 success, 1 check failure,
-2 input error, 3 remote-service error.
+Flags override the config file, which overrides the defaults; defaults are
+pinned to the published hyperparameters. The environment supplies only the
+D2F_* service settings, which have no flag or config key; an --embeddings
+path, from a flag or the config file, wins over D2F_EMBED_URL. All
+randomness flows from one root seed through named substreams, so fixed
+seed + fixed inputs means byte-identical outputs. Exit codes: 0 success,
+1 check failure, 2 input error, 3 remote-service error.
 """
 
 from __future__ import annotations
@@ -73,8 +75,8 @@ def _config_value(key: str, value):
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
-    """defaults <- config file <- flags (service endpoints come from env
-    unless flags override; numeric settings have no env channel)."""
+    """defaults <- config file <- flags; the D2F_* service settings are read
+    from the environment where a service is called, not here."""
     config = RunConfig()
     path = getattr(args, "config", None)
     if path:
@@ -185,59 +187,55 @@ def cmd_eval(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _cluster_labels(graph: flowgraph.FlowGraph, parts: dict[str, cluster.Clustering],
+                    store: embedding.EmbeddingStore, turns: dict[str, corpus.AnnotatedUtterance]) -> dict[str, str]:
+    """`node: name` for each node the pruned graph keeps, in U0..., S0... order:
+    the LLM's name when $D2F_LLM_URL gives one, else the representative utterance."""
+    kept = [(f"{prefix}{cid}", parts[role], cid) for role, prefix in flowgraph._ROLE_PREFIXES
+            for cid in range(parts[role].k) if f"{prefix}{cid}" in graph.node_weights]
+    names = {}
+    if os.environ.get(flowgraph.ENV_LLM_URL):
+        names = flowgraph.label_clusters_llm(
+            [(node, [turns[m].text for m in part.members(cid)]) for node, part, cid in kept],
+            os.environ[flowgraph.ENV_LLM_URL],
+            model=os.environ.get(flowgraph.ENV_LLM_MODEL),
+            token=os.environ.get(flowgraph.ENV_LLM_TOKEN),
+        )
+    for node, part, cid in kept:
+        if node not in names:
+            names[node] = turns[cluster.representative(store, part, cid)].text[:40]
+    return {node: f"{node}: {names[node]}" for node, _, _ in kept}
+
+
 def cmd_extract(args: argparse.Namespace) -> int:
     config = resolve_config(args)
     out_dir = _require(config.out, "--out")
     dialogs = _load_corpus(_require(config.corpus, "--corpus"))
     os.makedirs(out_dir, exist_ok=True)
-    labels: dict[str, str] = {}
     if args.gold:
         trajectories = flowgraph.trajectories_gold(dialogs)
     else:
         if config.clusters_user is None or config.clusters_system is None:
             raise InputError("induced extraction needs --clusters-user and --clusters-system")
         store = _resolve_store(config.embeddings, dialogs).normalize()
-        ids_user, ids_system = [], []
-        texts = {}
-        for dialog in dialogs:
-            for i, turn in enumerate(dialog.turns):
-                uid = corpus.utterance_id(dialog.dialog_id, i)
-                texts[uid] = turn.text
-                (ids_user if turn.speaker == "user" else ids_system).append(uid)
-        missing = sorted(u for u in ids_user + ids_system if u not in store)
+        turns = {corpus.utterance_id(d.dialog_id, i): turn for d in dialogs for i, turn in enumerate(d.turns)}
+        missing = sorted(uid for uid in turns if uid not in store)
         if missing:
             raise InputError(f"{len(missing)} utterances lack embeddings, e.g. {missing[:3]}")
         parts = {}
-        for role, ids, k in (
-            ("user", ids_user, config.clusters_user),
-            ("system", ids_system, config.clusters_system),
-        ):
+        for (role, _), k in zip(flowgraph._ROLE_PREFIXES, (config.clusters_user, config.clusters_system)):
             role_seed = int(substream(config.seed, "cluster", role).integers(2**31))
+            ids = [uid for uid, turn in turns.items() if turn.speaker == role]
             parts[role] = cluster.kmeans(store, ids, k, seed=role_seed)
             with open(os.path.join(out_dir, f"clusters_{role}.tsv"), "w", encoding="utf-8") as fh:
                 fh.write(cluster.clustering_to_text(parts[role]))
         trajectories = flowgraph.trajectories_induced(dialogs, parts["user"], parts["system"])
-        nodes = [(f"{prefix}{cid}", role, cid) for role, prefix in (("user", "U"), ("system", "S"))
-                 for cid in range(parts[role].k)]
-        llm_names = {}
-        if os.environ.get(flowgraph.ENV_LLM_URL):
-            llm_names = flowgraph.label_clusters_llm(
-                [(node, [texts[m] for m in parts[role].members(cid)]) for node, role, cid in nodes],
-                os.environ[flowgraph.ENV_LLM_URL],
-                model=os.environ.get(flowgraph.ENV_LLM_MODEL),
-                token=os.environ.get(flowgraph.ENV_LLM_TOKEN),
-            )
-        for node, role, cid in nodes:
-            if node in llm_names:
-                labels[node] = f"{node}: {llm_names[node]}"
-            else:
-                rep = cluster.representative(store, parts[role], cid)
-                labels[node] = f"{node}: {texts[rep][:40]}"
     full = flowgraph.build_graph(trajectories)
     graph = flowgraph.prune(full, config.epsilon)
     if not graph.nodes:
         print(f"warning: epsilon={config.epsilon} pruned every node; the heaviest node "
               f"weighs {max(full.node_weights.values()):.3f}", file=sys.stderr)
+    labels = {} if args.gold else _cluster_labels(graph, parts, store, turns)
     dot = flowgraph.export_dot(graph, flowgraph.DotOptions(labels=labels))
     with open(os.path.join(out_dir, "flow.dot"), "w", encoding="utf-8") as fh:
         fh.write(dot)

@@ -435,12 +435,12 @@ _TURN = """{
    }"""
 
 
-def _json_block(open_: str, entries: list[str], close: str, pad: str) -> str:
-    """`entries` one per line, one space deeper than `pad`; empty renders
+def _json_block(open_: str, entries: list[str], close: str, pad: str, indent: str = " ") -> str:
+    """`entries` one per line, `indent` deeper than `pad`; empty renders
     as `open_ + close`, as json.dumps does."""
     if not entries:
         return open_ + close
-    return f"{open_}\n{pad} " + f",\n{pad} ".join(entries) + f"\n{pad}{close}"
+    return f"{open_}\n{pad}{indent}" + f",\n{pad}{indent}".join(entries) + f"\n{pad}{close}"
 
 
 def _json_list(items: tuple[str, ...], pad: str) -> str:

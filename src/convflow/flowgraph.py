@@ -22,7 +22,7 @@ from json.encoder import encode_basestring_ascii as _encode_ascii  # the C escap
 
 from . import remote
 from .cluster import Clustering
-from .corpus import UnifiedDialog, action_of, utterance_id
+from .corpus import UnifiedDialog, _json_block, action_of, utterance_id
 from .errors import InputError, RemoteError, UnavailableError
 
 DEFAULT_EPSILON = 0.02
@@ -35,6 +35,7 @@ LLM_WORKERS = 4  # concurrent naming requests
 
 
 Trajectory = tuple[tuple[str, str], ...]  # a dialog's (action, speaker) steps, in turn order
+_ROLE_PREFIXES = (("user", "U"), ("system", "S"))  # induced node ids are <prefix><cluster id>, users first
 
 
 @dataclass(frozen=True)
@@ -87,7 +88,7 @@ def trajectories_induced(
     """Trajectories from per-speaker cluster assignments; step actions are
     U<cluster> / S<cluster> ids, one shared step per (speaker, cluster)."""
     step_of = {}  # speaker -> uid -> the step of its cluster
-    for speaker, prefix, clustering in (("user", "U", clustering_user), ("system", "S", clustering_system)):
+    for (speaker, prefix), clustering in zip(_ROLE_PREFIXES, (clustering_user, clustering_system)):
         steps = [(f"{prefix}{c}", speaker) for c in range(clustering.k)]
         step_of[speaker] = dict(zip(clustering.ids, map(steps.__getitem__, clustering.labels.tolist())))
     out = []
@@ -224,14 +225,6 @@ _JSON_EDGE = """{
     }"""
 
 
-def _json_block(open_: str, entries: list[str], close: str) -> str:
-    """A top-level value of flow.json: `entries` one per line at depth 2;
-    empty renders as `open_ + close`, as json.dumps does."""
-    if not entries:
-        return open_ + close
-    return f"{open_}\n    " + ",\n    ".join(entries) + f"\n  {close}"
-
-
 def export_json(graph: FlowGraph, labels: dict[str, str] | None = None) -> str:
     """Structured-text export: node and edge records plus the start/end
     statistics, which are not part of the graph itself. The text equals
@@ -254,11 +247,12 @@ def export_json(graph: FlowGraph, labels: dict[str, str] | None = None) -> str:
         for edge in graph.edges()
     ]
     starts, ends = (
-        _json_block("{", [f"{ids[node]}: {n}" for node, n in sorted(counts.items())], "}")
+        _json_block("{", [f"{ids[node]}: {n}" for node, n in sorted(counts.items())], "}", "  ", indent="  ")
         for counts in (graph.start_counts, graph.end_counts)
     )
     return _JSON_GRAPH % (
-        _json_block("[", edges, "]"), ends, _json_block("[", nodes, "]"), starts, graph.total_steps
+        _json_block("[", edges, "]", "  ", indent="  "), ends, _json_block("[", nodes, "]", "  ", indent="  "), starts,
+        graph.total_steps,
     )
 
 
@@ -327,9 +321,10 @@ def label_clusters_llm(
 
     Requests go through `remote.post_json` (HTTP 5xx and connection failures
     retried 3 times with 0.5 s doubling backoff). A cluster whose request
-    still fails, or whose reply is malformed, is left out of the result with
-    a warning; once one request has failed past its retries, clusters not yet
-    sent are left out without a request.
+    still fails, or whose reply is malformed (content that is not a string,
+    or holds an unpaired surrogate UTF-8 cannot encode), is left out of the
+    result with a warning; once one request has failed past its retries,
+    clusters not yet sent are left out without a request.
     """
     for cid, texts in clusters:
         if not texts:
@@ -345,7 +340,8 @@ def label_clusters_llm(
             content = remote.post_json(endpoint, payload, token)["choices"][0]["message"]["content"]
             if not isinstance(content, str):
                 raise RemoteError(f"completion content is a {type(content).__name__}")
-        except (RemoteError, LookupError, TypeError) as exc:
+            content.encode("utf-8")  # an unpaired surrogate, which no output file can hold
+        except (RemoteError, LookupError, TypeError, UnicodeEncodeError) as exc:
             if isinstance(exc, UnavailableError):
                 down.set()
             warnings.warn(f"cluster {cid} labeling failed ({exc!r}); left unnamed")

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 import struct
@@ -5,7 +6,7 @@ import tracemalloc
 
 import pytest
 
-from convflow import evaluation
+from convflow import cluster, evaluation
 from convflow.cli import _parse_grid, main
 from convflow.corpus import serialize_unified
 from convflow.embedding import save_embeddings
@@ -725,8 +726,8 @@ def test_eval_malformed_encoder_reply_exits_3(planted, tmp_path, monkeypatch, re
 
 @pytest.mark.parametrize(
     "first_reply",
-    [[], {"choices": [{"message": {"content": 42}}]}],
-    ids=["json-list", "non-string-content"],
+    [[], {"choices": [{"message": {"content": 42}}]}, {"choices": [{"message": {"content": '\ud800 name"'}}]}],
+    ids=["json-list", "non-string-content", "unpaired-surrogate"],
 )
 def test_extract_malformed_llm_reply_gets_a_placeholder(planted, tmp_path, monkeypatch, reply_server, first_reply):
     _, corpus_path, emb_path = planted
@@ -778,6 +779,40 @@ def test_extract_warns_when_epsilon_prunes_every_node(planted, tmp_path, capsys)
     assert "epsilon=0.5" in captured.err and "0.219" in captured.err
     assert json.loads((out_dir / "flow.json").read_text())["nodes"] == []
     assert (out_dir / "flow.dot").exists()
+
+
+@pytest.mark.parametrize("llm", [True, False], ids=["llm", "no-llm"])
+def test_extract_labels_only_the_nodes_the_pruned_graph_keeps(planted, tmp_path, monkeypatch, reply_server, llm):
+    _, corpus_path, emb_path = planted
+    requests, representatives = [], []
+
+    def name(n, payload):  # one name per cluster, whatever order the requests come in
+        requests.append(payload)
+        digest = hashlib.sha256(payload["messages"][1]["content"].encode()).hexdigest()[:8]
+        return json.dumps({"choices": [{"message": {"content": f'cluster {digest}"'}}]}).encode()
+
+    if llm:
+        monkeypatch.setenv("D2F_LLM_URL", reply_server(name))
+    representative = cluster.representative
+    monkeypatch.setattr(cluster, "representative", lambda *a: representatives.append(a) or representative(*a))
+
+    def run(epsilon):
+        requests.clear()
+        representatives.clear()
+        out = tmp_path / f"eps-{epsilon}"
+        assert main(["extract", "--corpus", corpus_path, "--embeddings", emb_path, "--out", str(out),
+                     "--clusters-user", "3", "--clusters-system", "3", "--seed", "11", "--epsilon", str(epsilon)]) == 0
+        return {n["id"]: n for n in json.loads((out / "flow.json").read_text())["nodes"]}
+
+    full = run(0.0)
+    kept = run(0.15)
+    assert sorted(kept) == sorted(node for node, n in full.items() if n["weight"] >= 0.15)
+    assert 0 < len(kept) < len(full) == 6
+    # a name or a representative for each kept node only; each node, label included, as the unpruned run has it
+    assert (len(requests), len(representatives)) == ((len(kept), 0) if llm else (0, len(kept)))
+    assert kept == {node: full[node] for node in kept}
+    assert run(0.9) == {}
+    assert (requests, representatives) == ([], [])
 
 
 def test_extract_llm_cluster_names_via_env(planted, tmp_path, monkeypatch):
