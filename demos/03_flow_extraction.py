@@ -10,7 +10,7 @@ Run: python demos/03_flow_extraction.py
 """
 
 from convflow.cluster import kmeans, representative
-from convflow.corpus import utterance_id
+from convflow.corpus import utterances
 from convflow.flowgraph import (
     DotOptions,
     build_graph,
@@ -36,11 +36,9 @@ for node in gold.nodes:
 # Induced graph: per-speaker spherical k-means with the gold budgets
 ids_user, ids_system = [], []
 texts = {}
-for dialog in pf.dialogs:
-    for i, turn in enumerate(dialog.turns):
-        uid = utterance_id(dialog.dialog_id, i)
-        texts[uid] = turn.text
-        (ids_user if turn.speaker == "user" else ids_system).append(uid)
+for uid, turn in utterances(pf.dialogs):
+    texts[uid] = turn.text
+    (ids_user if turn.speaker == "user" else ids_system).append(uid)
 
 clusters_user = kmeans(pf.store, ids_user, k=4, seed=31)
 clusters_system = kmeans(pf.store, ids_system, k=4, seed=32)

@@ -124,7 +124,6 @@ def gradient_check_case(rng: np.random.Generator, soft: bool, perturb: float = 0
         labels = rng.integers(0, max(2, n // 2), size=n)
         head = init_head(enc, d, seed=int(rng.integers(2**31)))
         table = random_label_table(rng, int(labels.max()) + 1) if soft else None
-        # built from the unit rows before the finite differences move them in place
         batch = ContrastiveBatch(anchors=xa, positives=xp, labels=labels)
         try:
             _, grads = grad_loss(batch, table, temps, head)

@@ -17,6 +17,7 @@ import math
 import os
 import sys
 import typing
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from . import checks, cluster, contrastive, corpus, embedding, evaluation, flowgraph
@@ -111,10 +112,10 @@ def _load_corpus(path: str) -> list[corpus.UnifiedDialog]:
 
 
 def _resolve_store(
-    embeddings_path: str | None, dialogs: list[corpus.UnifiedDialog]
+    embeddings_path: str | None, utterances: Iterable[tuple[str, corpus.AnnotatedUtterance]]
 ) -> embedding.EmbeddingStore:
-    """Embedding file when a path is given, else the remote encoder from
-    the environment (one vector per utterance, keyed by utterance id)."""
+    """Embedding file when a path is given, else the remote encoder from the
+    environment, which embeds the text of each of `utterances` under its id."""
     if embeddings_path:
         return embedding.load_embeddings(embeddings_path)
     endpoint = os.environ.get(embedding.ENV_EMBED_URL)
@@ -122,12 +123,9 @@ def _resolve_store(
         raise InputError(
             f"no embeddings: pass --embeddings or set {embedding.ENV_EMBED_URL}"
         )
-    ids, texts = [], []
-    for dialog in dialogs:
-        for i, turn in enumerate(dialog.turns):
-            ids.append(corpus.utterance_id(dialog.dialog_id, i))
-            texts.append(turn.text)
-    return embedding.fetch_remote(endpoint, texts, ids, token=os.environ.get(embedding.ENV_EMBED_TOKEN))
+    pairs = list(utterances)
+    return embedding.fetch_remote(endpoint, [turn.text for _, turn in pairs], [uid for uid, _ in pairs],
+                                  token=os.environ.get(embedding.ENV_EMBED_TOKEN))
 
 
 def _require(value: str | None, what: str) -> str:
@@ -167,7 +165,7 @@ def _labeled_data(
 def cmd_eval(args: argparse.Namespace) -> int:
     config = resolve_config(args)
     dialogs = _load_corpus(_require(config.corpus, "--corpus"))
-    data = _labeled_data(dialogs, _resolve_store(config.embeddings, dialogs))
+    data = _labeled_data(dialogs, _resolve_store(config.embeddings, corpus.utterances(dialogs)))
     report = evaluation.evaluate(
         data,
         kshots=config.kshot,
@@ -217,15 +215,15 @@ def cmd_extract(args: argparse.Namespace) -> int:
     else:
         if config.clusters_user is None or config.clusters_system is None:
             raise InputError("induced extraction needs --clusters-user and --clusters-system")
-        store = _resolve_store(config.embeddings, dialogs).normalize()
-        turns = {corpus.utterance_id(d.dialog_id, i): turn for d in dialogs for i, turn in enumerate(d.turns)}
-        missing = sorted(uid for uid in turns if uid not in store)
+        utterances = list(corpus.utterances(dialogs))
+        store = _resolve_store(config.embeddings, utterances).normalize()
+        missing = sorted(uid for uid, _ in utterances if uid not in store)
         if missing:
             raise InputError(f"{len(missing)} utterances lack embeddings, e.g. {missing[:3]}")
         parts = {}
         for (role, _), k in zip(flowgraph._ROLE_PREFIXES, (config.clusters_user, config.clusters_system)):
             role_seed = int(substream(config.seed, "cluster", role).integers(2**31))
-            ids = [uid for uid, turn in turns.items() if turn.speaker == role]
+            ids = [uid for uid, turn in utterances if turn.speaker == role]
             parts[role] = cluster.kmeans(store, ids, k, seed=role_seed)
             with open(os.path.join(out_dir, f"clusters_{role}.tsv"), "w", encoding="utf-8") as fh:
                 fh.write(cluster.clustering_to_text(parts[role]))
@@ -235,7 +233,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
     if not graph.nodes:
         print(f"warning: epsilon={config.epsilon} pruned every node; the heaviest node "
               f"weighs {max(full.node_weights.values()):.3f}", file=sys.stderr)
-    labels = {} if args.gold else _cluster_labels(graph, parts, store, turns)
+    labels = {} if args.gold else _cluster_labels(graph, parts, store, dict(utterances))
     dot = flowgraph.export_dot(graph, flowgraph.DotOptions(labels=labels))
     with open(os.path.join(out_dir, "flow.dot"), "w", encoding="utf-8") as fh:
         fh.write(dot)

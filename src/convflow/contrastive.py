@@ -51,11 +51,7 @@ class Temperatures:
 
 @dataclass(frozen=True)
 class ContrastiveBatch:
-    """N anchor/positive unit-vector pairs with integer label ids.
-
-    The unit-norm check runs once, here; finite-difference probes build
-    the batch first and then nudge its arrays off the sphere in place.
-    """
+    """N anchor/positive vector pairs with integer label ids."""
 
     anchors: np.ndarray
     positives: np.ndarray
@@ -67,9 +63,6 @@ class ContrastiveBatch:
             raise InputError(f"anchors {a.shape} and positives {p.shape} must be equal 2-d shapes")
         if len(self.labels) != a.shape[0]:
             raise InputError("one label per anchor required")
-        for name, m in (("anchors", a), ("positives", p)):
-            if m.shape[0] and np.max(np.abs(row_norms(m) - 1.0)) > 1e-6:
-                raise InputError(f"{name} must be unit-norm within 1e-6")
 
     @property
     def size(self) -> int:
@@ -190,18 +183,26 @@ def _cross_entropy(anchors, positives, labels, table: np.ndarray | None, temps: 
     return -(targets * log_q).sum(axis=1), targets, log_q
 
 
+def _loss_on_sphere(batch: ContrastiveBatch, table: np.ndarray | None, temps: Temperatures) -> tuple[float, np.ndarray]:
+    """The mean and per-anchor `_cross_entropy` of a batch whose anchors and
+    positives, read as points on the sphere, must be unit rows."""
+    for name, m in (("anchors", np.asarray(batch.anchors)), ("positives", np.asarray(batch.positives))):
+        if m.shape[0] and np.max(np.abs(row_norms(m) - 1.0)) > 1e-6:
+            raise InputError(f"{name} must be unit-norm within 1e-6")
+    per_anchor, _, _ = _cross_entropy(batch.anchors, batch.positives, batch.labels, table, temps)
+    return float(per_anchor.mean()), per_anchor
+
+
 def sup_loss(batch: ContrastiveBatch, temps: Temperatures) -> tuple[float, np.ndarray]:
     """Supervised contrastive loss: mean over anchors of the average
     negative log-probability assigned to same-label batch positions."""
-    per_anchor, _, _ = _cross_entropy(batch.anchors, batch.positives, batch.labels, None, temps)
-    return float(per_anchor.mean()), per_anchor
+    return _loss_on_sphere(batch, None, temps)
 
 
 def soft_loss(batch: ContrastiveBatch, table: np.ndarray, temps: Temperatures) -> tuple[float, np.ndarray]:
     """Soft contrastive loss: cross-entropy against the label-similarity
     softmax targets instead of the uniform-on-positives distribution."""
-    per_anchor, _, _ = _cross_entropy(batch.anchors, batch.positives, batch.labels, table, temps)
-    return float(per_anchor.mean()), per_anchor
+    return _loss_on_sphere(batch, table, temps)
 
 
 # ---------------------------------------------------------------------------
@@ -225,8 +226,9 @@ def grad_loss(
     """Loss and analytic gradients through the head, the final
     normalization, and the softmax cross-entropy.
 
-    `batch` carries encoder-level vectors (size n); a None table selects
-    the hard loss. Gradients cover W1, W2, and both input sides.
+    `batch` carries encoder-level vectors of size n and any norm, as the
+    head normalizes its own outputs; a None table selects the hard loss.
+    Gradients cover W1, W2, and both input sides.
     """
     za, cache_a = _head_forward_batch(head, batch.anchors)
     zp, cache_p = _head_forward_batch(head, batch.positives)

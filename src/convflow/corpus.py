@@ -12,6 +12,7 @@ import gc
 import json
 import re
 from collections import Counter
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring as _encode  # the C escaper behind ensure_ascii=False
 from typing import NamedTuple
@@ -65,6 +66,11 @@ class ActionLabel:
 def utterance_id(dialog_id: str, turn_index: int) -> str:
     """Stable id linking corpus turns to embeddings and clusterings."""
     return f"{dialog_id}:{turn_index}"
+
+
+def utterances(dialogs: Iterable[UnifiedDialog]) -> Iterator[tuple[str, AnnotatedUtterance]]:
+    """(utterance id, turn) of each turn in file order: the join to embeddings, clusters and steps."""
+    return ((utterance_id(d.dialog_id, i), turn) for d in dialogs for i, turn in enumerate(d.turns))
 
 
 # ---------------------------------------------------------------------------
@@ -536,13 +542,12 @@ def labeled_utterances(corpus: list[UnifiedDialog]) -> list[tuple[str, str, str,
     skipping unannotated turns."""
     labels: dict[tuple, ActionLabel] = {}  # (acts, slots) -> the shared action
     rows = []
-    for dialog in corpus:
-        for i, turn in enumerate(dialog.turns):
-            if not turn.acts:
-                continue
-            key = (turn.acts, turn.slots)
-            label = labels.get(key)
-            if label is None:
-                label = labels[key] = action_of(turn)
-            rows.append((utterance_id(dialog.dialog_id, i), turn.speaker, turn.text, label))
+    for uid, turn in utterances(corpus):
+        if not turn.acts:
+            continue
+        key = (turn.acts, turn.slots)
+        label = labels.get(key)
+        if label is None:
+            label = labels[key] = action_of(turn)
+        rows.append((uid, turn.speaker, turn.text, label))
     return rows

@@ -17,12 +17,12 @@ import warnings
 from collections import Counter
 from collections.abc import Hashable
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, islice
 from json.encoder import encode_basestring_ascii as _encode_ascii  # the C escaper behind ensure_ascii=True
 
 from . import remote
 from .cluster import Clustering
-from .corpus import UnifiedDialog, _json_block, action_of, utterance_id
+from .corpus import UnifiedDialog, _json_block, action_of, utterances
 from .errors import InputError, RemoteError, UnavailableError
 
 DEFAULT_EPSILON = 0.02
@@ -86,22 +86,17 @@ def trajectories_induced(
     clustering_system: Clustering,
 ) -> list[Trajectory]:
     """Trajectories from per-speaker cluster assignments; step actions are
-    U<cluster> / S<cluster> ids, one shared step per (speaker, cluster)."""
+    U<cluster> / S<cluster> ids, one shared step per (speaker, cluster).
+    A turn is looked up only in its own speaker's clustering."""
     step_of = {}  # speaker -> uid -> the step of its cluster
     for (speaker, prefix), clustering in zip(_ROLE_PREFIXES, (clustering_user, clustering_system)):
         steps = [(f"{prefix}{c}", speaker) for c in range(clustering.k)]
         step_of[speaker] = dict(zip(clustering.ids, map(steps.__getitem__, clustering.labels.tolist())))
-    out = []
-    for dialog in dialogs:
-        steps = []
-        for i, turn in enumerate(dialog.turns):
-            uid = utterance_id(dialog.dialog_id, i)
-            step = step_of["user" if turn.speaker == "user" else "system"].get(uid)
-            if step is None:
-                raise InputError(f"utterance '{uid}' has no cluster assignment")
-            steps.append(step)
-        out.append(tuple(steps))
-    return out
+    pairs = utterances(dialogs)  # one pass, cut back into dialogs by their turn counts
+    try:
+        return [tuple([step_of.get(t.speaker, {})[uid] for uid, t in islice(pairs, len(d.turns))]) for d in dialogs]
+    except KeyError as exc:  # not in its speaker's clustering, or its speaker has none: the key is the uid
+        raise InputError(f"utterance '{exc.args[0]}' has no cluster assignment") from None
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import ActionLabel, AnnotatedUtterance, UnifiedDialog, utterance_id
+from .corpus import ActionLabel, AnnotatedUtterance, UnifiedDialog, utterances
 from .embedding import EmbeddingStore, row_norms
 from .errors import InputError
 from .seeding import substream
@@ -116,7 +116,6 @@ def planted_flow(
     dots: list[float] = []  # tangent . centre
     uniforms: list[float] = []  # the angle's draw in [0, 1)
     which: list[int] = []  # centre row
-    index: dict[str, int] = {}
     dialogs: list[UnifiedDialog] = []
     random, normal, dot = rng.random, rng.standard_normal, np.dot
     row = 0
@@ -133,9 +132,9 @@ def planted_flow(
             dots.append(dot(normal(out=tangents[row]), center_rows[c]))
             uniforms.append(random())
             which.append(c)
-            index[utterance_id(dialog_id, i)] = row
             row += 1
         dialogs.append(UnifiedDialog(dialog_id=dialog_id, turns=tuple(turns)))
+    index = {uid: row for row, (uid, _) in enumerate(utterances(dialogs))}
 
     # v = cos(theta) c + sin(theta) t / |t|, t the tangent less its
     # projection on the centre c, in two (turns, dim) buffers

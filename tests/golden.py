@@ -1,10 +1,11 @@
 """Golden manifest: the sha256 of every file and stdout the CLI writes on
-small fixed inputs.
+small fixed inputs, and of each demo's stdout.
 
 The determinism tests compare two runs of one tree; this manifest compares a
 tree with the commit that wrote it, so a change that moves one output bit
-fails tier-1 (`tests/test_golden.py`). A change that alters an output on
-purpose rewrites the manifest, from the repository root, with
+fails tier-1 (`tests/test_golden.py` for the CLI, `tests/test_demos.py` for
+the demos). A change that alters an output on purpose rewrites the manifest,
+from the repository root, with
 
     PYTHONPATH=src python -m tests.golden --update
 
@@ -25,6 +26,7 @@ import hashlib
 import io
 import json
 import os
+import subprocess
 import sys
 import tempfile
 
@@ -33,7 +35,9 @@ from convflow.corpus import AnnotatedUtterance, UnifiedDialog, serialize_unified
 from convflow.embedding import EmbeddingStore, build_store, save_embeddings
 from convflow.synth import graded_label_rows, planted_flow
 
-MANIFEST = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden.json")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+MANIFEST = os.path.join(ROOT, "tests", "golden.json")
+DEMOS = sorted(name for name in os.listdir(os.path.join(ROOT, "demos")) if name.endswith(".py"))
 
 # A hand-written corpus in the raw shape real datasets arrive in, which
 # `ingest` rewrites: act names in mixed case, unsorted and repeated slots,
@@ -185,16 +189,43 @@ def outputs() -> dict[str, str]:
     return digests
 
 
-def load() -> dict[str, str]:
+def demo_pin(demo: str) -> str:
+    """The manifest name of a demo's stdout pin."""
+    return f"demos/{demo}/stdout"
+
+
+def run_demo(demo: str) -> subprocess.CompletedProcess:
+    """Run one of `DEMOS` on this tree's `src`, capturing its stdout and stderr as bytes."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    return subprocess.run([sys.executable, os.path.join(ROOT, "demos", demo)], env=env, capture_output=True,
+                          timeout=120)
+
+
+def _manifest() -> dict[str, str]:
     with open(MANIFEST, encoding="utf-8") as fh:
         return json.load(fh)
+
+
+def load() -> dict[str, str]:
+    """The CLI pins, the names `outputs` makes."""
+    return {name: digest for name, digest in _manifest().items() if not name.startswith("demos/")}
+
+
+def demo_digests() -> dict[str, str]:
+    """The demo pins: demo_pin(demo) -> sha256 of the demo's stdout."""
+    return {name: digest for name, digest in _manifest().items() if name.startswith("demos/")}
 
 
 if __name__ == "__main__":
     if sys.argv[1:] != ["--update"]:
         sys.exit("usage: python -m tests.golden --update")
-    old = load() if os.path.exists(MANIFEST) else {}
+    old = _manifest() if os.path.exists(MANIFEST) else {}
     new = outputs()
+    for demo in DEMOS:
+        run = run_demo(demo)
+        if run.returncode != 0:
+            sys.exit(f"{demo} exited {run.returncode}:\n{run.stderr.decode()}")
+        new[demo_pin(demo)] = _digest(run.stdout)
     with open(MANIFEST, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(new, indent=1, sort_keys=True) + "\n")
     for name in sorted(old.keys() | new.keys()):

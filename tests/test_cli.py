@@ -621,6 +621,31 @@ def test_eval_remote_embeddings_via_env(planted, tmp_path, monkeypatch):
     assert (tmp_path / "remote.json").read_bytes() == (tmp_path / "file.json").read_bytes()
 
 
+def test_extract_sends_each_utterance_to_the_remote_encoder_once_in_file_order(planted, tmp_path, monkeypatch):
+    from convflow.corpus import utterances
+
+    pf, corpus_path, emb_path = planted
+    pairs = list(utterances(pf.dialogs))
+    requests = []
+
+    class Positional(Handler):
+        def do_POST(self):
+            texts = json.loads(self.rfile.read(int(self.headers["Content-Length"])))["texts"]
+            start = sum(map(len, requests))
+            requests.append(texts)
+            vectors = [pf.store[uid].tolist() for uid, _ in pairs[start : start + len(texts)]]
+            self.reply(json.dumps({"vectors": vectors}).encode())
+
+    argv = ["extract", "--corpus", corpus_path, "--clusters-user", "3", "--clusters-system", "3", "--out"]
+    with serving(Positional, "/embed") as url:
+        monkeypatch.setenv("D2F_EMBED_URL", url)
+        assert main(argv + [str(tmp_path / "remote")]) == 0
+    assert [text for texts in requests for text in texts] == [turn.text for _, turn in pairs]
+    assert main(argv + [str(tmp_path / "file"), "--embeddings", emb_path]) == 0
+    for name in ("clusters_user.tsv", "clusters_system.tsv", "flow.json", "flow.dot"):
+        assert (tmp_path / "remote" / name).read_bytes() == (tmp_path / "file" / name).read_bytes()
+
+
 def test_eval_remote_error_exits_3(planted, tmp_path, monkeypatch):
     from convflow import remote
 

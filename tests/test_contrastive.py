@@ -153,6 +153,25 @@ def test_sup_loss_empty_batch():
         sup_loss(batch, Temperatures())
 
 
+@pytest.mark.parametrize("side", ["anchors", "positives"])
+@pytest.mark.parametrize("soft", [False, True])
+def test_losses_reject_a_batch_off_the_sphere(soft, side):
+    # the batch itself takes any vectors; the two losses read them as points on the sphere
+    rng = np.random.default_rng(7)
+    labels = np.array([0, 0, 1, 1])
+
+    def loss(scale: float) -> float:
+        rows = {"anchors": random_unit_rows(rng, 4, 3), "positives": random_unit_rows(rng, 4, 3)}
+        rows[side][2] *= scale
+        batch = ContrastiveBatch(**rows, labels=labels)
+        return soft_loss(batch, np.eye(2), Temperatures())[0] if soft else sup_loss(batch, Temperatures())[0]
+
+    assert math.isfinite(loss(1 + 5e-7))
+    for scale in (1 + 2e-6, 0.5, 3.0):
+        with pytest.raises(InputError, match=f"^{side} must be unit-norm within 1e-6$"):
+            loss(scale)
+
+
 # ---------------------------------------------------------------------------
 # Soft targets and soft loss
 # ---------------------------------------------------------------------------
@@ -281,13 +300,20 @@ def test_temperatures_must_be_positive():
 # Gradients
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("soft", [False, True])
-def test_gradients_match_finite_differences(soft):
+@pytest.mark.parametrize(
+    "soft, off_sphere",
+    [(False, False), (True, False), (False, True), (True, True)],
+    ids=["False", "True", "False-off-sphere", "True-off-sphere"],
+)
+def test_gradients_match_finite_differences(soft, off_sphere):
     rng = np.random.default_rng(20 + int(soft))
     temps = Temperatures()
     for _ in range(5):
         n, enc, d = int(rng.integers(2, 7)), int(rng.integers(4, 12)), int(rng.integers(2, 6))
         xa, xp = random_unit_rows(rng, n, enc), random_unit_rows(rng, n, enc)
+        if off_sphere:  # the head normalizes its own outputs, so its inputs may have any norm
+            xa *= rng.uniform(0.2, 5.0, size=(n, 1))
+            xp *= rng.uniform(0.2, 5.0, size=(n, 1))
         labels = rng.integers(0, 2, size=n)
         head = init_head(enc, d, seed=int(rng.integers(1000)))
         table = build_label_table(["tok a", "tok b"]) if soft else None

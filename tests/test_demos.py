@@ -1,22 +1,22 @@
-"""Smoke test: every demo runs to completion without writing to stderr."""
+"""Every demo runs to completion without writing to stderr, and its stdout
+matches its pin in the golden manifest (`tests/golden.py`)."""
 
-import os
-import subprocess
-import sys
+import hashlib
 
 import pytest
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+import golden
 
 
-@pytest.mark.parametrize(
-    "demo",
-    ["01_contrastive_losses.py", "02_similarity_metrics.py", "03_flow_extraction.py", "04_temperature_sweep.py"],
-)
+def test_every_demo_has_a_stdout_pin():
+    assert sorted(golden.demo_digests()) == sorted(golden.demo_pin(demo) for demo in golden.DEMOS)
+
+
+@pytest.mark.parametrize("demo", golden.DEMOS)
 def test_demo_runs_cleanly(demo):
-    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
-    result = subprocess.run(
-        [sys.executable, os.path.join(ROOT, "demos", demo)], env=env, capture_output=True, text=True, timeout=120
+    result = golden.run_demo(demo)
+    assert result.returncode == 0, result.stderr.decode()
+    assert result.stderr == b""
+    assert hashlib.sha256(result.stdout).hexdigest() == golden.demo_digests().get(golden.demo_pin(demo)), (
+        f"{demo}'s stdout differs from its pin in tests/golden.json:\n{result.stdout.decode()}"
     )
-    assert result.returncode == 0, result.stderr
-    assert result.stderr == ""

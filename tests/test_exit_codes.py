@@ -1,13 +1,17 @@
 """Property test of the exit-code contract: whatever bytes an input file
 holds, a command exits 0 (ok) or 2 (input error) and never raises; whatever
-the remote encoder replies, it exits 0, 2 or 3 (remote error)."""
+the remote encoder replies, it exits 0, 2 or 3 (remote error). That holds
+also for JSON nested as deep as the interpreter's recursion limit, at each
+of the four places JSON enters."""
 
 import contextlib
 import io
 import json
 import math
 import os
+import sys
 import tempfile
+import threading
 from unittest import mock
 
 import pytest
@@ -217,6 +221,74 @@ def test_any_encoder_reply_exits_0_2_or_3_without_a_traceback(status, reply):
         code = main(["eval", "--corpus", corpus, "--reps", "2", "--out", os.path.join(tmp, "report.json")])
     assert code in (0, 2, 3) and "Traceback" not in err.getvalue(), (code, err.getvalue())
     assert (code == 0) == (err.getvalue() == ""), err.getvalue()
+
+
+# a JSON value nested to the interpreter's recursion limit plus an offset, in
+# lists or in objects; json.loads fails past a depth near the limit, which
+# depends on the Python version and on how deep the parse starts
+_NESTING = st.tuples(st.integers(min_value=-30, max_value=5), st.sampled_from(["[", '{"k": ']))
+
+
+def _nested(nesting) -> bytes:
+    offset, opening = nesting
+    depth = sys.getrecursionlimit() + offset
+    return (opening * depth + "0" + ("]" if opening == "[" else "}") * depth).encode()
+
+
+def _in_a_fresh_thread(function):
+    """`function()` on a new thread, whose stack starts empty as a command's
+    does, so the limit falls inside the offsets; raises what it raised."""
+    outcome = []
+
+    def run():
+        try:
+            outcome.append(function())
+        except BaseException as exc:  # re-raised on the test's own thread
+            outcome.append(exc)
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    thread.join()
+    if isinstance(outcome[0], BaseException):
+        raise outcome[0]
+    return outcome[0]
+
+
+def _nested_input_run(site: str, nested: bytes) -> int:
+    """One command with `nested` at `site`: in an ignored field of the first
+    corpus turn (`ingest --corpus`), as the config file's `seed` value, in an
+    ignored field of the first JSONL record, or in an ignored field of each
+    remote encoder reply."""
+    if site == "corpus":
+        corpus = VALID["corpus"].replace(b'"speaker": ', b'"extra": ' + nested + b', "speaker": ', 1)
+        return _run("corpus", "ingest", corpus)
+    if site == "config":
+        return _run("config", "eval", b'{"seed": ' + nested + b"}")
+    if site == "jsonl":
+        return _run("jsonl", "eval", VALID["jsonl"].replace(b"{", b'{"extra": ' + nested + b", ", 1))
+
+    class Encoder(Handler):
+        def do_POST(self):
+            texts = json.loads(self.rfile.read(int(self.headers["Content-Length"])))["texts"]
+            vectors = json.dumps([_TEXT_VECTORS[text] for text in texts]).encode()
+            self.reply(b'{"extra": ' + nested + b', "vectors": ' + vectors + b"}")
+
+    with tempfile.TemporaryDirectory() as tmp, serving(Encoder, "/embed") as url, \
+            mock.patch.dict(os.environ, {"D2F_EMBED_URL": url}):
+        corpus = os.path.join(tmp, "corpus")
+        with open(corpus, "wb") as fh:
+            fh.write(VALID["corpus"])
+        return main(["eval", "--corpus", corpus, "--reps", "2", "--out", os.path.join(tmp, "report.json")])
+
+
+@pytest.mark.parametrize("site", ["corpus", "config", "jsonl", "reply"])
+@settings(derandomize=True, database=None, deadline=None, max_examples=12)
+@given(nesting=_NESTING)
+def test_json_nested_near_the_recursion_limit_exits_0_2_or_3(site, nesting):
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        code = _in_a_fresh_thread(lambda: _nested_input_run(site, _nested(nesting)))
+    expected = (0, 3) if site == "reply" else (0, 2)
+    assert code in expected and "Traceback" not in err.getvalue(), (code, err.getvalue())
 
 
 # ---------------------------------------------------------------------------

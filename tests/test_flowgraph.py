@@ -100,6 +100,15 @@ def test_trajectories_induced_looks_up_a_user_turn_only_in_the_user_clustering()
         trajectories_induced([dialog], cu, cs)
 
 
+def test_trajectories_induced_rejects_a_speaker_with_no_clustering():
+    # 'd:1' is in both clusterings, so only the speaker can tell which one it belongs to
+    dialog = UnifiedDialog("d", (_utt("user", ["inform"]), AnnotatedUtterance(speaker="agent", text="t")))
+    cu = Clustering(ids=("d:0", "d:1"), labels=[0, 0], centroids=np.array([[1.0]]))
+    cs = Clustering(ids=("d:1",), labels=[0], centroids=np.array([[1.0]]))
+    with pytest.raises(InputError, match="^utterance 'd:1' has no cluster assignment$"):
+        trajectories_induced([dialog], cu, cs)
+
+
 def test_trajectories_induced_matches_direct_lookup():
     rng = np.random.default_rng(0)
     dialogs = []
